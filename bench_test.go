@@ -367,14 +367,17 @@ func BenchmarkKNNBruteVsKDTree(b *testing.B) {
 			b.ReportAllocs()
 			ix := neighbors.NewBruteForce(points)
 			for i := 0; i < b.N; i++ {
-				neighbors.AllKNN(ix, 15)
+				if _, _, _, err := neighbors.AllKNNFlat(bctx, ix, 15, 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		b.Run("kdtree/"+itoa(dim)+"d", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tree := neighbors.NewKDTree(points)
-				neighbors.AllKNN(tree, 15)
+				if _, _, _, err := neighbors.AllKNNFlat(bctx, neighbors.NewKDTree(points), 15, 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -406,38 +409,8 @@ func BenchmarkFigure9KNNPrune(b *testing.B) {
 			}
 		}
 	}
-	b.Run("pruned", func(b *testing.B) { run(b, neighbors.NewLandmarkIndex(points, 0)) })
+	b.Run("pruned", func(b *testing.B) { run(b, neighbors.NewLandmarkIndex(points)) })
 	b.Run("unpruned", func(b *testing.B) { run(b, neighbors.NewBruteForce(points)) })
-}
-
-// BenchmarkFigure9KNNQuant is the quantized prefilter's acceptance
-// workload: the same warm-index Figure-9 neighbourhood structure as
-// BenchmarkFigure9KNNPrune, but both arms run the LANDMARK tier — one with
-// the code-bound tile pass under the band scan, one going straight to the
-// exact kernel — so the ratio isolates exactly what the prefilter adds on
-// top of the tier it composes with. scripts/check.sh gates on the
-// quant/noquant ratio (≤ 0.85, best of three same-process rounds).
-func BenchmarkFigure9KNNQuant(b *testing.B) {
-	ds, _ := benchDataset(b, 1000, 20)
-	points := ds.FullView().Points()
-	defer neighbors.SetPruneConfig(neighbors.PruneConfig{})
-	run := func(b *testing.B, ix neighbors.Index) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := neighbors.AllKNNFlat(bctx, ix, 15, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("quant", func(b *testing.B) {
-		neighbors.SetPruneConfig(neighbors.PruneConfig{})
-		run(b, neighbors.NewLandmarkIndex(points, 0))
-	})
-	b.Run("noquant", func(b *testing.B) {
-		neighbors.SetPruneConfig(neighbors.PruneConfig{NoQuant: true})
-		run(b, neighbors.NewLandmarkIndex(points, 0))
-	})
 }
 
 // BenchmarkAblationHiCSTest compares the Welch and Kolmogorov–Smirnov

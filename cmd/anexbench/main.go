@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	anexbench [-scale small|paper] [-seed N] [-exp all|table1|figure8|figure9|figure10|figure11|table2|ablation|conformance|stream] [-csv dir] [-quiet] [-workers N] [-cache-mb 256] [-plane-mb 256] [-landmarks N] [-no-prune] [-quant N] [-no-quant] [-stats]
+//	anexbench [-scale small|paper] [-seed N] [-exp all|table1|figure8|figure9|figure10|figure11|table2|ablation|conformance|stream] [-csv dir] [-quiet] [-workers N] [-cache-mb 256] [-plane-mb 256] [-stats]
 //
 // The stream experiment (-exp stream; not part of -exp all) benchmarks the
 // sliding-window monitor on a synthetic Gaussian stream, running the same
@@ -34,7 +34,6 @@ import (
 
 	"anex/internal/clix"
 	"anex/internal/experiments"
-	"anex/internal/neighbors"
 	"anex/internal/pipeline"
 	"anex/internal/synth"
 )
@@ -54,10 +53,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "inner-loop workers per pipeline cell (0 = GOMAXPROCS); results are identical at any count")
 		cacheMB   = flag.Int("cache-mb", 0, "byte budget (MiB) of each detector's shared score memo; LRU-evicts past it (0 = default 256)")
 		planeMB   = flag.Int("plane-mb", 0, "byte budget (MiB) of the session's shared neighbourhood plane (0 = default 256)")
-		landmarks = flag.Int("landmarks", 0, "landmark count of the pruned candidate tier on wide views (0 = automatic); results are bit-identical at any value")
-		noPrune   = flag.Bool("no-prune", false, "disable the landmark-pruned candidate tier (wide views fall back to the plain exhaustive scan)")
-		quantTile = flag.Int("quant", 0, "candidate tile size of the quantized prefilter under the kNN tiers (0 = default 64); results are bit-identical at any value")
-		noQuant   = flag.Bool("no-quant", false, "disable the quantized prefilter (candidates go straight to the exact distance kernel)")
 		stats     = flag.Bool("stats", false, "print neighbourhood-plane and landmark-prune statistics (hits, dedup factor, scan fraction) to stderr when the run ends")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a post-GC heap profile to this file when the run ends")
@@ -69,15 +64,6 @@ func main() {
 		streamSlack  = flag.Int("stream-slack", -1, "stream experiment: engine reservoir slack (-1 = default)")
 	)
 	flag.Parse()
-
-	// The landmark tier is process-wide state (every index NewIndex builds
-	// consults it), so it is configured once, before any session exists.
-	neighbors.SetPruneConfig(neighbors.PruneConfig{
-		Landmarks: *landmarks,
-		Disabled:  *noPrune,
-		QuantTile: *quantTile,
-		NoQuant:   *noQuant,
-	})
 
 	// anexbench keeps the raw clix primitives instead of clix.Main: profiles
 	// must flush on every exit path (os.Exit skips defers) and the resume
@@ -266,15 +252,16 @@ func run(ctx context.Context, scaleFlag string, seed int64, exp, csvDir string, 
 		return fmt.Errorf("unknown experiment %q (want all, table1, figure8, figure9, figure10, figure11, table2, ablation or conformance)", exp)
 	}
 	if stats {
-		fmt.Fprintf(os.Stderr, "neighbourhood plane: %s\n", session.PlaneStats())
-		if pt := neighbors.PruneTotals(); pt.Indexes > 0 {
+		ps := session.PlaneStats()
+		fmt.Fprintf(os.Stderr, "neighbourhood plane: %s\n", ps)
+		if pt := ps.Prune; pt.Indexes > 0 {
 			fmt.Fprintf(os.Stderr, "landmark prune: %d indexes (%d landmarks, build %v), scanned %d of %d candidates (scan fraction %.3f, %d skipped)\n",
 				pt.Indexes, pt.Landmarks, pt.BuildTime, pt.Scanned, pt.Candidates, pt.ScanFraction(), pt.Skipped)
 			if pt.QuantCandidates > 0 {
 				fmt.Fprintf(os.Stderr, "quant prefilter: %d code bytes, rejected %d of %d bound-tested candidates (survivor fraction %.3f)\n",
 					pt.CodeBytes, pt.QuantRejected, pt.QuantCandidates, pt.SurvivorFraction())
 			} else {
-				fmt.Fprintln(os.Stderr, "quant prefilter: never engaged (disabled, views too small, or uncodeable)")
+				fmt.Fprintln(os.Stderr, "quant prefilter: never engaged (views too small or uncodeable)")
 			}
 		} else {
 			fmt.Fprintln(os.Stderr, "landmark prune: no wide views routed through the tier")

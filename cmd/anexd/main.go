@@ -7,7 +7,6 @@
 //
 //	anexd [-addr :8347] [-data-dir DIR] [-max-inflight N] [-rate R]
 //	      [-burst B] [-plane-mb 256] [-cache-mb 256] [-workers N]
-//	      [-landmarks N] [-no-prune] [-quant N] [-no-quant]
 //	      [-grace 15s] [-failpoints SPEC]
 //
 // Endpoints:
@@ -49,8 +48,18 @@ import (
 	"anex/internal/clix"
 	"anex/internal/durable"
 	"anex/internal/failpoint"
-	"anex/internal/neighbors"
 	"anex/internal/server"
+)
+
+// HTTP server timeouts. Headers are bounded here and request bodies per
+// request by the server package, so a slow or stalled client cannot hold a
+// connection (and its goroutine) open forever. There is deliberately no
+// ReadTimeout or WriteTimeout: both would stay armed while the handler
+// runs. Explanation time is bounded per request by timeout_ms and the
+// admission gate, not by the transport.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -64,22 +73,9 @@ func main() {
 		planeMB     = flag.Int("plane-mb", 0, "byte budget (MiB) of the shared neighbourhood plane (0 = default 256)")
 		cacheMB     = flag.Int("cache-mb", 0, "byte budget (MiB) of each dataset's per-detector score memo (0 = default 256)")
 		workers     = flag.Int("workers", 0, "scoring workers per request (0 = GOMAXPROCS); results are identical at any count")
-		landmarks   = flag.Int("landmarks", 0, "landmark count of the pruned candidate tier on wide views (0 = automatic); results are bit-identical at any value")
-		noPrune     = flag.Bool("no-prune", false, "disable the landmark-pruned candidate tier (wide views fall back to the plain exhaustive scan)")
-		quantTile   = flag.Int("quant", 0, "candidate tile size of the quantized prefilter under the kNN tiers (0 = default 64); results are bit-identical at any value")
-		noQuant     = flag.Bool("no-quant", false, "disable the quantized prefilter (candidates go straight to the exact distance kernel)")
 		grace       = flag.Duration("grace", 15*time.Second, "shutdown drain deadline before in-flight requests are hard-cancelled")
 	)
 	flag.Parse()
-
-	// The landmark tier is process-wide state consulted by every index the
-	// engine's plane builds, so it is configured before the engine exists.
-	neighbors.SetPruneConfig(neighbors.PruneConfig{
-		Landmarks: *landmarks,
-		Disabled:  *noPrune,
-		QuantTile: *quantTile,
-		NoQuant:   *noQuant,
-	})
 
 	// Unlike the one-shot CLIs (internal/clix: interrupt → exit 130), a
 	// signal to the daemon means "drain and exit cleanly".
@@ -166,7 +162,11 @@ func run(ctx context.Context, opts options) error {
 		opts.ready <- ln.Addr().String()
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -21,39 +21,30 @@ func allocPoints(n, d int, seed int64) [][]float64 {
 }
 
 // TestAllKNNAllocs pins the O(1)-allocation contract of the serial
-// neighbourhood builders: the whole n×m structure costs a constant number
+// neighbourhood builder: the whole n×m structure costs a constant number
 // of allocations — the flat result arrays, one scratch slice, and the
 // scratch's internal buffers — NOT O(n) per-row slices. The count is
 // asserted both in absolute terms (a regression to per-row allocation
 // would be ≥ n) and to be independent of n.
 func TestAllKNNAllocs(t *testing.T) {
 	const k = 10
-	counts := map[string][2]float64{}
+	var counts [2]float64
 	for trial, n := range []int{128, 512} {
 		ix := neighbors.NewIndex(allocPoints(n, 3, int64(n)))
-		flat := testing.AllocsPerRun(10, func() {
+		got := testing.AllocsPerRun(10, func() {
 			if _, _, _, err := neighbors.AllKNNFlat(context.Background(), ix, k, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
-		headered := testing.AllocsPerRun(10, func() {
-			neighbors.AllKNN(ix, k)
-		})
-		for name, got := range map[string]float64{"AllKNNFlat": flat, "AllKNN": headered} {
-			if got >= float64(n) {
-				t.Errorf("%s at n=%d: %v allocs/op — per-row allocation is back", name, n, got)
-			}
-			if got > 16 {
-				t.Errorf("%s at n=%d: %v allocs/op, want ≤ 16", name, n, got)
-			}
-			c := counts[name]
-			c[trial] = got
-			counts[name] = c
+		if got >= float64(n) {
+			t.Errorf("AllKNNFlat at n=%d: %v allocs/op — per-row allocation is back", n, got)
 		}
+		if got > 16 {
+			t.Errorf("AllKNNFlat at n=%d: %v allocs/op, want ≤ 16", n, got)
+		}
+		counts[trial] = got
 	}
-	for name, c := range counts {
-		if c[0] != c[1] {
-			t.Errorf("%s allocations scale with n: %v at n=128 vs %v at n=512", name, c[0], c[1])
-		}
+	if counts[0] != counts[1] {
+		t.Errorf("AllKNNFlat allocations scale with n: %v at n=128 vs %v at n=512", counts[0], counts[1])
 	}
 }

@@ -18,15 +18,7 @@ func NewBruteForce(points [][]float64) Index {
 
 func (b bruteForce) Len() int { return len(b.points) }
 
-func (b bruteForce) KNNOf(i, k int) ([]int, []float64) {
-	var s Scratch
-	idx, dist := b.KNNInto(i, k, &s)
-	return append([]int(nil), idx...), append([]float64(nil), dist...)
-}
-
-// KNNInto is KNNOf answering into the caller's reusable scratch: the
-// returned slices are owned by s and valid until its next use, and a warm
-// scratch makes the whole query allocation-free.
+// KNNInto implements Index by one early-exit scan over every point.
 func (b bruteForce) KNNInto(i, k int, s *Scratch) ([]int, []float64) {
 	checkK(k)
 	q := b.points[i]

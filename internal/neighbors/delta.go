@@ -279,7 +279,7 @@ func (e *DeltaEngine) Stats() DeltaStats {
 // per-point queries over the given number of workers. The returned arrays
 // are flat n×m row-major (m = min(k, n−1)): point i's neighbours are
 // idx[i*m : (i+1)*m] with Euclidean distances in the matching dist slots,
-// ascending, index tie-broken — bit-identical to AllKNNParallel over
+// ascending, index tie-broken — bit-identical to AllKNNFlat over
 // NewIndex at any worker count. The arrays are backed by the engine's
 // cache (a repeated query returns them without recomputation or
 // allocation) and must not be mutated. ok reports whether the engine
@@ -363,26 +363,6 @@ func (e *DeltaEngine) AllKNN(ctx context.Context, src ColumnSource, k, workers i
 	}
 	e.store(key, m, flatIdx, flatSq, flatDist)
 	return flatIdx, flatDist, m, true, nil
-}
-
-// FlattenKNN converts the per-point neighbour slices of AllKNNParallel into
-// the flat row-major arrays the delta engine returns, so detector hot loops
-// have a single shape on both paths. All rows must share one length (the
-// AllKNNParallel contract).
-func FlattenKNN(idx [][]int, dist [][]float64) ([]int32, []float64, int) {
-	if len(idx) == 0 {
-		return nil, nil, 0
-	}
-	m := len(idx[0])
-	flatIdx := make([]int32, len(idx)*m)
-	flatDist := make([]float64, len(idx)*m)
-	for i := range idx {
-		for j, p := range idx[i] {
-			flatIdx[i*m+j] = int32(p)
-		}
-		copy(flatDist[i*m:(i+1)*m], dist[i])
-	}
-	return flatIdx, flatDist, m
 }
 
 // source returns (creating on demand) the per-dataset state, evicting the

@@ -34,13 +34,11 @@ func deltaDataset(t *testing.T, name string, n, d int, seed int64) *dataset.Data
 // code the detectors fall back to when the engine declines a view).
 func referenceKNN(t *testing.T, v *dataset.View, k int) ([]int32, []float64, int) {
 	t.Helper()
-	ix := neighbors.NewIndex(v.Points())
-	idx, dist, err := neighbors.AllKNNParallel(context.Background(), ix, k, 1)
+	idx, dist, m, err := neighbors.AllKNNFlat(context.Background(), neighbors.NewIndex(v.Points()), k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, fd, m := neighbors.FlattenKNN(idx, dist)
-	return fi, fd, m
+	return idx, dist, m
 }
 
 // checkDeltaMatches runs the engine on the view at the given worker count

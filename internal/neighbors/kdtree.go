@@ -125,16 +125,8 @@ func nthElement(idx []int, n int, less func(a, b int) bool) {
 
 func (t *KDTree) Len() int { return len(t.points) }
 
-// KNNOf returns the k nearest neighbours of indexed point i, excluding i.
-func (t *KDTree) KNNOf(i, k int) ([]int, []float64) {
-	var s Scratch
-	idx, dist := t.KNNInto(i, k, &s)
-	return append([]int(nil), idx...), append([]float64(nil), dist...)
-}
-
-// KNNInto is KNNOf answering into the caller's reusable scratch: the
-// returned slices are owned by s and valid until its next use, and a warm
-// scratch makes the whole query allocation-free.
+// KNNInto implements Index: the k nearest neighbours of indexed point i,
+// excluding i.
 func (t *KDTree) KNNInto(i, k int, s *Scratch) ([]int, []float64) {
 	checkK(k)
 	if len(t.points) == 0 {

@@ -65,42 +65,6 @@ const (
 	landmarkSeed = 0x9E3779B97F4A7C15
 )
 
-// PruneConfig tunes the landmark tier process-wide. The zero value means
-// "enabled, automatic landmark count" — the default. Configuration only
-// affects speed, never results: neighbour sets are bit-identical with the
-// tier on, off, or at any landmark count.
-type PruneConfig struct {
-	// Landmarks fixes the landmark count; 0 picks automatically
-	// (min(landmarkMaxAuto, n/8), at least 2).
-	Landmarks int
-	// Disabled turns the tier off; NewIndex falls back to the plain
-	// brute-force scan for wide views.
-	Disabled bool
-	// NoQuant turns the quantized prefilter off (the -no-quant knob):
-	// landmark band scans and window arrival scans go straight to the
-	// exact kernel without the code-bound pass.
-	NoQuant bool
-	// QuantTile overrides the candidate tile size of the quantized
-	// prefilter's filter/verify pipeline; 0 picks quantTileDefault,
-	// values above quantTileMax are clamped.
-	QuantTile int
-}
-
-var pruneConfig atomic.Value // of PruneConfig
-
-// SetPruneConfig installs the process-wide landmark-tier configuration
-// (the -landmarks / -no-prune knobs). Safe for concurrent use; indexes
-// already built keep the configuration they were built with.
-func SetPruneConfig(c PruneConfig) { pruneConfig.Store(c) }
-
-// GetPruneConfig returns the current landmark-tier configuration.
-func GetPruneConfig() PruneConfig {
-	if c, ok := pruneConfig.Load().(PruneConfig); ok {
-		return c
-	}
-	return PruneConfig{}
-}
-
 // PruneStats aggregates the landmark tier's activity: how many indexes
 // built landmark structures, what the selection cost, and — the headline —
 // how much of the candidate stream the lower bound rejected before the
@@ -161,55 +125,10 @@ func (s PruneStats) add(o PruneStats) PruneStats {
 	return s
 }
 
-// Package-wide totals, covering every landmark index in the process —
-// including detectors' private fallback indexes that never pass through a
-// plane. The per-plane aggregation (PlaneStats.Prune) is the per-service
-// view; this is the process view.
-var (
-	pruneIndexes    atomic.Int64
-	pruneLandmarks  atomic.Int64
-	pruneBuildNanos atomic.Int64
-	pruneCandidates atomic.Int64
-	pruneScanned    atomic.Int64
-	pruneSkipped    atomic.Int64
-	pruneCodeBytes  atomic.Int64
-	pruneQuantCand  atomic.Int64
-	pruneQuantRej   atomic.Int64
-)
-
-// PruneTotals returns the process-wide landmark-tier counters.
-func PruneTotals() PruneStats {
-	return PruneStats{
-		Indexes:         int(pruneIndexes.Load()),
-		Landmarks:       int(pruneLandmarks.Load()),
-		BuildTime:       time.Duration(pruneBuildNanos.Load()),
-		Candidates:      pruneCandidates.Load(),
-		Scanned:         pruneScanned.Load(),
-		Skipped:         pruneSkipped.Load(),
-		CodeBytes:       pruneCodeBytes.Load(),
-		QuantCandidates: pruneQuantCand.Load(),
-		QuantRejected:   pruneQuantRej.Load(),
-	}
-}
-
-// ResetPruneTotals zeroes the process-wide counters (benchmark harnesses
-// isolating one arm's activity).
-func ResetPruneTotals() {
-	pruneIndexes.Store(0)
-	pruneLandmarks.Store(0)
-	pruneBuildNanos.Store(0)
-	pruneCandidates.Store(0)
-	pruneScanned.Store(0)
-	pruneSkipped.Store(0)
-	pruneCodeBytes.Store(0)
-	pruneQuantCand.Store(0)
-	pruneQuantRej.Store(0)
-}
-
 // landmarkIndex is the pruned-candidate index: a brute-force scan behind an
 // n×nl landmark lower-bound prefilter over a flat stride-addressed row
-// copy. It implements Index and ScratchQuerier; results are bit-identical
-// to bruteForce on the same points.
+// copy. It implements Index; results are bit-identical to bruteForce on the
+// same points.
 type landmarkIndex struct {
 	points [][]float64
 	flat   []float64 // n×d row-major copy, stride d (the kernel's layout)
@@ -241,7 +160,7 @@ type landmarkIndex struct {
 	segLoT, segHiT []float64
 	diagLo, diagHi []float64
 
-	// Quantized prefilter state (nil qp when disabled or unusable, see
+	// Quantized prefilter state (nil qp when off or unusable, see
 	// quant.go): qcodes holds the n padded code rows (stride bytes each,
 	// see quantStride) in CLUSTER order — row r
 	// codes point order[r] — so the band scan's tile pass reads sequential
@@ -255,18 +174,26 @@ type landmarkIndex struct {
 
 	buildTime time.Duration
 
-	// Per-index activity, mirrored into the package totals; the plane folds
-	// these into the owning entry's PruneStats after each computation.
+	// Per-index activity; the plane folds these into the owning entry's
+	// PruneStats after each computation.
 	candidates, scanned, skipped atomic.Int64
 	qcand, qrej                  atomic.Int64
 }
 
-// NewLandmarkIndex builds a pruned-candidate index over the points with the
-// given landmark count (0 → automatic). Callers normally go through
-// NewIndex, which applies the process PruneConfig and the size/width gates;
-// this constructor is exported for tests and benchmarks that pin the tier
-// explicitly. The points are not mutated; the index keeps its own flat copy.
-func NewLandmarkIndex(points [][]float64, landmarks int) Index {
+// NewLandmarkIndex builds a pruned-candidate index over the points with an
+// automatic landmark count and the quantized prefilter at its default
+// tile. Callers normally go through NewIndex, which applies the
+// size/width gates; this constructor is exported for benchmarks that pin
+// the tier explicitly. The points are not mutated; the index keeps its own
+// flat copy.
+func NewLandmarkIndex(points [][]float64) Index {
+	return newLandmarkIndex(points, 0, quantTileDefault)
+}
+
+// newLandmarkIndex is NewLandmarkIndex with an explicit prefilter tile:
+// tile 0 builds no codes (the plain band scan, kept as the reference path
+// for tests), larger tiles are clamped to quantTileMax.
+func newLandmarkIndex(points [][]float64, landmarks, tile int) Index {
 	n := len(points)
 	if n < 2 {
 		return bruteForce{points: points}
@@ -296,14 +223,10 @@ func NewLandmarkIndex(points [][]float64, landmarks int) Index {
 	lx.lm = make([]float64, n*nl)
 	lx.selectLandmarks()
 	lx.buildClusters()
-	if cfg := GetPruneConfig(); !cfg.NoQuant && n >= quantMinPoints {
-		lx.buildQuant(cfg.QuantTile)
+	if tile > 0 && n >= quantMinPoints {
+		lx.buildQuant(min(tile, quantTileMax))
 	}
 	lx.buildTime = time.Since(start)
-
-	pruneIndexes.Add(1)
-	pruneLandmarks.Add(int64(nl))
-	pruneBuildNanos.Add(int64(lx.buildTime))
 	return lx
 }
 
@@ -432,7 +355,7 @@ func (lx *landmarkIndex) buildClusters() {
 // (non-finite values, ranges too wide to square) leave qp nil and the
 // scans take the plain exact path.
 func (lx *landmarkIndex) buildQuant(tile int) {
-	lx.qtile = quantTileSize(tile)
+	lx.qtile = tile
 	qp := newQuantParams(lx.points, lx.d)
 	if !qp.usable {
 		return
@@ -450,7 +373,6 @@ func (lx *landmarkIndex) buildQuant(tile int) {
 	}
 	lx.qp, lx.qcodes, lx.qpos = qp, codes, pos
 	lx.codeBytes = qp.codeBytes(lx.n)
-	pruneCodeBytes.Add(lx.codeBytes)
 }
 
 func (lx *landmarkIndex) Len() int { return lx.n }
@@ -475,12 +397,6 @@ func (lx *landmarkIndex) PruneStats() PruneStats {
 	}
 }
 
-func (lx *landmarkIndex) KNNOf(i, k int) ([]int, []float64) {
-	var s Scratch
-	idx, dist := lx.KNNInto(i, k, &s)
-	return append([]int(nil), idx...), append([]float64(nil), dist...)
-}
-
 // KNNInto answers like bruteForce.KNNInto — bit for bit — through the
 // landmark prefilter: clusters are visited in order of increasing
 // query→landmark distance (the query's own cluster is the nearest landmark,
@@ -488,7 +404,7 @@ func (lx *landmarkIndex) KNNOf(i, k int) ([]int, []float64) {
 // is tested wholesale against the radius before any member distance is
 // computed — the farther the cluster, the smaller the radius it meets and
 // the likelier its whole segment is rejected. Per-query counters flush
-// into the index and package totals once at the end.
+// into the index's totals once at the end.
 func (lx *landmarkIndex) KNNInto(i, k int, s *Scratch) ([]int, []float64) {
 	checkK(k)
 	s.h.reset(k)
@@ -569,10 +485,5 @@ func (lx *landmarkIndex) KNNInto(i, k int, s *Scratch) ([]int, []float64) {
 	lx.skipped.Add(pc.skipped)
 	lx.qcand.Add(pc.qcand)
 	lx.qrej.Add(pc.qrej)
-	pruneCandidates.Add(pc.candidates)
-	pruneScanned.Add(scanned)
-	pruneSkipped.Add(pc.skipped)
-	pruneQuantCand.Add(pc.qcand)
-	pruneQuantRej.Add(pc.qrej)
 	return s.drain()
 }

@@ -1,4 +1,4 @@
-package neighbors_test
+package neighbors
 
 import (
 	"context"
@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"anex/internal/neighbors"
 	"anex/internal/synth"
 )
 
@@ -83,16 +82,16 @@ func TestLandmarkPrunedBitIdentical(t *testing.T) {
 	for name, points := range landmarkCases() {
 		t.Run(name, func(t *testing.T) {
 			n := len(points)
-			brute := neighbors.NewBruteForce(points)
+			brute := NewBruteForce(points)
 			for _, nl := range []int{0, 1, 2, 7, 64} {
-				pruned := neighbors.NewLandmarkIndex(points, nl)
+				pruned := newLandmarkIndex(points, nl, quantTileDefault)
 				for _, k := range []int{1, 5, 15, n - 1, n + 10} {
-					wantIdx, wantDist, wantM, err := neighbors.AllKNNFlat(ctx, brute, k, 1)
+					wantIdx, wantDist, wantM, err := AllKNNFlat(ctx, brute, k, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, workers := range []int{1, 4} {
-						gotIdx, gotDist, gotM, err := neighbors.AllKNNFlat(ctx, pruned, k, workers)
+						gotIdx, gotDist, gotM, err := AllKNNFlat(ctx, pruned, k, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -145,11 +144,11 @@ func figure9Points(t testing.TB) [][]float64 {
 // load.
 func TestPruneEffectivenessFigure9(t *testing.T) {
 	points := figure9Points(t)
-	ix := neighbors.NewLandmarkIndex(points, 0)
-	if _, _, _, err := neighbors.AllKNNFlat(context.Background(), ix, 15, 1); err != nil {
+	ix := NewLandmarkIndex(points)
+	if _, _, _, err := AllKNNFlat(context.Background(), ix, 15, 1); err != nil {
 		t.Fatal(err)
 	}
-	st := ix.(interface{ PruneStats() neighbors.PruneStats }).PruneStats()
+	st := ix.(interface{ PruneStats() PruneStats }).PruneStats()
 	if st.Candidates == 0 || st.Skipped == 0 {
 		t.Fatalf("landmark tier did not engage: %+v", st)
 	}

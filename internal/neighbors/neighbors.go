@@ -1,8 +1,9 @@
 // Package neighbors provides the k-nearest-neighbour substrate used by the
-// density- and angle-based detectors. Two index implementations are
-// provided: exhaustive brute force, and a KD-tree that pays off on the
+// density- and angle-based detectors. Three index implementations are
+// provided: exhaustive brute force, a KD-tree that pays off on the
 // low-dimensional subspace views that explanation algorithms query by the
-// thousands. NewIndex picks between them automatically.
+// thousands, and a landmark-pruned scan for wide views. NewIndex picks
+// between them by size and width.
 package neighbors
 
 import (
@@ -14,23 +15,15 @@ import (
 
 // Index answers k-nearest-neighbour queries over a fixed point set.
 type Index interface {
-	// KNNOf returns the indices and Euclidean distances of the k points
+	// KNNInto returns the indices and Euclidean distances of the k points
 	// nearest to point i, excluding i itself, ordered by increasing
-	// distance. If fewer than k other points exist, all of them are
-	// returned.
-	KNNOf(i, k int) (idx []int, dist []float64)
+	// (distance, index). If fewer than k other points exist, all of them
+	// are returned. The slices are owned by the caller's reusable scratch
+	// and valid until its next use; a warm scratch makes the query
+	// allocation-free.
+	KNNInto(i, k int, s *Scratch) (idx []int, dist []float64)
 	// Len returns the number of indexed points.
 	Len() int
-}
-
-// ScratchQuerier is the allocation-free query path implemented by both
-// built-in indexes: KNNInto answers like KNNOf but into the caller's
-// reusable Scratch, so a warm scratch makes repeated queries allocate
-// nothing. The returned slices are owned by the scratch and only valid
-// until its next use. AllKNNParallel detects this interface and keeps one
-// scratch per worker.
-type ScratchQuerier interface {
-	KNNInto(i, k int, s *Scratch) (idx []int, dist []float64)
 }
 
 // kdTreeMaxDim is the dimensionality above which brute force beats the
@@ -39,12 +32,13 @@ type ScratchQuerier interface {
 // exhaustive scan with tight inner loops wins.
 const kdTreeMaxDim = 10
 
-// NewIndex builds the appropriate index for the given points: a KD-tree
-// for low-dimensional data (subspace views), the landmark-pruned tier for
-// wide views large enough to amortise its build (unless PruneConfig
-// disables it), plain brute force otherwise. All three return bit-identical
-// neighbour sets; the choice only affects speed. The points are not
-// mutated; callers must not mutate them while the index is in use.
+// NewIndex builds the appropriate index for the given points, picked by
+// size and width: a KD-tree for low-dimensional data (subspace views), the
+// landmark-pruned tier (with its quantized prefilter) for wide views large
+// enough to amortise its build, plain brute force otherwise. All three
+// return bit-identical neighbour sets; the choice only affects speed. The
+// points are not mutated; callers must not mutate them while the index is
+// in use.
 func NewIndex(points [][]float64) Index {
 	if len(points) == 0 {
 		return bruteForce{}
@@ -52,32 +46,23 @@ func NewIndex(points [][]float64) Index {
 	if len(points[0]) <= kdTreeMaxDim && len(points) >= 64 {
 		return NewKDTree(points)
 	}
-	if c := GetPruneConfig(); !c.Disabled && len(points) >= landmarkMinPoints && len(points[0]) > kdTreeMaxDim {
-		return NewLandmarkIndex(points, c.Landmarks)
+	if len(points) >= landmarkMinPoints && len(points[0]) > kdTreeMaxDim {
+		return NewLandmarkIndex(points)
 	}
 	return NewBruteForce(points)
 }
 
-// AllKNN returns, for every indexed point, its k nearest neighbours and
-// their distances. This is the access pattern of LOF and FastABOD, which
-// need the complete neighbourhood structure. The serial loop routes through
-// the same flat-backing KNNInto/Scratch path as AllKNNParallel: the per-row
-// result slices are sub-slices of two shared arrays and each query reuses
-// one scratch, so the whole structure costs O(1) allocations (pinned by
-// TestAllKNNAllocs) instead of O(n) per-row slices.
-func AllKNN(ix Index, k int) (idx [][]int, dist [][]float64) {
-	idx, dist, _ = AllKNNParallel(context.Background(), ix, k, 1)
-	return idx, dist
-}
-
-// AllKNNFlat is the header-free variant of AllKNNParallel: the complete
-// neighbourhood structure is returned as two flat row-major n×m arrays
-// (m = min(k, n−1)) — point i's neighbours are idx[i*m : (i+1)*m] with
+// AllKNNFlat returns the complete neighbourhood structure — every indexed
+// point's k nearest neighbours — as two flat row-major n×m arrays
+// (m = min(k, n−1)): point i's neighbours are idx[i*m : (i+1)*m] with
 // distances in the matching dist slots, ascending, index tie-broken. The
 // layout and values are bit-identical to the delta engine's AllKNN, so
 // consumers (the neighbourhood plane, detector hot loops) handle a single
-// shape on every path, and not even the per-row slice headers of
-// AllKNNParallel are allocated: three allocations total, whatever n is.
+// shape on every path. The per-point queries are distributed over the
+// given number of workers (≤ 1 → serial), each answering through its own
+// reusable scratch into its own rows, so results are identical at any
+// worker count and the whole structure costs O(1) allocations. Cancellation
+// is observed between queries; on a non-nil error the arrays are nil.
 func AllKNNFlat(ctx context.Context, ix Index, k, workers int) (idx []int32, dist []float64, m int, err error) {
 	n := ix.Len()
 	if n == 0 {
@@ -93,16 +78,9 @@ func AllKNNFlat(ctx context.Context, ix Index, k, workers int) (idx []int32, dis
 	}
 	idx = make([]int32, n*m)
 	dist = make([]float64, n*m)
-	sq, scratched := ix.(ScratchQuerier)
 	scratch := make([]Scratch, parallel.ShardCount(workers, n))
 	err = parallel.ForEachShard(ctx, workers, n, func(shard, i int) {
-		var qi []int
-		var qd []float64
-		if scratched {
-			qi, qd = sq.KNNInto(i, k, &scratch[shard])
-		} else {
-			qi, qd = ix.KNNOf(i, k)
-		}
+		qi, qd := ix.KNNInto(i, k, &scratch[shard])
 		for t, p := range qi {
 			idx[i*m+t] = int32(p)
 		}
@@ -112,47 +90,6 @@ func AllKNNFlat(ctx context.Context, ix Index, k, workers int) (idx []int32, dis
 		return nil, nil, 0, err
 	}
 	return idx, dist, m, nil
-}
-
-// AllKNNParallel is AllKNN with the independent per-point queries
-// distributed over the given number of workers (≤ 1 → serial). Both index
-// implementations are read-only during queries, and every query writes only
-// its own slot, so results are identical at any worker count. Cancellation
-// is observed between queries; on a non-nil error the returned slices are
-// partial and must be discarded.
-//
-// The per-point result slices share two flat backing arrays (every query
-// returns exactly min(k, n−1) neighbours), and indexes implementing
-// ScratchQuerier answer through one reusable scratch per worker — so the
-// whole neighbourhood structure costs O(1) allocations instead of O(n).
-func AllKNNParallel(ctx context.Context, ix Index, k, workers int) (idx [][]int, dist [][]float64, err error) {
-	n := ix.Len()
-	idx = make([][]int, n)
-	dist = make([][]float64, n)
-	if n == 0 {
-		return idx, dist, nil
-	}
-	sq, ok := ix.(ScratchQuerier)
-	if !ok {
-		err = parallel.ForEach(ctx, workers, n, func(i int) {
-			idx[i], dist[i] = ix.KNNOf(i, k)
-		})
-		return idx, dist, err
-	}
-	m := k
-	if m > n-1 {
-		m = n - 1
-	}
-	flatIdx := make([]int, n*m)
-	flatDist := make([]float64, n*m)
-	scratch := make([]Scratch, parallel.ShardCount(workers, n))
-	err = parallel.ForEachShard(ctx, workers, n, func(shard, i int) {
-		qi, qd := sq.KNNInto(i, k, &scratch[shard])
-		lo := i * m
-		idx[i] = flatIdx[lo : lo+copy(flatIdx[lo:lo+m], qi) : lo+m]
-		dist[i] = flatDist[lo : lo+copy(flatDist[lo:lo+m], qd) : lo+m]
-	})
-	return idx, dist, err
 }
 
 // SquaredEuclidean returns the squared Euclidean distance between a and b,

@@ -1,12 +1,19 @@
 package neighbors
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// knnOf answers one query through a fresh scratch, so the returned slices
+// are the caller's to keep.
+func knnOf(ix Index, i, k int) ([]int, []float64) {
+	return ix.KNNInto(i, k, NewScratch())
+}
 
 func gridPoints() [][]float64 {
 	// 0:(0,0) 1:(1,0) 2:(0,1) 3:(10,10) 4:(1,1)
@@ -15,7 +22,7 @@ func gridPoints() [][]float64 {
 
 func TestBruteForceKNN(t *testing.T) {
 	ix := NewBruteForce(gridPoints())
-	idx, dist := ix.KNNOf(0, 2)
+	idx, dist := knnOf(ix, 0, 2)
 	if len(idx) != 2 {
 		t.Fatalf("got %d neighbours", len(idx))
 	}
@@ -37,7 +44,7 @@ func TestBruteForceKNN(t *testing.T) {
 
 func TestKNNFewerPointsThanK(t *testing.T) {
 	ix := NewBruteForce([][]float64{{0}, {1}, {2}})
-	idx, _ := ix.KNNOf(0, 10)
+	idx, _ := knnOf(ix, 0, 10)
 	if len(idx) != 2 {
 		t.Errorf("want all 2 others, got %v", idx)
 	}
@@ -49,7 +56,7 @@ func TestKNNPanicsOnBadK(t *testing.T) {
 			t.Error("k=0 should panic")
 		}
 	}()
-	NewBruteForce(gridPoints()).KNNOf(0, 0)
+	knnOf(NewBruteForce(gridPoints()), 0, 0)
 }
 
 func TestKDTreeMatchesBruteForce(t *testing.T) {
@@ -72,8 +79,8 @@ func TestKDTreeMatchesBruteForce(t *testing.T) {
 				}
 				for trial := 0; trial < 10; trial++ {
 					q := rng.Intn(n)
-					ti, td := tree.KNNOf(q, k)
-					bi, bd := brute.KNNOf(q, k)
+					ti, td := knnOf(tree, q, k)
+					bi, bd := knnOf(brute, q, k)
 					for m := range bi {
 						if ti[m] != bi[m] {
 							t.Fatalf("n=%d d=%d k=%d q=%d: tree %v vs brute %v", n, d, k, q, ti, bi)
@@ -102,7 +109,7 @@ func TestKDTreeQuery(t *testing.T) {
 func TestKDTreeDuplicatePoints(t *testing.T) {
 	points := [][]float64{{1, 1}, {1, 1}, {1, 1}, {2, 2}}
 	tree := NewKDTree(points)
-	idx, dist := tree.KNNOf(0, 2)
+	idx, dist := knnOf(tree, 0, 2)
 	if len(idx) != 2 {
 		t.Fatalf("got %v", idx)
 	}
@@ -121,7 +128,7 @@ func TestKDTreeEmptyAndDepth(t *testing.T) {
 	if tree.Len() != 0 || tree.Depth() != 0 {
 		t.Error("empty tree should have zero len/depth")
 	}
-	if idx, _ := tree.KNNOf(0, 1); idx != nil {
+	if idx, _ := knnOf(tree, 0, 1); idx != nil {
 		t.Error("empty tree KNN should be nil")
 	}
 	rng := rand.New(rand.NewSource(9))
@@ -167,16 +174,23 @@ func TestNewIndexSelection(t *testing.T) {
 
 func TestAllKNN(t *testing.T) {
 	ix := NewBruteForce(gridPoints())
-	idx, dist := AllKNN(ix, 2)
-	if len(idx) != 5 || len(dist) != 5 {
-		t.Fatalf("AllKNN shapes %d/%d", len(idx), len(dist))
+	idx, dist, m, err := AllKNNFlat(context.Background(), ix, 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range idx {
-		if len(idx[i]) != 2 {
-			t.Errorf("point %d has %d neighbours", i, len(idx[i]))
+	if m != 2 || len(idx) != 5*m || len(dist) != 5*m {
+		t.Fatalf("AllKNNFlat shapes m=%d %d/%d", m, len(idx), len(dist))
+	}
+	for i := 0; i < 5; i++ {
+		row := dist[i*m : (i+1)*m]
+		if !sort.Float64sAreSorted(row) {
+			t.Errorf("point %d distances unsorted: %v", i, row)
 		}
-		if !sort.Float64sAreSorted(dist[i]) {
-			t.Errorf("point %d distances unsorted: %v", i, dist[i])
+		wi, wd := knnOf(ix, i, 2)
+		for j, p := range idx[i*m : (i+1)*m] {
+			if int(p) != wi[j] || row[j] != wd[j] {
+				t.Errorf("point %d slot %d: (%d, %v), per-point query (%d, %v)", i, j, p, row[j], wi[j], wd[j])
+			}
 		}
 	}
 }
@@ -211,8 +225,8 @@ func TestPropertyKDTreeEqualsBrute(t *testing.T) {
 		tree := NewKDTree(points)
 		brute := NewBruteForce(points)
 		q := rng.Intn(n)
-		ti, td := tree.KNNOf(q, k)
-		bi, bd := brute.KNNOf(q, k)
+		ti, td := knnOf(tree, q, k)
+		bi, bd := knnOf(brute, q, k)
 		if len(ti) != len(bi) {
 			return false
 		}

@@ -54,7 +54,7 @@ import "math"
 // distances are bit-identical to the unpruned scan at any tile size and
 // worker count.
 //
-// Candidates are scanned in cache-sized tiles (quantTileSize): the
+// Candidates are scanned in cache-sized tiles (quantTileDefault): the
 // branch-free bound pass covers the whole tile's sequential padded byte
 // rows first, survivors are collected into a fixed scratch list, and only
 // then does the exact kernel run — converting the per-candidate
@@ -86,7 +86,7 @@ const (
 	// alongside the query row and the bound scratch.
 	quantTileDefault = 64
 
-	// quantTileMax caps configured tiles so the per-query bound and
+	// quantTileMax caps tile sizes so the per-query bound and
 	// survivor scratches stay fixed-size cells in the query Scratch.
 	quantTileMax = 256
 
@@ -102,17 +102,6 @@ const (
 	// the handful of candidates an exhaustive scan costs anyway.
 	quantMinPoints = 64
 )
-
-// quantTileSize clamps a configured tile size (0 → default).
-func quantTileSize(v int) int {
-	if v <= 0 {
-		return quantTileDefault
-	}
-	if v > quantTileMax {
-		return quantTileMax
-	}
-	return v
-}
 
 // quantStride pads a row width to the SIMD kernel's 16-byte block multiple.
 func quantStride(d int) int { return (d + 15) &^ 15 }

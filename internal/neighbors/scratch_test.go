@@ -14,7 +14,7 @@ import (
 // back to back (widest full-space view first, then the narrow subspaces).
 func scratchWidthIndexes() []struct {
 	name string
-	ix   neighbors.ScratchQuerier
+	ix   neighbors.Index
 	n    int
 } {
 	rng := rand.New(rand.NewSource(11))
@@ -34,11 +34,11 @@ func scratchWidthIndexes() []struct {
 	narrow := gen(200, 4)
 	return []struct {
 		name string
-		ix   neighbors.ScratchQuerier
+		ix   neighbors.Index
 		n    int
 	}{
-		{"landmark-20d", neighbors.NewLandmarkIndex(wide, 0).(neighbors.ScratchQuerier), len(wide)},
-		{"brute-12d", neighbors.NewBruteForce(mid).(neighbors.ScratchQuerier), len(mid)},
+		{"landmark-20d", neighbors.NewLandmarkIndex(wide), len(wide)},
+		{"brute-12d", neighbors.NewBruteForce(mid), len(mid)},
 		{"kdtree-4d", neighbors.NewKDTree(narrow), len(narrow)},
 	}
 }

@@ -69,6 +69,10 @@ type WindowStats struct {
 	// Batches counts Apply calls that carried at least one arrival;
 	// Arrivals the points they delivered (each costing one fresh scan).
 	Batches, Arrivals int
+	// QuantCandidates counts candidates whose 8-bit code bound was
+	// evaluated in a tile pass of a fresh scan; QuantRejected of those
+	// were rejected from codes alone (see quant.go).
+	QuantCandidates, QuantRejected int64
 	// SurvivorLists counts reservoirs examined for repair (the per-batch
 	// survivor count, summed); Rescans of those lost too many trusted
 	// entries and were rebuilt by a full scan — the expensive event the
@@ -91,8 +95,8 @@ func (s WindowStats) RepairFraction() float64 {
 }
 
 func (s WindowStats) String() string {
-	return fmt.Sprintf("batches %d, arrivals %d, survivor lists %d, rescans %d (repair fraction %.3f), dirty marks %d",
-		s.Batches, s.Arrivals, s.SurvivorLists, s.Rescans, s.RepairFraction(), s.DirtyMarks)
+	return fmt.Sprintf("batches %d, arrivals %d, survivor lists %d, rescans %d (repair fraction %.3f), dirty marks %d, quant rejected %d of %d",
+		s.Batches, s.Arrivals, s.SurvivorLists, s.Rescans, s.RepairFraction(), s.DirtyMarks, s.QuantRejected, s.QuantCandidates)
 }
 
 // windowEntry is one reservoir member: the squared distance to the owning
@@ -138,7 +142,9 @@ type WindowEngine struct {
 	// marked uncodeable (qok false) and is simply never rejected by the
 	// bound; when uncodeable slots exceed a quarter of the window the book
 	// is rebuilt from the live points. qp nil means the prefilter is off
-	// (config, window too small, or uncodeable data).
+	// (qtile 0, window too small, or uncodeable data). qtile is the
+	// candidate tile; only in-package tests set it to anything but
+	// quantTileDefault.
 	qp      *quantParams
 	qcodes  []uint8
 	qok     []bool
@@ -148,8 +154,7 @@ type WindowEngine struct {
 
 // windowScratch is the per-worker repair scratch: the bounded heap of full
 // rescans, the saved old k-prefix used for dirty detection, and the
-// worker's code-bound counters (flushed to the package prune totals once
-// per batch).
+// worker's code-bound counters (flushed into WindowStats once per batch).
 type windowScratch struct {
 	h           boundedHeap
 	prefix      []windowEntry
@@ -167,7 +172,7 @@ func NewWindowEngine(k, slack, workers int) *WindowEngine {
 	if slack < 0 {
 		slack = DefaultWindowSlack
 	}
-	return &WindowEngine{k: k, slack: slack, workers: workers}
+	return &WindowEngine{k: k, slack: slack, workers: workers, qtile: quantTileDefault}
 }
 
 // K returns the neighbourhood depth the engine maintains.
@@ -277,11 +282,10 @@ func (e *WindowEngine) Apply(ctx context.Context, batch []WindowArrival) error {
 	for s := 0; s < shards; s++ {
 		e.stats.Rescans += rescans[s]
 		e.stats.DirtyMarks += dirtyMarks[s]
-		if sc := &e.scratch[s]; sc.qcand != 0 {
-			pruneQuantCand.Add(sc.qcand)
-			pruneQuantRej.Add(sc.qrej)
-			sc.qcand, sc.qrej = 0, 0
-		}
+		sc := &e.scratch[s]
+		e.stats.QuantCandidates += sc.qcand
+		e.stats.QuantRejected += sc.qrej
+		sc.qcand, sc.qrej = 0, 0
 	}
 	e.stats.SurvivorLists += n - len(e.arrSlots)
 	// Reset per-batch marks for the next Apply (cheaper than reallocating,
@@ -502,17 +506,15 @@ func (e *WindowEngine) scanPointsQuant(i int, q []float64, sc *windowScratch) {
 
 // refreshCodes maintains the quantized code table across a batch: arrivals
 // re-encode their own slot against the frozen code book, and the book is
-// rebuilt from the live points when the window grew past the gate, the
-// configuration changed, or too many arrivals fell outside the coded range.
-// Runs serially in Apply before the parallel repair phase.
+// rebuilt from the live points when the window grew past the gate or too
+// many arrivals fell outside the coded range. Runs serially in Apply before
+// the parallel repair phase.
 func (e *WindowEngine) refreshCodes() {
 	n := len(e.points)
-	cfg := GetPruneConfig()
-	if cfg.NoQuant || n < quantMinPoints {
+	if e.qtile == 0 || n < quantMinPoints {
 		e.qp = nil
 		return
 	}
-	e.qtile = quantTileSize(cfg.QuantTile)
 	if e.qp == nil || len(e.qok) != n {
 		e.rebuildCodes()
 		return
@@ -560,7 +562,6 @@ func (e *WindowEngine) rebuildCodes() {
 		}
 	}
 	e.qp = qp
-	pruneCodeBytes.Add(qp.codeBytes(n))
 }
 
 // insertWindowEntry inserts en into the (squared distance, slot)-sorted

@@ -102,8 +102,17 @@ func TestWindowEngineTinyWindows(t *testing.T) {
 
 func runWindowEngineParity(t *testing.T, shape string, W, d, k, stride, slack, workers, total int) {
 	t.Helper()
+	runWindowEngineParityTile(t, quantTileDefault, shape, W, d, k, stride, slack, workers, total)
+}
+
+// runWindowEngineParityTile is runWindowEngineParity with the engine's
+// prefilter tile pinned (0 turns the prefilter off), returning the engine's
+// final counters.
+func runWindowEngineParityTile(t *testing.T, tile int, shape string, W, d, k, stride, slack, workers, total int) WindowStats {
+	t.Helper()
 	rng := rand.New(rand.NewSource(int64(W*1000 + stride*100 + slack*10 + workers)))
 	eng := NewWindowEngine(k, slack, workers)
+	eng.qtile = tile
 	window := make([][]float64, 0, W)
 	next := 0
 	var batch []WindowArrival
@@ -170,6 +179,7 @@ func runWindowEngineParity(t *testing.T, shape string, W, d, k, stride, slack, w
 		t.Fatal("engine saw no arrivals")
 	}
 	t.Logf("%s: %d evals, engine %s", shape, evals, st)
+	return st
 }
 
 // appendArrival records slot's latest occupant, deduplicating when one

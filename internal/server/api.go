@@ -149,8 +149,8 @@ type StatsResponse struct {
 	// detectors).
 	Plane            neighbors.PlaneStats `json:"plane"`
 	PlaneDedupFactor float64              `json:"plane_dedup_factor"`
-	// Prune is the landmark-pruned candidate tier's process-wide ledger
-	// (covering plane builds and fallback indexes alike);
+	// Prune is the landmark-pruned candidate tier's ledger over this
+	// engine's plane builds (Plane.Prune, surfaced at the top level);
 	// PruneScanFraction is the share of candidate rows the tier let
 	// through to the exact distance kernel — 1.0 when the tier never
 	// engaged, ≤ 0.6 on the Figure-9 reference workload per check.sh.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,7 +15,6 @@ import (
 
 	"anex/internal/durable"
 	"anex/internal/failpoint"
-	"anex/internal/neighbors"
 )
 
 // DegradedRetryAfterSeconds is the Retry-After hint attached to the 503 a
@@ -65,6 +66,10 @@ type Server struct {
 	mu             sync.Mutex
 	degradedReason string
 	endpoints      map[string]*EndpointStats
+
+	// bodyTimeout bounds reading one request body (bodyReadTimeout;
+	// shortened only by tests).
+	bodyTimeout time.Duration
 }
 
 // New builds a server over engine.
@@ -80,6 +85,8 @@ func New(engine *Engine, cfg Config) *Server {
 		onDegrade: cfg.OnDegrade,
 		start:     time.Now(),
 		endpoints: make(map[string]*EndpointStats),
+
+		bodyTimeout: bodyReadTimeout,
 	}
 }
 
@@ -199,6 +206,10 @@ func (w *codeWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, which
+// sets the per-request body read deadline through it.
+func (w *codeWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // handleRegister is the durable write path: validate (parse + hash),
 // append the record to the write-ahead log, and only then commit to the
 // in-memory registry — so an acknowledged registration is always durable,
@@ -213,7 +224,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RegisterRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -263,7 +274,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExplainRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeJSON(w, r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -310,7 +321,7 @@ func (s *Server) Stats() StatsResponse {
 	if work > 0 {
 		dedup = float64(queries) / float64(work)
 	}
-	prune := neighbors.PruneTotals()
+	prune := plane.Prune
 	resp := StatsResponse{
 		Datasets:              datasets,
 		UptimeMS:              time.Since(s.start).Milliseconds(),
@@ -338,14 +349,53 @@ func (s *Server) Stats() StatsResponse {
 	return resp
 }
 
+// maxBodyBytes caps every request body. The largest payloads are dataset
+// registrations, whose CSV rides JSON-escaped in the body: a 1000×100
+// paper-scale dataset is ~2 MB, so 32 MiB leaves an order of magnitude of
+// headroom while keeping one request from exhausting server memory.
+const maxBodyBytes = 32 << 20
+
+// bodyReadTimeout bounds reading one request body, so a stalled client
+// cannot hold a connection and its goroutine forever; it leaves room for a
+// maxBodyBytes registration over a slow link. Unlike a connection-wide
+// http.Server.ReadTimeout, which is armed from the first header byte to
+// the end of the request, the deadline is set only while decodeJSON reads
+// and lifted before the handler does its work: explanation time stays
+// bounded by timeout_ms alone.
+const bodyReadTimeout = 2 * time.Minute
+
 // decodeJSON strictly decodes a request body (unknown fields rejected, so
 // a typo like "detecor" fails loudly instead of silently running defaults).
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// A body past maxBodyBytes fails with 413, one not fully read within the
+// server's body deadline with 408.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	// Writers without deadline support (httptest.ResponseRecorder) have
+	// no connection to bound; their errors are ignored.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		// Drain whatever follows the value, so net/http has nothing left
+		// to read from the client once the deadline is lifted.
+		_, err = io.Copy(io.Discard, body)
+	}
+	if err != nil {
+		// The deadline stays in force: net/http discards an unread body
+		// before replying, and a stalled client must not block that.
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &StatusError{Code: http.StatusRequestEntityTooLarge, Msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
+		var netErr net.Error
+		if errors.As(err, &netErr) && netErr.Timeout() {
+			return &StatusError{Code: http.StatusRequestTimeout, Msg: "request body not received in time"}
+		}
 		return badRequest("invalid request body: %v", err)
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	return nil
 }
 

@@ -155,7 +155,9 @@ awk -v ratio="$bestprune" 'BEGIN {
     printf("landmark prune: pruned/unpruned ratio %.4f (gate 0.75)\n", ratio)
 }'
 
-# Quantized-prefilter perf gate: BenchmarkFigure9KNNQuant builds the same
+# Quantized-prefilter perf gate: BenchmarkFigure9KNNQuant (in
+# internal/neighbors, where the no-quant arm is an unexported construction
+# parameter) builds the same
 # complete Figure-9 neighbourhood structure twice in the same process —
 # once with the quantized 8-bit prefilter under the landmark tier, once
 # with the prefilter disabled (candidates go straight to the exact
@@ -168,7 +170,7 @@ awk -v ratio="$bestprune" 'BEGIN {
 # and the fuzz smoke below, not by this timing gate.
 bestquant=""
 for i in 1 2 3; do
-    quantout="$(go test -run '^$' -bench 'BenchmarkFigure9KNNQuant$' -benchtime=30x .)"
+    quantout="$(go test -run '^$' -bench 'BenchmarkFigure9KNNQuant$' -benchtime=30x ./internal/neighbors)"
     quant="$(echo "$quantout" | getns '^BenchmarkFigure9KNNQuant/quant')"
     noquant="$(echo "$quantout" | getns '^BenchmarkFigure9KNNQuant/noquant')"
     [ -n "$quant" ] && [ -n "$noquant" ]
