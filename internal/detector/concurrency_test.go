@@ -70,7 +70,7 @@ func TestCachedSingleflight(t *testing.T) {
 	// release the gate so the single leader can finish.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if calls, _ := c.Stats(); calls == n {
+		if c.CacheStats().Calls == n {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -84,8 +84,8 @@ func TestCachedSingleflight(t *testing.T) {
 	if got := inner.inner.Load(); got != 1 {
 		t.Errorf("inner Scores ran %d times for one key, want exactly 1", got)
 	}
-	calls, hits := c.Stats()
-	if calls != n || hits != n-1 {
+	st := c.CacheStats()
+	if calls, hits := st.Calls, st.Hits; calls != n || hits != n-1 {
 		t.Errorf("stats = (%d calls, %d hits), want (%d, %d)", calls, hits, n, n-1)
 	}
 	for i, r := range results {
@@ -100,8 +100,8 @@ func TestCachedSingleflight(t *testing.T) {
 	if s, err := c.Scores(ctx, view); err != nil || len(s) != 3 {
 		t.Errorf("post-flight hit returned %v, %v", s, err)
 	}
-	if calls, hits := c.Stats(); calls != n+1 || hits != n {
-		t.Errorf("post-flight stats = (%d, %d), want (%d, %d)", calls, hits, n+1, n)
+	if st := c.CacheStats(); st.Calls != n+1 || st.Hits != n {
+		t.Errorf("post-flight stats = (%d, %d), want (%d, %d)", st.Calls, st.Hits, n+1, n)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestCachedConcurrentDistinctKeys(t *testing.T) {
 	}
 	close(inner.gate)
 	wg.Wait()
-	if calls, hits := c.Stats(); calls != 2 || hits != 0 {
-		t.Errorf("stats = (%d, %d), want (2, 0)", calls, hits)
+	if st := c.CacheStats(); st.Calls != 2 || st.Hits != 0 {
+		t.Errorf("stats = (%d, %d), want (2, 0)", st.Calls, st.Hits)
 	}
 }
 
@@ -188,7 +188,7 @@ func TestCachedLeaderPanicReleasesWaitersWithError(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if calls, _ := c.Stats(); calls == n {
+		if c.CacheStats().Calls == n {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -262,7 +262,7 @@ func TestCachedWaiterRetriesAfterLeaderContextCancelled(t *testing.T) {
 	}()
 	// Let the waiter park on the in-flight call, then kill the leader.
 	for {
-		if calls, _ := c.Stats(); calls == 2 {
+		if c.CacheStats().Calls == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -307,7 +307,7 @@ func TestCachedWaiterOwnContextCancelled(t *testing.T) {
 		done <- err
 	}()
 	for {
-		if calls, _ := c.Stats(); calls == 2 {
+		if c.CacheStats().Calls == 2 {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -325,9 +325,9 @@ func TestCachedDetector(t *testing.T) {
 	v := ds.View(subspace.New(0, 1))
 	a := mustScores(t, c, v)
 	b := mustScores(t, c, ds.View(subspace.New(0, 1)))
-	calls, hits := c.Stats()
-	if calls != 2 || hits != 1 {
-		t.Errorf("calls=%d hits=%d", calls, hits)
+	st := c.CacheStats()
+	if st.Calls != 2 || st.Hits != 1 {
+		t.Errorf("calls=%d hits=%d", st.Calls, st.Hits)
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -336,13 +336,9 @@ func TestCachedDetector(t *testing.T) {
 	}
 	// Different subspace → different cache entry.
 	mustScores(t, c, ds.View(subspace.New(0)))
-	calls, hits = c.Stats()
-	if calls != 3 || hits != 1 {
-		t.Errorf("after new subspace: calls=%d hits=%d", calls, hits)
-	}
-	c.Reset()
-	if calls, hits = c.Stats(); calls != 0 || hits != 0 {
-		t.Error("reset did not clear stats")
+	st = c.CacheStats()
+	if st.Calls != 3 || st.Hits != 1 {
+		t.Errorf("after new subspace: calls=%d hits=%d", st.Calls, st.Hits)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"anex/internal/dataset"
+	"anex/internal/memo"
 	"anex/internal/subspace"
 )
 
@@ -65,7 +66,7 @@ func lruTestbed(t *testing.T, fit int) (*dataset.Dataset, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := entryBytes(ds.Name()+"|"+subspace.New(0).Key(), make([]float64, ds.N()))
+	one := memo.Charge(ds.Name()+"|"+subspace.New(0).Key(), int64(ds.N())*8)
 	return ds, int64(fit) * one
 }
 

@@ -1,13 +1,13 @@
 package neighbors
 
 import (
-	"container/list"
 	"context"
 	"math"
 	"sort"
 	"strconv"
 	"sync"
 
+	"anex/internal/memo"
 	"anex/internal/parallel"
 )
 
@@ -20,26 +20,26 @@ import (
 //     distance in the full subspace. A single sorted dimension therefore
 //     yields a sweep order in which candidates can be abandoned as soon as
 //     the one-dimensional gap alone exceeds the current k-th distance.
-//   - A parent subspace's cached per-point kNN (its "partials") seeds the
-//     child query S ∪ {f}: adding only the one-dimension component
-//     (a_f − b_f)² to the cached parent squared distances gives a tight
+//   - A parent subspace's kNN, resident in the plane that owns the engine,
+//     seeds the child query S ∪ {f}: adding only the one-dimension
+//     component (a_f − b_f)² to the squared parent distances gives a tight
 //     upper bound on the child's k-th neighbour distance, which prunes most
 //     of the candidate scan outright.
 //
 // Results are bit-identical to the brute-force / KD-tree path: every
 // surviving candidate's distance is accumulated in ascending feature order,
-// which for dimensionality ≤ MaxDeltaDim is exactly the grouping
+// which for dimensionality ≤ maxDeltaDim is exactly the grouping
 // SquaredEuclidean uses, and the kept k-set is the unique lexicographic
 // minimum under (distance, index), independent of visit order.
 
 const (
-	// MaxDeltaDim bounds the view dimensionality the engine accepts.
+	// maxDeltaDim bounds the view dimensionality the engine accepts.
 	// SquaredEuclidean's 4-way unrolled accumulation is exactly
 	// left-associative sequential only below 8 dimensions (the first
 	// 4-chunk lands on a zero sum; from 8 dimensions the chunk grouping
 	// differs), so 7 is the largest width at which per-dimension
 	// accumulation reproduces its values bit for bit.
-	MaxDeltaDim = 7
+	maxDeltaDim = 7
 
 	// maxDeltaPoints and minDeltaPoints gate the engine by view size: the
 	// candidate scans are O(n) per query, which measures faster than the
@@ -49,24 +49,19 @@ const (
 	minDeltaPoints = 64
 
 	// sweepMaxDim bounds the sorted-dimension sweep path; wider views use
-	// the seeded candidate scan, whose pruning threshold comes from cached
-	// parent or full-space neighbourhoods.
+	// the seeded candidate scan, whose pruning threshold comes from a
+	// resident parent or the cached full-space neighbourhood.
 	sweepMaxDim = 2
 
 	// deltaMargin is the relative safety factor applied to prune radii
-	// derived from parent partials. A parent squared distance and the
-	// child's canonical accumulation order sum the same non-negative terms
-	// in different groupings, so they agree to within a few ulps
-	// (relative error ≤ ~d·ε ≈ 1.6e-15 at d=7); 1e-9 over-covers that by
-	// six orders of magnitude while loosening the radius immeasurably.
+	// derived from parent distances. The parent entry holds Euclidean
+	// distances, which the scan squares back: sqrt-then-square is within
+	// ~3 ulp of the parent's squared distance (and exact when that is
+	// subnormal, whose ulp dwarfs the roundtrip's error). The child's
+	// canonical accumulation sums the same non-negative terms in a
+	// different grouping, within ~d ulp more. 1e-9 over-covers that by six
+	// orders of magnitude while loosening the radius immeasurably.
 	deltaMargin = 1e-9
-
-	// DefaultDeltaBytes bounds the engine's cached per-subspace
-	// neighbourhoods (the partials reused across search stages).
-	DefaultDeltaBytes = 64 << 20
-
-	// deltaEntryOverhead approximates the per-entry bookkeeping charge.
-	deltaEntryOverhead = 96
 
 	// maxDeltaSources bounds the per-dataset pinned structures (sorted
 	// dimension orders, full-space seeds) an engine retains. A per-detector
@@ -112,35 +107,30 @@ type DeltaStats struct {
 	ParentSeeded int
 	// FullSeeded of those pruned with the cached full-space kNN.
 	FullSeeded int
-	// Rejected counts calls outside the engine's gates (dimension or size).
+	// Rejected counts calls outside the engine's gates (dimension, size,
+	// or non-finite coordinates).
 	Rejected int
-	// Evictions counts cached neighbourhoods dropped for the byte budget.
-	Evictions int
-	// ResidentBytes is the budget charge of cached neighbourhoods.
-	ResidentBytes int64
 }
 
-// DeltaEngine caches the cross-subspace structures — per-dimension sorted
-// orders, per-subspace kNN partials, and per-source full-space
-// neighbourhoods — that make staged subspace scoring incremental. It is safe
-// for concurrent use; cached structures are immutable once published, and
-// concurrent builds of the same structure are serialised so it is computed
-// once.
-type DeltaEngine struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	tick     int64 // source-recency clock (see source)
-	sources  map[string]*deltaSource
-	entries  map[string]*list.Element // of *knnEntry, LRU
-	lru      list.List
-	stats    DeltaStats
+// deltaEngine holds the per-source structures — per-dimension sorted
+// orders, 2d sweep pairs, and full-space neighbourhoods — that make staged
+// subspace scoring incremental, and reads parent neighbourhoods from the
+// owning plane's cache. It is safe for concurrent use; cached structures
+// are immutable once published, and concurrent builds of the same
+// structure are serialised so it is computed once.
+type deltaEngine struct {
+	plane *memo.Cache[planeEntry] // parent lookup (Peek only)
+
+	mu      sync.Mutex
+	tick    int64 // source-recency clock (see source)
+	sources map[string]*deltaSource
+	stats   DeltaStats
 }
 
 // deltaSource holds the per-dataset structures: sorted per-dimension orders,
-// 1d neighbourhoods derived from them, and the full-space kNN per
-// neighbourhood size. All are small and pinned (excluded from the LRU byte
-// budget).
+// 2d sweep pairs built from them, finite flags, and the full-space kNN per
+// neighbourhood size. All are small and pinned (outside the plane's byte
+// budget, bounded by maxDeltaSources).
 type deltaSource struct {
 	dims    map[int]*sortedDim
 	ranges  map[int]float64
@@ -206,91 +196,52 @@ type sortedDim struct {
 	rank []int32
 }
 
-// knnEntry is one cached neighbourhood structure: for every point, its m
-// nearest neighbours (ascending by distance, index tie-break) and their
-// SQUARED canonical distances — the partials that child subspaces extend by
-// one dimension.
+// knnEntry is one source's full-space neighbourhood at one k: for every
+// point, its m nearest neighbours — the threshold seeds of views with no
+// resident parent.
 type knnEntry struct {
-	key  string
-	m    int
-	idx  []int32   // n×m neighbour indices
-	sq   []float64 // n×m squared distances (the reusable partials)
-	dist []float64 // n×m Euclidean distances (what consumers read)
+	m   int
+	idx []int32 // n×m neighbour indices
 }
 
-func (en *knnEntry) bytes() int64 {
-	return int64(len(en.idx))*4 + int64(len(en.sq)+len(en.dist))*8 + int64(len(en.key)) + deltaEntryOverhead
+// newDeltaEngine returns an engine that seeds wide views from parent
+// entries resident in plane.
+func newDeltaEngine(plane *memo.Cache[planeEntry]) *deltaEngine {
+	return &deltaEngine{plane: plane, sources: make(map[string]*deltaSource)}
 }
 
-// entryKey is the LRU key of a cached neighbourhood.
-func entryKey(src ColumnSource, k int) string {
-	return src.SourceKey() + "|" + src.SubspaceKey() + "|" + strconv.Itoa(k)
-}
-
-// NewDeltaEngine returns an engine whose cached per-subspace neighbourhoods
-// are bounded by maxBytes (≤ 0 → DefaultDeltaBytes).
-func NewDeltaEngine(maxBytes int64) *DeltaEngine {
-	if maxBytes <= 0 {
-		maxBytes = DefaultDeltaBytes
-	}
-	return &DeltaEngine{
-		maxBytes: maxBytes,
-		sources:  make(map[string]*deltaSource),
-		entries:  make(map[string]*list.Element),
-	}
-}
-
-// Forget drops the pinned per-source structures and every cached
-// neighbourhood entry of the dataset identified by sourceKey
-// (dataset.Dataset.SourceKey). Owners of short-lived datasets call it when
-// the dataset dies, so its sorted orders, sweep pairs, and kNN partials do
-// not occupy one of the maxDeltaSources slots (or LRU budget) until
-// pressure evicts them. Safe when sourceKey has no state.
-func (e *DeltaEngine) Forget(sourceKey string) {
-	if e == nil || sourceKey == "" {
-		return
-	}
-	prefix := sourceKey + "|"
+// Forget drops the pinned per-source structures of the dataset identified
+// by sourceKey (dataset.Dataset.SourceKey). Owners of short-lived datasets
+// call it (through Plane.Forget) when the dataset dies, so its sorted
+// orders, sweep pairs, and full-space seeds do not occupy one of the
+// maxDeltaSources slots until pressure evicts them. Safe when sourceKey
+// has no state.
+func (e *deltaEngine) Forget(sourceKey string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.sources, sourceKey)
-	for key, el := range e.entries {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			en := el.Value.(*knnEntry)
-			e.lru.Remove(el)
-			delete(e.entries, key)
-			e.bytes -= en.bytes()
-		}
-	}
 }
 
 // Stats returns the engine's activity counters.
-func (e *DeltaEngine) Stats() DeltaStats {
+func (e *deltaEngine) Stats() DeltaStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := e.stats
-	s.ResidentBytes = e.bytes
-	return s
+	return e.stats
 }
 
-// AllKNN answers the all-points k-nearest-neighbour query for the view when
-// it falls inside the engine's gates (dimensionality ≤ MaxDeltaDim, point
-// count within the scan-friendly range), distributing the independent
-// per-point queries over the given number of workers. The returned arrays
-// are flat n×m row-major (m = min(k, n−1)): point i's neighbours are
-// idx[i*m : (i+1)*m] with Euclidean distances in the matching dist slots,
-// ascending, index tie-broken — bit-identical to AllKNNFlat over
-// NewIndex at any worker count. The arrays are backed by the engine's
-// cache (a repeated query returns them without recomputation or
-// allocation) and must not be mutated. ok reports whether the engine
-// handled the query; on false the caller must fall back to the standard
-// index path.
-func (e *DeltaEngine) AllKNN(ctx context.Context, src ColumnSource, k, workers int) (idx []int32, dist []float64, m int, ok bool, err error) {
-	if e == nil {
-		return nil, nil, 0, false, nil
-	}
+// AllKNN computes the all-points k-nearest-neighbour structure for the view
+// when it falls inside the engine's gates (dimensionality ≤ maxDeltaDim,
+// point count within the scan-friendly range, finite coordinates),
+// distributing the independent per-point queries over the given number of
+// workers. The returned arrays are fresh, flat n×m row-major
+// (m = min(k, n−1)): point i's neighbours are idx[i*m : (i+1)*m] with
+// Euclidean distances in the matching dist slots, ascending, index
+// tie-broken — bit-identical to AllKNNFlat over NewIndex at any worker
+// count. ok reports whether the engine handled the query; on false the
+// caller must fall back to the standard index path.
+func (e *deltaEngine) AllKNN(ctx context.Context, src ColumnSource, k, workers int) (idx []int32, dist []float64, m int, ok bool, err error) {
 	n, d := src.N(), src.Dim()
-	if d < 1 || d > MaxDeltaDim || n < minDeltaPoints || n > maxDeltaPoints || k < 1 {
+	if d < 1 || d > maxDeltaDim || n < minDeltaPoints || n > maxDeltaPoints || k < 1 {
 		e.mu.Lock()
 		e.stats.Rejected++
 		e.mu.Unlock()
@@ -306,35 +257,25 @@ func (e *DeltaEngine) AllKNN(ctx context.Context, src ColumnSource, k, workers i
 	}
 
 	q := &deltaQuery{cols: cols, n: n, m: m}
-	key := entryKey(src, k)
 	e.mu.Lock()
-	e.stats.Queries++
-	if el, hit := e.entries[key]; hit {
-		en := el.Value.(*knnEntry)
-		e.lru.MoveToFront(el)
-		e.mu.Unlock()
-		return en.idx, en.dist, en.m, true, nil
-	}
 	ds := e.source(src.SourceKey())
 	for j := 0; j < d; j++ {
 		if !ds.finiteColumn(src, j) {
-			e.stats.Queries--
 			e.stats.Rejected++
 			e.mu.Unlock()
 			return nil, nil, 0, false, nil
 		}
 	}
+	e.stats.Queries++
 	if d == 1 {
 		e.stats.SweepQueries++
 		q.sweep = ds.sortedFor(src, 0)
 	} else if d == 2 {
 		e.stats.SweepQueries++
 		q.pair = ds.pairFor(src, e.bestSweepColumn(ds, src))
-	} else if parent := e.parentEntry(src, k); parent != nil {
+	} else if parent, col, found := e.parentEntry(src, m); found {
 		e.stats.ParentSeeded++
-		q.seedIdx, q.seedSq = parent.idx, parent.sq
-		q.seedM = parent.m
-		q.deltaCol = q.missingColumn(src, parent)
+		q.seedIdx, q.seedDist, q.seedM, q.deltaCol = parent.idx, parent.dist, parent.m, col
 	} else {
 		full, ferr := e.fullSpaceKNN(ctx, ds, src, k, workers)
 		if ferr != nil {
@@ -348,26 +289,23 @@ func (e *DeltaEngine) AllKNN(ctx context.Context, src ColumnSource, k, workers i
 	e.mu.Unlock()
 
 	flatIdx := make([]int32, n*m)
-	flatSq := make([]float64, n*m)
+	flatDist := make([]float64, n*m) // squared until the final pass
 	scratch := make([]deltaScratch, parallel.ShardCount(workers, n))
 	err = parallel.ForEachShard(ctx, workers, n, func(shard, i int) {
-		q.point(i, flatIdx[i*m:(i+1)*m], flatSq[i*m:(i+1)*m], &scratch[shard])
+		q.point(i, flatIdx[i*m:(i+1)*m], flatDist[i*m:(i+1)*m], &scratch[shard])
 	})
 	if err != nil {
 		return nil, nil, 0, false, err
 	}
-
-	flatDist := make([]float64, n*m)
-	for i, sq := range flatSq {
+	for i, sq := range flatDist {
 		flatDist[i] = math.Sqrt(sq)
 	}
-	e.store(key, m, flatIdx, flatSq, flatDist)
 	return flatIdx, flatDist, m, true, nil
 }
 
 // source returns (creating on demand) the per-dataset state, evicting the
 // least-recently-used source past maxDeltaSources. Caller holds mu.
-func (e *DeltaEngine) source(key string) *deltaSource {
+func (e *deltaEngine) source(key string) *deltaSource {
 	e.tick++
 	ds, ok := e.sources[key]
 	if !ok {
@@ -397,7 +335,7 @@ func (e *DeltaEngine) source(key string) *deltaSource {
 // the sweep dimension with the strongest one-dimensional pruning. The
 // choice only affects speed, never results, but is deterministic (ties go
 // to the lowest feature). Caller holds mu.
-func (e *DeltaEngine) bestSweepColumn(ds *deltaSource, src ColumnSource) int {
+func (e *deltaEngine) bestSweepColumn(ds *deltaSource, src ColumnSource) int {
 	best, bestSpread := 0, math.Inf(-1)
 	for j := 0; j < src.Dim(); j++ {
 		f := src.Feature(j)
@@ -454,21 +392,19 @@ func (ds *deltaSource) sortedFor(src ColumnSource, j int) *sortedDim {
 	return sd
 }
 
-// parentEntry looks for a cached kNN of any drop-one-feature parent of the
-// view's subspace at the same neighbourhood size, lowest dropped feature
-// first (deterministic). Caller holds mu.
-func (e *DeltaEngine) parentEntry(src ColumnSource, k int) *knnEntry {
+// parentEntry looks in the plane for a resident kNN of any drop-one-feature
+// parent of the view's subspace holding at least m neighbours per point,
+// lowest dropped feature first (deterministic), and returns it with the
+// view column of the dropped feature — the delta dimension.
+func (e *deltaEngine) parentEntry(src ColumnSource, m int) (planeEntry, []float64, bool) {
 	sk := src.SubspaceKey()
 	prefix := src.SourceKey() + "|"
-	suffix := "|" + strconv.Itoa(k)
 	for j := 0; j < src.Dim(); j++ {
-		pkey := prefix + dropFeature(sk, src.Feature(j)) + suffix
-		if el, ok := e.entries[pkey]; ok {
-			e.lru.MoveToFront(el)
-			return el.Value.(*knnEntry)
+		if en, ok := e.plane.Peek(prefix + dropFeature(sk, src.Feature(j))); ok && en.m >= m {
+			return en, src.Column(j), true
 		}
 	}
-	return nil
+	return planeEntry{}, nil, false
 }
 
 // dropFeature removes one feature from a canonical "1,4,9" subspace key.
@@ -490,22 +426,6 @@ func dropFeature(key string, f int) string {
 	return key
 }
 
-// missingColumn returns the view column of the one feature the parent
-// subspace lacks — the delta dimension. Parent keys are built by
-// dropFeature, so the missing feature is the one whose drop reproduces the
-// parent's subspace part. Returns nil if no feature matches (the parent
-// kNN then still seeds via canonical distances, without the delta shortcut).
-func (q *deltaQuery) missingColumn(src ColumnSource, parent *knnEntry) []float64 {
-	prefix := src.SourceKey() + "|"
-	for j := 0; j < src.Dim(); j++ {
-		want := prefix + dropFeature(src.SubspaceKey(), src.Feature(j)) + "|"
-		if len(parent.key) > len(want) && parent.key[:len(want)] == want {
-			return src.Column(j)
-		}
-	}
-	return nil
-}
-
 // fullSpaceKNN returns (building on demand) the source's full-space kNN at
 // neighbourhood size k — the seed structure for views with no cached
 // parent. Full-space distances upper-bound no subspace distance directly,
@@ -513,7 +433,7 @@ func (q *deltaQuery) missingColumn(src ColumnSource, parent *knnEntry) []float64
 // canonical subspace distances are computed exactly, and the k-th of them
 // always upper-bounds the true k-th. Caller holds mu; the build (one per
 // source and k) runs inside it.
-func (e *DeltaEngine) fullSpaceKNN(ctx context.Context, ds *deltaSource, src ColumnSource, k, workers int) (*knnEntry, error) {
+func (e *deltaEngine) fullSpaceKNN(ctx context.Context, ds *deltaSource, src ColumnSource, k, workers int) (*knnEntry, error) {
 	if en, ok := ds.fullKNN[k]; ok {
 		return en, nil
 	}
@@ -543,28 +463,6 @@ func (e *DeltaEngine) fullSpaceKNN(ctx context.Context, ds *deltaSource, src Col
 	return en, nil
 }
 
-// store publishes a freshly computed neighbourhood into the LRU partials
-// cache, evicting cold entries past the byte budget.
-func (e *DeltaEngine) store(key string, m int, idx []int32, sq, dist []float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if el, ok := e.entries[key]; ok {
-		e.lru.MoveToFront(el)
-		return
-	}
-	en := &knnEntry{key: key, m: m, idx: idx, sq: sq, dist: dist}
-	e.bytes += en.bytes()
-	e.entries[key] = e.lru.PushFront(en)
-	for e.bytes > e.maxBytes && e.lru.Len() > 1 {
-		cold := e.lru.Back()
-		old := cold.Value.(*knnEntry)
-		e.lru.Remove(cold)
-		delete(e.entries, old.key)
-		e.bytes -= old.bytes()
-		e.stats.Evictions++
-	}
-}
-
 // deltaQuery is one AllKNN invocation's immutable query plan.
 type deltaQuery struct {
 	cols [][]float64
@@ -578,9 +476,9 @@ type deltaQuery struct {
 
 	// Seeded path (dim > sweepMaxDim): threshold candidates per point.
 	seedIdx  []int32
-	seedSq   []float64 // parent squared distances (nil for full-space seeds)
+	seedDist []float64 // parent Euclidean distances (nil for full-space seeds)
 	seedM    int
-	deltaCol []float64 // the one dimension the parent lacks (nil → canonical seeds)
+	deltaCol []float64 // the one dimension the parent lacks
 }
 
 // deltaScratch is the per-worker reusable query state.
@@ -676,7 +574,7 @@ func (q *deltaQuery) point(i int, outIdx []int32, outSq []float64, s *deltaScrat
 
 // canonical returns the squared distance between points a and b accumulated
 // in ascending feature order — bit-identical to SquaredEuclidean on the
-// materialised rows for dim ≤ MaxDeltaDim.
+// materialised rows for dim ≤ maxDeltaDim.
 func (q *deltaQuery) canonical(a, b int) float64 {
 	c0 := q.cols[0]
 	d0 := c0[a] - c0[b]
@@ -868,8 +766,8 @@ func (q *deltaQuery) sweepPairPoint(i int, s *deltaScratch) {
 }
 
 // scanPoint scores one query by a full candidate scan whose initial prune
-// radius comes from the seed candidates: with parent partials, each seed's
-// child distance bound is the cached parent squared distance plus only the
+// radius comes from the seed candidates: with a parent, each seed's child
+// distance bound is the squared parent distance plus only the
 // one-dimension delta component (scaled by the float-safety margin);
 // without, the seeds' canonical distances are computed outright. Either
 // way the k-th seed distance upper-bounds the true k-th distance, so
@@ -883,9 +781,9 @@ func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
 		}
 		sd := s.sd[:0]
 		seeds := q.seedIdx[i*q.seedM : (i+1)*q.seedM]
-		if q.seedSq != nil && q.deltaCol != nil {
-			// Parent partials + one-dimension delta.
-			psq := q.seedSq[i*q.seedM : (i+1)*q.seedM]
+		if q.seedDist != nil {
+			// Squared parent distance + one-dimension delta.
+			pd := q.seedDist[i*q.seedM : (i+1)*q.seedM]
 			col := q.deltaCol
 			vq := col[i]
 			for t, j := range seeds {
@@ -893,7 +791,7 @@ func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
 					continue
 				}
 				dv := vq - col[j]
-				sd = append(sd, psq[t]+dv*dv)
+				sd = append(sd, pd[t]*pd[t]+dv*dv)
 			}
 			if kth, ok := kthSmallest(sd, k); ok {
 				worst = kth * (1 + deltaMargin)

@@ -41,41 +41,52 @@ func referenceKNN(t *testing.T, v *dataset.View, k int) ([]int32, []float64, int
 	return idx, dist, m
 }
 
-// checkDeltaMatches runs the engine on the view at the given worker count
-// and requires bit-identical neighbour indices and distances versus the
-// standard path. The engine must accept the view (ok=true).
-func checkDeltaMatches(t *testing.T, eng *neighbors.DeltaEngine, v *dataset.View, k, workers int) {
+// deltaPath names the delta-engine path a view must be answered by, as
+// counted in PlaneStats.Delta.
+type deltaPath string
+
+const (
+	pathSweep        deltaPath = "sweep"
+	pathParentSeeded deltaPath = "parent-seeded"
+	pathFullSeeded   deltaPath = "full-seeded"
+)
+
+// checkDeltaMatches queries the plane for the view at the given worker
+// count, requires the query to be computed through the named delta-engine
+// path, and requires bit-identical neighbour indices and distances versus
+// the standard path.
+func checkDeltaMatches(t *testing.T, p *neighbors.Plane, v *dataset.View, k, workers int, want deltaPath) {
 	t.Helper()
-	gotIdx, gotDist, gotM, ok, err := eng.AllKNN(context.Background(), v, k, workers)
-	if err != nil {
-		t.Fatal(err)
+	before := p.Stats()
+	checkPlaneMatches(t, p, v, k, workers)
+	after := p.Stats()
+	if after.Computations != before.Computations+1 {
+		t.Fatalf("subspace %s workers=%d: answered from cache, want a computation", v.Subspace().Key(), workers)
 	}
-	if !ok {
-		t.Fatalf("engine rejected view %s (n=%d d=%d k=%d)", v.Subspace().Key(), v.N(), v.Dim(), k)
+	b, a := before.Delta, after.Delta
+	got := map[deltaPath]bool{
+		pathSweep:        a.SweepQueries > b.SweepQueries,
+		pathParentSeeded: a.ParentSeeded > b.ParentSeeded,
+		pathFullSeeded:   a.FullSeeded > b.FullSeeded,
 	}
-	wantIdx, wantDist, wantM := referenceKNN(t, v, k)
-	if gotM != wantM {
-		t.Fatalf("subspace %s workers=%d: m=%d, want %d", v.Subspace().Key(), workers, gotM, wantM)
+	if !got[want] {
+		t.Fatalf("subspace %s workers=%d: delta counters %+v → %+v, want the %s path", v.Subspace().Key(), workers, b, a, want)
 	}
-	for i := range wantIdx {
-		if gotIdx[i] != wantIdx[i] {
-			p, s := i/gotM, i%gotM
-			t.Fatalf("subspace %s workers=%d: point %d neighbour %d idx=%d, want %d",
-				v.Subspace().Key(), workers, p, s, gotIdx[i], wantIdx[i])
-		}
-		if math.Float64bits(gotDist[i]) != math.Float64bits(wantDist[i]) {
-			p, s := i/gotM, i%gotM
-			t.Fatalf("subspace %s workers=%d: point %d neighbour %d dist bits %x, want %x",
-				v.Subspace().Key(), workers, p, s,
-				math.Float64bits(gotDist[i]), math.Float64bits(wantDist[i]))
-		}
+}
+
+// chainPath is the path a staged chain's view takes: the 2d start sweeps,
+// every later stage seeds from the previous stage resident in the plane.
+func chainPath(s subspace.Subspace) deltaPath {
+	if s.Dim() <= 2 {
+		return pathSweep
 	}
+	return pathParentSeeded
 }
 
 // randomChain draws a staged subspace chain over numFeatures: a random 2d
 // start extended one random unseen feature at a time up to maxDim — the
 // access pattern of a Beam search, which is what makes the engine's
-// parent-partial seeding kick in.
+// parent seeding kick in.
 func randomChain(rng *rand.Rand, numFeatures, maxDim int) []subspace.Subspace {
 	perm := rng.Perm(numFeatures)
 	var chain []subspace.Subspace
@@ -91,37 +102,41 @@ func randomChain(rng *rand.Rand, numFeatures, maxDim int) []subspace.Subspace {
 // TestDeltaMatchesIndexRandomChains is the core invariance property: along
 // random staged subspace chains (2d → 5d), every stage answered by the
 // engine — sweep, parent-seeded, or full-space-seeded — is bit-identical to
-// the standard index path, at 1 and at 4 workers.
+// the standard index path, at 1 and at 4 workers (each replaying the chain
+// on a fresh plane, so both worker counts really compute).
 func TestDeltaMatchesIndexRandomChains(t *testing.T) {
 	ds := deltaDataset(t, "chains", 300, 10, 1)
 	const k = 15
 	for trial := 0; trial < 5; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		eng := neighbors.NewDeltaEngine(0)
-		for _, s := range randomChain(rng, ds.D(), 5) {
-			for _, workers := range []int{1, 4} {
-				checkDeltaMatches(t, eng, ds.View(s), k, workers)
+		chain := randomChain(rng, ds.D(), 5)
+		for _, workers := range []int{1, 4} {
+			p := neighbors.NewPlane(0)
+			for _, s := range chain {
+				checkDeltaMatches(t, p, ds.View(s), k, workers, chainPath(s))
 			}
 		}
 	}
 }
 
 // TestDeltaColdHighDimQuery covers the full-space-seeded scan: a fresh
-// engine asked for a 3d–5d view straight away (no 2d parent cached) must
+// plane asked for a 3d–5d view straight away (no parent resident) must
 // seed from the full-space neighbourhood and still match exactly.
 func TestDeltaColdHighDimQuery(t *testing.T) {
 	ds := deltaDataset(t, "cold", 256, 10, 2)
 	for _, dim := range []int{3, 4, 5} {
-		eng := neighbors.NewDeltaEngine(0) // fresh per dim: nothing cached
 		s := subspace.New()
 		for f := 0; f < dim; f++ {
 			s = s.With(2 * f) // spread features so no prefix is cached
 		}
-		checkDeltaMatches(t, eng, ds.View(s), 15, 4)
+		for _, workers := range []int{1, 4} {
+			p := neighbors.NewPlane(0) // fresh per query: nothing resident
+			checkDeltaMatches(t, p, ds.View(s), 15, workers, pathFullSeeded)
+		}
 	}
 }
 
-// TestDeltaPruneTightParentRadii attacks the parent-partial lower bound:
+// TestDeltaPruneTightParentRadii attacks the parent-seeded radius:
 // the parent dims are near-duplicates (tiny parent distances, so the seed
 // radius is extremely tight) while the added dimension spreads points far
 // apart, forcing the scan to discard essentially every seed and re-rank on
@@ -146,15 +161,15 @@ func TestDeltaPruneTightParentRadii(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := neighbors.NewDeltaEngine(0)
 	chain := []subspace.Subspace{
 		subspace.New(0, 1),
 		subspace.New(0, 1, 2),
 		subspace.New(0, 1, 2, 3),
 	}
-	for _, s := range chain {
-		for _, workers := range []int{1, 4} {
-			checkDeltaMatches(t, eng, ds.View(s), k, workers)
+	for _, workers := range []int{1, 4} {
+		p := neighbors.NewPlane(0)
+		for _, s := range chain {
+			checkDeltaMatches(t, p, ds.View(s), k, workers, chainPath(s))
 		}
 	}
 }
@@ -177,12 +192,13 @@ func TestDeltaLatticeTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := neighbors.NewDeltaEngine(0)
 	rng2 := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 3; trial++ {
-		for _, s := range randomChain(rng2, ds.D(), 5) {
-			for _, workers := range []int{1, 4} {
-				checkDeltaMatches(t, eng, ds.View(s), k, workers)
+		chain := randomChain(rng2, ds.D(), 5)
+		for _, workers := range []int{1, 4} {
+			p := neighbors.NewPlane(0)
+			for _, s := range chain {
+				checkDeltaMatches(t, p, ds.View(s), k, workers, chainPath(s))
 			}
 		}
 	}

@@ -180,19 +180,13 @@ type landmarkIndex struct {
 	qcand, qrej                  atomic.Int64
 }
 
-// NewLandmarkIndex builds a pruned-candidate index over the points with an
-// automatic landmark count and the quantized prefilter at its default
-// tile. Callers normally go through NewIndex, which applies the
-// size/width gates; this constructor is exported for benchmarks that pin
-// the tier explicitly. The points are not mutated; the index keeps its own
-// flat copy.
-func NewLandmarkIndex(points [][]float64) Index {
-	return newLandmarkIndex(points, 0, quantTileDefault)
-}
-
-// newLandmarkIndex is NewLandmarkIndex with an explicit prefilter tile:
+// newLandmarkIndex builds a pruned-candidate index over the points with
+// the given landmark count (≤ 0 → automatic) and quantized-prefilter tile:
 // tile 0 builds no codes (the plain band scan, kept as the reference path
-// for tests), larger tiles are clamped to quantTileMax.
+// for tests), larger tiles are clamped to quantTileMax. NewIndex applies
+// the size/width gates and builds it with an automatic count at
+// quantTileDefault. The points are not mutated; the index keeps its own
+// flat copy.
 func newLandmarkIndex(points [][]float64, landmarks, tile int) Index {
 	n := len(points)
 	if n < 2 {

@@ -144,7 +144,7 @@ func figure9Points(t testing.TB) [][]float64 {
 // load.
 func TestPruneEffectivenessFigure9(t *testing.T) {
 	points := figure9Points(t)
-	ix := NewLandmarkIndex(points)
+	ix := newLandmarkIndex(points, 0, quantTileDefault)
 	if _, _, _, err := AllKNNFlat(context.Background(), ix, 15, 1); err != nil {
 		t.Fatal(err)
 	}

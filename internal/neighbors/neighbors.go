@@ -47,7 +47,7 @@ func NewIndex(points [][]float64) Index {
 		return NewKDTree(points)
 	}
 	if len(points) >= landmarkMinPoints && len(points[0]) > kdTreeMaxDim {
-		return NewLandmarkIndex(points)
+		return newLandmarkIndex(points, 0, quantTileDefault)
 	}
 	return NewBruteForce(points)
 }

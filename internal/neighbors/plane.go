@@ -1,13 +1,12 @@
 package neighbors
 
 import (
-	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"anex/internal/failpoint"
+	"anex/internal/memo"
 	"anex/internal/parallel"
 )
 
@@ -32,7 +31,8 @@ import (
 //     pinned by TestPlanePrefixSlicingProperty.
 //   - Concurrent misses on one key are deduplicated singleflight-style
 //     (one leader computes, waiters share the result), and resident
-//     entries live in a byte-budgeted LRU, mirroring detector.Cached.
+//     entries live in a byte-budgeted LRU — the internal/memo cache that
+//     also backs detector.Cached.
 //
 // Computation itself delegates to the delta engine for the low-dimensional
 // views it accepts and falls back to the standard index path (KD-tree or
@@ -46,10 +46,6 @@ import (
 // so the default admits roughly 1.5 such sweeps before LRU eviction.
 const DefaultPlaneBytes = 256 << 20
 
-// planeEntryOverhead approximates the per-entry bookkeeping charge (map
-// cell, LRU element, struct and key headers).
-const planeEntryOverhead = 96
-
 // SitePlanePublish is the failpoint site guarding plane publication: an
 // armed error action makes the computing leader fail before any kNN work,
 // so waiters observe the injected error through the plane's normal error
@@ -61,40 +57,21 @@ const SitePlanePublish = "plane.publish"
 // instance. A nil *Plane is a valid "disabled" plane: AllKNN reports
 // ok=false and callers fall back to their private path.
 type Plane struct {
-	mu       sync.Mutex
-	kmax     int
-	maxBytes int64
-	bytes    int64
-	entries  map[string]*list.Element // of *planeEntry, front = hottest
-	lru      list.List
-	inflight map[string]*planeCall
-	delta    *DeltaEngine
-	stats    PlaneStats
+	cache *memo.Cache[planeEntry]
+	delta *deltaEngine
+
+	mu        sync.Mutex
+	kmax      int
+	publishes int
+	prune     PruneStats
 }
 
 // planeEntry is one resident neighbourhood structure, computed at
-// neighbourhood size k (m = min(k, n−1) actual neighbours per point). When
-// the computation went through the landmark tier, prune records that
-// build's candidate/skip activity — the point→landmark matrix is built
-// exactly once per entry, so this is also the tier's per-entry ledger.
+// neighbourhood size k (m = min(k, n−1) actual neighbours per point).
 type planeEntry struct {
-	key   string
-	k, m  int
-	idx   []int32   // n×m row-major neighbour indices
-	dist  []float64 // n×m Euclidean distances, ascending, index tie-broken
-	prune PruneStats
-}
-
-func (en *planeEntry) bytes() int64 {
-	return int64(len(en.idx))*4 + int64(len(en.dist))*8 + int64(len(en.key)) + planeEntryOverhead
-}
-
-// planeCall is one in-flight computation that concurrent queries of the
-// same key wait on.
-type planeCall struct {
-	done chan struct{}
-	ent  *planeEntry
-	err  error
+	k, m int
+	idx  []int32   // n×m row-major neighbour indices
+	dist []float64 // n×m Euclidean distances, ascending, index tie-broken
 }
 
 // PlaneStats is a point-in-time snapshot of the plane's activity,
@@ -159,18 +136,17 @@ func (s PlaneStats) String() string {
 }
 
 // NewPlane returns a plane whose resident entries are bounded by maxBytes
-// (≤ 0 → DefaultPlaneBytes). The plane owns a private delta engine sized
-// by the same order of budget for its partials.
+// (≤ 0 → DefaultPlaneBytes). That one budget covers everything the plane
+// caches per view: its delta engine seeds wider views from the plane's own
+// resident entries instead of keeping copies.
 func NewPlane(maxBytes int64) *Plane {
 	if maxBytes <= 0 {
 		maxBytes = DefaultPlaneBytes
 	}
-	return &Plane{
-		maxBytes: maxBytes,
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*planeCall),
-		delta:    NewDeltaEngine(0),
-	}
+	size := func(en planeEntry) int64 { return int64(len(en.idx))*4 + int64(len(en.dist))*8 }
+	p := &Plane{cache: memo.New(maxBytes, size)}
+	p.delta = newDeltaEngine(p.cache)
+	return p
 }
 
 var (
@@ -194,14 +170,19 @@ func Shared() *Plane {
 // detector constructors and grid wiring do — avoids those recomputes
 // entirely. Safe on a nil plane.
 func (p *Plane) RegisterK(k int) {
-	if p == nil || k < 1 {
-		return
+	if p != nil {
+		p.registerK(k)
 	}
+}
+
+// registerK raises kmax to at least k and returns the resulting kmax.
+func (p *Plane) registerK(k int) int {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if k > p.kmax {
 		p.kmax = k
 	}
-	p.mu.Unlock()
+	return p.kmax
 }
 
 // KMax returns the current registered maximum neighbourhood size.
@@ -209,9 +190,7 @@ func (p *Plane) KMax() int {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.kmax
+	return p.registerK(0)
 }
 
 // Stats returns the plane's activity counters.
@@ -219,30 +198,23 @@ func (p *Plane) Stats() PlaneStats {
 	if p == nil {
 		return PlaneStats{}
 	}
-	p.mu.Lock()
-	s := p.stats
-	s.Entries = p.lru.Len()
-	s.ResidentBytes = p.bytes
-	s.MaxBytes = p.maxBytes
-	s.KMax = p.kmax
-	p.mu.Unlock()
-	s.Delta = p.delta.Stats()
-	return s
-}
-
-// Reset drops all resident entries and zeroes the counters (kmax and the
-// byte budget are kept). Computations in flight publish into the fresh
-// cache.
-func (p *Plane) Reset() {
-	if p == nil {
-		return
+	c := p.cache.Stats()
+	s := PlaneStats{
+		Queries:       c.Calls,
+		Hits:          c.Hits,
+		Computations:  c.Computations,
+		Upgrades:      c.Stale,
+		Evictions:     c.Evictions,
+		Forgets:       c.Forgets,
+		Entries:       c.Entries,
+		ResidentBytes: c.Bytes,
+		MaxBytes:      c.MaxBytes,
+		Delta:         p.delta.Stats(),
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.entries = make(map[string]*list.Element)
-	p.lru.Init()
-	p.bytes = 0
-	p.stats = PlaneStats{}
+	s.Publishes, s.KMax, s.Prune = p.publishes, p.kmax, p.prune
+	p.mu.Unlock()
+	return s
 }
 
 // Forget drops every resident entry belonging to the dataset identified by
@@ -259,15 +231,7 @@ func (p *Plane) Forget(sourceKey string) {
 	if p == nil || sourceKey == "" {
 		return
 	}
-	prefix := sourceKey + "|"
-	p.mu.Lock()
-	for key, el := range p.entries {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			p.removeLocked(el)
-			p.stats.Forgets++
-		}
-	}
-	p.mu.Unlock()
+	p.cache.Forget(sourceKey + "|")
 	p.delta.Forget(sourceKey)
 }
 
@@ -277,10 +241,10 @@ func (p *Plane) Forget(sourceKey string) {
 // bit-identical to what the plane would compute for the same view — the
 // WindowEngine's contract — and transfers their ownership: the plane keeps
 // them unmutated and serves them to every consumer with k' ≤ k by prefix
-// slicing. A resident or deeper entry under the same key wins per the
-// upgrade rules; queries deeper than k trigger the normal upgrade
-// recompute, so a too-shallow publish degrades to the cold path instead of
-// corrupting anything. Safe (a no-op) on a nil plane and degenerate input.
+// slicing. A resident entry at least as deep under the same key wins;
+// queries deeper than k trigger the normal upgrade recompute, so a
+// too-shallow publish degrades to the cold path instead of corrupting
+// anything. Safe (a no-op) on a nil plane and degenerate input.
 func (p *Plane) Publish(src ColumnSource, k, m int, idx []int32, dist []float64) {
 	if p == nil || k < 1 || m < 1 || src.N() < 2 {
 		return
@@ -289,22 +253,21 @@ func (p *Plane) Publish(src ColumnSource, k, m int, idx []int32, dist []float64)
 	if len(idx) != n*m || len(dist) != n*m {
 		return
 	}
-	en := &planeEntry{
-		key:  src.SourceKey() + "|" + src.SubspaceKey(),
-		k:    k,
-		m:    m,
-		idx:  idx,
-		dist: dist,
-	}
 	p.mu.Lock()
 	if k > p.kmax {
 		// A published entry is as good as a registration: later queries at
 		// any k' ≤ k must not trigger an upgrade recompute of this entry.
 		p.kmax = k
 	}
-	p.stats.Publishes++
-	p.storeLocked(en)
+	p.publishes++
 	p.mu.Unlock()
+	p.cache.Put(planeKey(src), planeEntry{k: k, m: m, idx: idx, dist: dist},
+		func(en planeEntry) bool { return en.k >= k })
+}
+
+// planeKey is the cache key of src's view: (dataset, subspace).
+func planeKey(src ColumnSource) string {
+	return src.SourceKey() + "|" + src.SubspaceKey()
 }
 
 // AllKNN answers the all-points k-nearest-neighbour query for the view
@@ -329,128 +292,46 @@ func (p *Plane) AllKNN(ctx context.Context, src ColumnSource, k, workers int) (i
 	if k < 1 || n < 2 {
 		return nil, nil, 0, 0, false, nil
 	}
-	p.RegisterK(k)
-	key := src.SourceKey() + "|" + src.SubspaceKey()
-	for {
-		p.mu.Lock()
-		p.stats.Queries++
-		if el, hit := p.entries[key]; hit {
-			en := el.Value.(*planeEntry)
-			if en.k >= k || en.m >= n-1 {
-				p.stats.Hits++
-				p.lru.MoveToFront(el)
-				p.mu.Unlock()
-				return en.idx, en.dist, minInt(k, en.m), en.m, true, nil
-			}
-			// Computed before a larger consumer registered: rebuild at
-			// the current kmax.
-			p.stats.Upgrades++
-			p.removeLocked(el)
-		}
-		if call, inflight := p.inflight[key]; inflight {
-			p.mu.Unlock()
-			select {
-			case <-call.done:
-			case <-ctx.Done():
-				return nil, nil, 0, 0, true, ctx.Err()
-			}
-			if call.err != nil {
-				// A leader cancelled by ITS context must not fail waiters
-				// whose contexts are still live: retry, electing a new
-				// leader (detector.Cached semantics).
-				if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
-					if cerr := ctx.Err(); cerr != nil {
-						return nil, nil, 0, 0, true, cerr
-					}
-					p.mu.Lock()
-					p.stats.Queries-- // the retry re-counts
-					p.mu.Unlock()
-					continue
-				}
-				return nil, nil, 0, 0, true, call.err
-			}
-			if en := call.ent; en.k >= k || en.m >= n-1 {
-				p.mu.Lock()
-				p.stats.Hits++
-				p.mu.Unlock()
-				return en.idx, en.dist, minInt(k, en.m), en.m, true, nil
-			}
-			// The leader ran at an older, smaller kmax; go around and
-			// recompute at the current one.
-			p.mu.Lock()
-			p.stats.Queries--
-			p.mu.Unlock()
-			continue
-		}
-		call := &planeCall{done: make(chan struct{})}
-		p.inflight[key] = call
-		kq := p.kmax // ≥ k: RegisterK above
-		p.mu.Unlock()
-		en, lerr := p.lead(ctx, src, key, kq, workers, call)
-		if lerr != nil {
-			return nil, nil, 0, 0, true, lerr
-		}
-		return en.idx, en.dist, minInt(k, en.m), en.m, true, nil
-	}
-}
-
-// lead runs the kNN computation as the key's singleflight leader and
-// publishes the outcome to waiters. A panicking computation releases the
-// waiters with an error while the panic continues up the leader's stack
-// (where the grid's cell isolation contains it).
-func (p *Plane) lead(ctx context.Context, src ColumnSource, key string, kq, workers int, call *planeCall) (en *planeEntry, err error) {
-	completed := false
-	defer func() {
-		if !completed {
-			call.err = fmt.Errorf("neighbors: concurrent plane computation for %q panicked in its leader", key)
-		}
-		p.mu.Lock()
-		if call.err == nil {
-			p.stats.Computations++
-			p.stats.Prune = p.stats.Prune.add(call.ent.prune)
-			p.storeLocked(call.ent)
-		}
-		delete(p.inflight, key)
-		p.mu.Unlock()
-		close(call.done)
-	}()
-	en, err = p.compute(ctx, src, kq, workers)
+	// kmax is read once, up front: a leader elected by this call computes
+	// at it. An entry shallower than this request (resident, or a leader's
+	// that started before a deeper consumer registered) is rebuilt.
+	kq := p.registerK(k)
+	en, err := p.cache.Get(ctx, planeKey(src),
+		func(en planeEntry) bool { return en.k >= k || en.m >= n-1 },
+		func(ctx context.Context) (planeEntry, error) { return p.compute(ctx, src, kq, workers) })
 	if err != nil {
-		call.err = err
-	} else {
-		en.key = key
-		call.ent = en
+		return nil, nil, 0, 0, true, err
 	}
-	completed = true
-	return en, err
+	return en.idx, en.dist, min(k, en.m), en.m, true, nil
 }
 
 // compute builds the flat neighbourhood structure at neighbourhood size
 // kq: through the delta engine for the low-dimensional views it accepts,
 // through the standard index (AllKNNFlat over NewIndex) otherwise. Both
 // paths produce bit-identical values in the same layout.
-func (p *Plane) compute(ctx context.Context, src ColumnSource, kq, workers int) (*planeEntry, error) {
+func (p *Plane) compute(ctx context.Context, src ColumnSource, kq, workers int) (planeEntry, error) {
 	if err := failpoint.Eval(SitePlanePublish); err != nil {
-		return nil, err
+		return planeEntry{}, err
 	}
 	idx, dist, m, ok, err := p.delta.AllKNN(ctx, src, kq, workers)
 	if err != nil {
-		return nil, err
+		return planeEntry{}, err
 	}
-	var prune PruneStats
 	if !ok {
 		ix := NewIndex(sourceRows(src))
 		idx, dist, m, err = AllKNNFlat(ctx, ix, kq, workers)
 		if err != nil {
-			return nil, err
+			return planeEntry{}, err
 		}
 		if lx, pruned := ix.(*landmarkIndex); pruned {
 			// The landmark matrix was built, and every query answered, for
 			// exactly this entry: its counters ARE the entry's ledger.
-			prune = lx.PruneStats()
+			p.mu.Lock()
+			p.prune = p.prune.add(lx.PruneStats())
+			p.mu.Unlock()
 		}
 	}
-	return &planeEntry{k: kq, m: m, idx: idx, dist: dist, prune: prune}, nil
+	return planeEntry{k: kq, m: m, idx: idx, dist: dist}, nil
 }
 
 // AllKNNOrIndex answers src's all-points kNN through the plane when the
@@ -515,40 +396,4 @@ func (p *Plane) Warm(ctx context.Context, srcs []ColumnSource, workers int) erro
 		// Serial inside: the fan-out is across views.
 		_, _, _, _, _, _ = p.AllKNN(ctx, srcs[i], k, 1)
 	})
-}
-
-// storeLocked publishes a freshly computed entry and evicts cold entries
-// past the byte budget. Caller holds p.mu.
-func (p *Plane) storeLocked(en *planeEntry) {
-	if el, ok := p.entries[en.key]; ok {
-		// A concurrent leader (possible across an upgrade race) already
-		// republished: keep the resident entry if it is at least as deep.
-		if el.Value.(*planeEntry).k >= en.k {
-			p.lru.MoveToFront(el)
-			return
-		}
-		p.removeLocked(el)
-	}
-	p.bytes += en.bytes()
-	p.entries[en.key] = p.lru.PushFront(en)
-	for p.bytes > p.maxBytes && p.lru.Len() > 1 {
-		cold := p.lru.Back()
-		p.removeLocked(cold)
-		p.stats.Evictions++
-	}
-}
-
-// removeLocked drops one resident entry. Caller holds p.mu.
-func (p *Plane) removeLocked(el *list.Element) {
-	en := el.Value.(*planeEntry)
-	p.lru.Remove(el)
-	delete(p.entries, en.key)
-	p.bytes -= en.bytes()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,12 +2,15 @@ package neighbors_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"anex/internal/dataset"
+	"anex/internal/failpoint"
 	"anex/internal/neighbors"
 	"anex/internal/subspace"
 )
@@ -42,7 +45,14 @@ func tieDataset(t *testing.T, name string, n, d, dupes int, seed int64) *dataset
 // first min(k, n−1) entries of each row of the direct computation at k.
 func checkPrefix(t *testing.T, p *neighbors.Plane, v *dataset.View, k int) {
 	t.Helper()
-	gotIdx, gotDist, m, stride, ok, err := p.AllKNN(context.Background(), v, k, 1)
+	checkPlaneMatches(t, p, v, k, 1)
+}
+
+// checkPlaneMatches is checkPrefix with the plane computing (on a miss) at
+// the given worker count.
+func checkPlaneMatches(t *testing.T, p *neighbors.Plane, v *dataset.View, k, workers int) {
+	t.Helper()
+	gotIdx, gotDist, m, stride, ok, err := p.AllKNN(context.Background(), v, k, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,5 +266,65 @@ func TestPlaneWarm(t *testing.T) {
 	}
 	if got := p.Stats().Computations; got != warmed {
 		t.Fatalf("queries after warm recomputed: %d computations, want %d", got, warmed)
+	}
+}
+
+// TestPlaneBudgetSmallerThanEntry pins the hard byte budget: a plane whose
+// budget is below one entry's charge still answers correctly, but keeps
+// nothing resident — neither a computed entry nor a published one.
+func TestPlaneBudgetSmallerThanEntry(t *testing.T) {
+	ds := tieDataset(t, "tiny-budget", 128, 6, 0, 8)
+	v := ds.View(subspace.New(0, 1))
+	p := neighbors.NewPlane(1 << 10) // one entry at n=128, k=10 is ~15 KB
+	checkPrefix(t, p, v, 10)
+	idx, dist, m := referenceKNN(t, v, 10)
+	w := ds.View(subspace.New(2, 3))
+	p.Publish(w, 10, m, idx, dist)
+	st := p.Stats()
+	if st.ResidentBytes > st.MaxBytes {
+		t.Fatalf("resident %d B exceeds budget %d B", st.ResidentBytes, st.MaxBytes)
+	}
+	if st.Entries != 0 || st.Evictions != 2 {
+		t.Fatalf("entries=%d evictions=%d, want 0 and 2 (one computed, one published)", st.Entries, st.Evictions)
+	}
+}
+
+// TestPlaneInFlightUpgrade covers the waiter side of the kmax upgrade: a
+// query at k=12 that joins a leader already computing at kmax=5 cannot use
+// the leader's entry, so it recomputes at 12 instead of being served short.
+func TestPlaneInFlightUpgrade(t *testing.T) {
+	ds := tieDataset(t, "inflight-upgrade", 150, 5, 10, 9)
+	v := ds.View(subspace.New(0, 1, 2))
+	p := neighbors.NewPlane(0)
+	if err := failpoint.Enable(neighbors.SitePlanePublish + "=delay:300ms@1"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disable()
+	leader := make(chan error, 1)
+	go func() {
+		_, _, m, _, _, err := p.AllKNN(context.Background(), v, 5, 1)
+		if err == nil && m != 5 {
+			err = fmt.Errorf("leader m=%d, want 5", m)
+		}
+		leader <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for failpoint.Hits(neighbors.SitePlanePublish) == 0 { // leader is computing at kmax=5
+		if time.Now().After(deadline) {
+			t.Fatal("leader never started computing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	checkPrefix(t, p, v, 12) // registers 12 and joins the in-flight k=5 leader
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st.Computations != 2 {
+		t.Fatalf("computations=%d, want 2 (k=5 leader, k=12 waiter recompute)", st.Computations)
+	}
+	checkPrefix(t, p, v, 5) // a prefix of the k=12 entry now resident
+	if got := p.Stats().Computations; got != 2 {
+		t.Fatalf("computations=%d after the k=5 re-query, want 2", got)
 	}
 }

@@ -66,7 +66,7 @@ func TestQuantPrunedBitIdentical(t *testing.T) {
 // cannot flake with host load.
 func TestQuantSurvivorFractionFigure9(t *testing.T) {
 	points := figure9Points(t)
-	ix := NewLandmarkIndex(points)
+	ix := newLandmarkIndex(points, 0, quantTileDefault)
 	if _, _, _, err := AllKNNFlat(context.Background(), ix, 15, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestQuantDisabledMatchesEnabled(t *testing.T) {
 	ctx := context.Background()
 	points := figure9Points(t)
 	off := newLandmarkIndex(points, 0, 0)
-	on := NewLandmarkIndex(points)
+	on := newLandmarkIndex(points, 0, quantTileDefault)
 	offIdx, offDist, _, err := AllKNNFlat(ctx, off, 15, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ go test -run '^$' -bench 'BenchmarkAllKNN' -benchmem -benchtime=20x -cpu 1,2,4 .
 go test -run '^$' -bench 'BenchmarkDetectors1000x3|BenchmarkCachedDetectorHit' -benchmem -benchtime=10x ./internal/detector >>"$raw"
 go test -run '^$' -bench 'BenchmarkRunGrid$' -benchmem -benchtime=2x ./internal/pipeline >>"$raw"
 go test -run '^$' -bench 'BenchmarkRunGridKNN$' -benchmem -benchtime=2x -cpu 1,2,4 ./internal/pipeline >>"$raw"
-go test -run '^$' -bench 'BenchmarkFigure9KNNPrune$' -benchmem -benchtime=30x -cpu 1,2,4 . >>"$raw"
+go test -run '^$' -bench 'BenchmarkFigure9KNNPrune$' -benchmem -benchtime=30x -cpu 1,2,4 ./internal/neighbors >>"$raw"
 go test -run '^$' -bench 'BenchmarkFigure9KNNQuant$' -benchmem -benchtime=30x ./internal/neighbors >>"$raw"
 go test -run '^$' -bench 'BenchmarkFigure9/(Beam|RefOut)/LOF' -benchmem -benchtime=20x . >>"$raw"
 # Stream arm: steady-state sliding-window evaluation on the reference

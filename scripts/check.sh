@@ -11,6 +11,11 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# The benchmark harness is its own module, so the root sweep above skips
+# it. Its tests pin the neighbourhood plane's and delta engine's replay
+# counters and the KD-tree/landmark tier views the benchmark traces.
+(cd perfbench && go test -count=1 ./...)
+
 # Short fuzz smoke on the CSV parser: the only loader of external bytes.
 # 10 seconds is enough to shake out parser regressions without slowing the
 # gate; a reproducing input would land in internal/dataset/testdata/fuzz.
@@ -137,7 +142,7 @@ awk -v ratio="$bestgrid" 'BEGIN {
 # demand. Best of three rounds: noise only ever shrinks the measured gap.
 bestprune=""
 for i in 1 2 3; do
-    pruneout="$(go test -run '^$' -bench 'BenchmarkFigure9KNNPrune$' -benchtime=30x .)"
+    pruneout="$(go test -run '^$' -bench 'BenchmarkFigure9KNNPrune$' -benchtime=30x ./internal/neighbors)"
     pruned="$(echo "$pruneout" | getns '^BenchmarkFigure9KNNPrune/pruned')"
     unpruned="$(echo "$pruneout" | getns '^BenchmarkFigure9KNNPrune/unpruned')"
     [ -n "$pruned" ] && [ -n "$unpruned" ]
