@@ -53,7 +53,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "inner-loop workers per pipeline cell (0 = GOMAXPROCS); results are identical at any count")
 		cacheMB   = flag.Int("cache-mb", 0, "byte budget (MiB) of each detector's shared score memo; LRU-evicts past it (0 = default 256)")
 		planeMB   = flag.Int("plane-mb", 0, "byte budget (MiB) of the session's shared neighbourhood plane (0 = default 256)")
-		stats     = flag.Bool("stats", false, "print neighbourhood-plane and landmark-prune statistics (hits, dedup factor, scan fraction) to stderr when the run ends")
+		stats     = flag.Bool("stats", false, "print neighbourhood-plane and quant-prefilter statistics (hits, dedup factor, scan and survivor fractions) to stderr when the run ends")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a post-GC heap profile to this file when the run ends")
 
@@ -255,16 +255,10 @@ func run(ctx context.Context, scaleFlag string, seed int64, exp, csvDir string, 
 		ps := session.PlaneStats()
 		fmt.Fprintf(os.Stderr, "neighbourhood plane: %s\n", ps)
 		if pt := ps.Prune; pt.Indexes > 0 {
-			fmt.Fprintf(os.Stderr, "landmark prune: %d indexes (%d landmarks, build %v), scanned %d of %d candidates (scan fraction %.3f, %d skipped)\n",
-				pt.Indexes, pt.Landmarks, pt.BuildTime, pt.Scanned, pt.Candidates, pt.ScanFraction(), pt.Skipped)
-			if pt.QuantCandidates > 0 {
-				fmt.Fprintf(os.Stderr, "quant prefilter: %d code bytes, rejected %d of %d bound-tested candidates (survivor fraction %.3f)\n",
-					pt.CodeBytes, pt.QuantRejected, pt.QuantCandidates, pt.SurvivorFraction())
-			} else {
-				fmt.Fprintln(os.Stderr, "quant prefilter: never engaged (views too small or uncodeable)")
-			}
+			fmt.Fprintf(os.Stderr, "quant prefilter: %d coded indexes (%d code bytes), scanned %d of %d candidates (scan fraction %.3f), rejected %d of %d bound-tested (survivor fraction %.3f)\n",
+				pt.Indexes, pt.CodeBytes, pt.Scanned, pt.Candidates, pt.ScanFraction(), pt.QuantRejected, pt.QuantCandidates, pt.SurvivorFraction())
 		} else {
-			fmt.Fprintln(os.Stderr, "landmark prune: no wide views routed through the tier")
+			fmt.Fprintln(os.Stderr, "quant prefilter: no wide views coded")
 		}
 	}
 	return nil

@@ -130,3 +130,25 @@ func itoa(v int) string {
 	}
 	return out
 }
+
+// BenchmarkFigure9KNNQuant is the quantized prefilter's acceptance
+// workload: the warm-index complete k=15 neighbourhood structure of the
+// Figure-9 reference workload (figure9Points: 20d, n=1000), once through
+// the coded brute-force index NewIndex builds for it and once through the
+// plain exhaustive scan, so the ratio isolates exactly what the prefilter
+// adds. scripts/check.sh gates on the quant/noquant ratio (≤ 0.85, best of
+// three same-process rounds).
+func BenchmarkFigure9KNNQuant(b *testing.B) {
+	points := figure9Points(b)
+	run := func(b *testing.B, ix Index) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := AllKNNFlat(context.Background(), ix, 15, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("quant", func(b *testing.B) { run(b, newBruteForce(points, quantTileDefault)) })
+	b.Run("noquant", func(b *testing.B) { run(b, NewBruteForce(points)) })
+}

@@ -450,9 +450,10 @@ func (e *deltaEngine) fullSpaceKNN(ctx context.Context, ds *deltaSource, src Col
 		rows[i] = flat[i*fd : (i+1)*fd : (i+1)*fd]
 	}
 	// The flat builder hands back the packed int32 layout knnEntry wants
-	// directly, and NewIndex routes wide full spaces through the landmark
-	// tier — so the seed structure both skips the per-row slice headers
-	// and inherits the pruned scan. Indices are bit-identical either way.
+	// directly, and NewIndex routes wide full spaces through the coded
+	// brute-force scan — so the seed structure both skips the per-row slice
+	// headers and inherits the prefilter. Indices are bit-identical either
+	// way.
 	ix := NewIndex(rows)
 	idx, _, m, err := AllKNNFlat(ctx, ix, k, workers)
 	if err != nil {

@@ -1,9 +1,11 @@
 // Package neighbors provides the k-nearest-neighbour substrate used by the
-// density- and angle-based detectors. Three index implementations are
-// provided: exhaustive brute force, a KD-tree that pays off on the
-// low-dimensional subspace views that explanation algorithms query by the
-// thousands, and a landmark-pruned scan for wide views. NewIndex picks
-// between them by size and width.
+// density- and angle-based detectors. Two index implementations are
+// provided: a KD-tree that pays off on the low-dimensional subspace views
+// that explanation algorithms query by the thousands, and exhaustive brute
+// force for everything else — on views large enough to code, behind a
+// quantized 8-bit lower bound that rejects most candidates before the
+// exact distance kernel runs. NewIndex picks between them by size and
+// width.
 package neighbors
 
 import (
@@ -33,23 +35,16 @@ type Index interface {
 const kdTreeMaxDim = 10
 
 // NewIndex builds the appropriate index for the given points, picked by
-// size and width: a KD-tree for low-dimensional data (subspace views), the
-// landmark-pruned tier (with its quantized prefilter) for wide views large
-// enough to amortise its build, plain brute force otherwise. All three
-// return bit-identical neighbour sets; the choice only affects speed. The
-// points are not mutated; callers must not mutate them while the index is
-// in use.
+// size and width: a KD-tree for low-dimensional data (subspace views),
+// brute force otherwise — with the quantized prefilter when the view has
+// at least quantMinPoints rows and the code book accepts it. Both return
+// bit-identical neighbour sets; the choice only affects speed. The points
+// are not mutated; callers must not mutate them while the index is in use.
 func NewIndex(points [][]float64) Index {
-	if len(points) == 0 {
-		return bruteForce{}
-	}
-	if len(points[0]) <= kdTreeMaxDim && len(points) >= 64 {
+	if len(points) >= 64 && len(points[0]) <= kdTreeMaxDim {
 		return NewKDTree(points)
 	}
-	if len(points) >= landmarkMinPoints && len(points[0]) > kdTreeMaxDim {
-		return newLandmarkIndex(points, 0, quantTileDefault)
-	}
-	return NewBruteForce(points)
+	return newBruteForce(points, quantTileDefault)
 }
 
 // AllKNNFlat returns the complete neighbourhood structure — every indexed

@@ -108,9 +108,9 @@ type PlaneStats struct {
 	// Delta is the embedded delta engine's activity (the plane's compute
 	// path for low-dimensional views).
 	Delta DeltaStats
-	// Prune aggregates the landmark tier's activity across this plane's
-	// computations (wide views routed through the pruned standard index):
-	// matrix builds, build time, and the candidate-scan/skip split.
+	// Prune aggregates the quantized prefilter's activity across this
+	// plane's computations (wide views answered by the coded brute-force
+	// index): code builds and the candidate scan/reject split.
 	Prune PruneStats
 }
 
@@ -323,11 +323,11 @@ func (p *Plane) compute(ctx context.Context, src ColumnSource, kq, workers int) 
 		if err != nil {
 			return planeEntry{}, err
 		}
-		if lx, pruned := ix.(*landmarkIndex); pruned {
-			// The landmark matrix was built, and every query answered, for
-			// exactly this entry: its counters ARE the entry's ledger.
+		if bf, ok := ix.(bruteForce); ok && bf.codes != nil {
+			// The codes were built, and every query answered, for exactly
+			// this entry: the index's counters ARE the entry's ledger.
 			p.mu.Lock()
-			p.prune = p.prune.add(lx.PruneStats())
+			p.prune = p.prune.add(bf.pruneStats())
 			p.mu.Unlock()
 		}
 	}
@@ -335,8 +335,8 @@ func (p *Plane) compute(ctx context.Context, src ColumnSource, kq, workers int) 
 }
 
 // AllKNNOrIndex answers src's all-points kNN through the plane when the
-// plane accepts the query, falling back to a private standard index (with
-// the same landmark tier NewIndex applies everywhere) otherwise — the one
+// plane accepts the query, falling back to a private standard index (the
+// same tier choice NewIndex applies everywhere) otherwise — the one
 // shared neighbourhood phase behind all three kNN detectors. The returned
 // arrays follow Plane.AllKNN's stride contract and must not be mutated.
 func AllKNNOrIndex(ctx context.Context, p *Plane, src ColumnSource, k, workers int) (idx []int32, dist []float64, m, stride int, err error) {

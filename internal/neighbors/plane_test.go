@@ -328,3 +328,49 @@ func TestPlaneInFlightUpgrade(t *testing.T) {
 		t.Fatalf("computations=%d after the k=5 re-query, want 2", got)
 	}
 }
+
+// TestPlaneWideViewCodedBrute pins the plane's wide-view tier: a 20d view
+// of only 100 rows is answered by the coded brute-force index — the plane
+// folds its prefilter ledger into Prune — and bit-identically to the plain
+// brute-force scan.
+func TestPlaneWideViewCodedBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cols := make([][]float64, 20)
+	for f := range cols {
+		cols[f] = make([]float64, 100)
+		for i := range cols[f] {
+			cols[f][i] = rng.NormFloat64()
+		}
+	}
+	ds, err := dataset.New("wide-100", cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := ds.FullView()
+	const k = 15
+	p := neighbors.NewPlane(0)
+	gotIdx, gotDist, m, stride, _, err := p.AllKNN(context.Background(), v, k, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats().Prune; st.Indexes != 1 || st.QuantCandidates == 0 || st.QuantRejected == 0 {
+		t.Fatalf("wide view did not go through the coded brute-force index: %+v", st)
+	}
+	wantIdx, wantDist, wantM, err := neighbors.AllKNNFlat(context.Background(), neighbors.NewBruteForce(v.Points()), k, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != wantM {
+		t.Fatalf("m=%d, want %d", m, wantM)
+	}
+	for i := 0; i < v.N(); i++ {
+		for j := 0; j < m; j++ {
+			g, w := gotIdx[i*stride+j], wantIdx[i*m+j]
+			gd, wd := gotDist[i*stride+j], wantDist[i*m+j]
+			if g != w || math.Float64bits(gd) != math.Float64bits(wd) {
+				t.Fatalf("point %d slot %d: (%d, %x), want (%d, %x)",
+					i, j, g, math.Float64bits(gd), w, math.Float64bits(wd))
+			}
+		}
+	}
+}

@@ -2,10 +2,11 @@ package neighbors
 
 import "math"
 
-// The quantized prefilter is the cheapest candidate-rejection tier, sitting
-// BENEATH the landmark tier's band scan and inside the window engine's
-// arrival scans. Each indexed view gets per-dimension 8-bit affine codes
-// built once from its rows:
+// The quantized prefilter is the candidate-rejection tier of the
+// exhaustive scans: the coded brute-force index NewIndex builds for views
+// past the KD-tree's reach, and the window engine's arrival scans. Both run
+// one candidate loop, scanTiles. Each indexed view gets per-dimension
+// 8-bit affine codes built once from its rows:
 //
 //	code[j] = clamp(round((x[j] − lo[j]) / step[j]), 0, 255)
 //
@@ -37,28 +38,29 @@ import "math"
 // proportionally little to real distances, so the sharpness that matters —
 // in the wide columns that decide rejections — is the full 8 bits.
 //
-// Why a rejected candidate can never change the result (the same
-// safety-margin style as kernel.go): the reject test multiplies by a
-// (1 − quantEps) factor, making the computed bound strictly less than the
-// true lower bound — quantEps over-covers, by five orders of magnitude,
-// the quantization slop past s/2 (≤ ~256·3ε of a cell, from computing
-// (x−lo)/s in floats) and the one rounding of the final product (the
-// integer sum itself is exact: quantMaxDims caps it below 2³¹). The exact
+// Why a rejected candidate can never change the result: the reject test
+// multiplies by a (1 − quantEps) factor, making the computed bound
+// strictly less than the true lower bound — quantEps over-covers, by five
+// orders of magnitude, the quantization slop past s/2 (≤ ~256·3ε of a
+// cell, from computing (x−lo)/s in floats) and the one rounding of the
+// final product (the integer sum itself is exact: quantMaxDims caps it
+// below 2³¹). The exact
 // kernel's computed d² exceeds the true square by at most a factor
 // (1 ± d·ε), so bound > limit at rejection time implies the exact pass
 // would have produced a distance strictly above the radius at that moment
 // — and the radius only shrinks, so also above the final k-th distance.
 // Ties at the radius are not strict excesses and are never rejected;
 // tie-breaking stays inside the shared heap push. Survivors go through the
-// unchanged squaredEuclideanWithin kernel against the live radius, so kept
-// distances are bit-identical to the unpruned scan at any tile size and
+// unchanged squaredEuclideanWithin kernel against the live radius, in the
+// same row order as the plain scan, so the heap evolves exactly as it
+// would unpruned and kept distances are bit-identical at any tile size and
 // worker count.
 //
 // Candidates are scanned in cache-sized tiles (quantTileDefault): the
 // branch-free bound pass covers the whole tile's sequential padded byte
 // rows first, survivors are collected into a fixed scratch list, and only
 // then does the exact kernel run — converting the per-candidate
-// data-dependent branch of the old scan into a predictable filter/verify
+// data-dependent branch of the plain scan into a predictable filter/verify
 // pipeline. The tile's radius snapshot is taken at tile entry; the live
 // radius only shrinks during the tile, so the snapshot is merely
 // conservative (fewer rejections, never a wrong one).
@@ -102,6 +104,58 @@ const (
 	// the handful of candidates an exhaustive scan costs anyway.
 	quantMinPoints = 64
 )
+
+// PruneStats is the quantized prefilter's ledger over coded brute-force
+// indexes: how many were built, their code storage, and how much of the
+// candidate stream the code bound rejected before the exact distance
+// kernel ran.
+type PruneStats struct {
+	// Indexes counts coded indexes built.
+	Indexes int
+	// Candidates counts candidate rows their queries considered; Scanned
+	// of those reached the exact distance kernel.
+	Candidates, Scanned int64
+	// CodeBytes is the storage charged to code rows and their
+	// per-dimension tables across all builds.
+	CodeBytes int64
+	// QuantCandidates counts candidates whose code bound was evaluated in
+	// a tile pass; QuantRejected of those were rejected from codes alone,
+	// without touching their float rows.
+	QuantCandidates, QuantRejected int64
+}
+
+// ScanFraction reports Scanned / Candidates — the fraction of the
+// candidate stream that still paid a distance computation. 1 means the
+// bound never fired (or no coded index was built); the Figure-9 reference
+// workload is gated at ≤ 0.6 by TestPruneEffectivenessFigure9.
+func (s PruneStats) ScanFraction() float64 {
+	if s.Candidates == 0 {
+		return 1
+	}
+	return float64(s.Scanned) / float64(s.Candidates)
+}
+
+// SurvivorFraction reports the fraction of code-bound evaluations the
+// prefilter could NOT reject — the candidates that went on to pay an
+// exact kernel call. 1 means the prefilter never fired (or never engaged);
+// the Figure-9 reference workload is gated at ≤ 0.15 by
+// TestQuantSurvivorFractionFigure9.
+func (s PruneStats) SurvivorFraction() float64 {
+	if s.QuantCandidates == 0 {
+		return 1
+	}
+	return float64(s.QuantCandidates-s.QuantRejected) / float64(s.QuantCandidates)
+}
+
+func (s PruneStats) add(o PruneStats) PruneStats {
+	s.Indexes += o.Indexes
+	s.Candidates += o.Candidates
+	s.Scanned += o.Scanned
+	s.CodeBytes += o.CodeBytes
+	s.QuantCandidates += o.QuantCandidates
+	s.QuantRejected += o.QuantRejected
+	return s
+}
 
 // quantStride pads a row width to the SIMD kernel's 16-byte block multiple.
 func quantStride(d int) int { return (d + 15) &^ 15 }
@@ -217,6 +271,63 @@ func (qp *quantParams) encode(p []float64, dst []uint8) bool {
 // sumClears is the reject test for one candidate's bound sum.
 func (qp *quantParams) sumClears(sum int64, limit float64) bool {
 	return float64(sum)*qp.sqAdj > limit
+}
+
+// tileScratch is one worker's fixed tile cells for scanTiles: the bound
+// sums and the survivor list, sized by quantTileMax so the scan pays no
+// per-call allocation or zeroing.
+type tileScratch struct {
+	bound [quantTileMax]int64
+	surv  [quantTileMax]int32
+}
+
+// scanTiles is the one candidate loop behind the quantized prefilter,
+// shared by the coded brute-force index and the window engine's fresh
+// scans: it offers every row j ≠ i of rows to h, as the plain early-exit
+// scan would, but tile by tile — quantSqSumTile over the tile's padded code
+// rows (codes holds one per row, in row order), then the survivor list,
+// then squaredEuclideanWithin and the heap push for the survivors only.
+// ok, when non-nil, marks the rows whose code is valid; an invalid row is
+// never rejected by the bound. The radius snapshot is taken at tile entry
+// and only shrinks during the tile, so it merely under-rejects; tiles met
+// before the heap fills skip the bound pass, since nothing can be
+// rejected. It reports how many candidates were bound-tested and how many
+// of those the bound rejected.
+func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []bool, tile int, h *boundedHeap, ts *tileScratch) (tested, rejected int64) {
+	q := rows[i]
+	st := qp.stride
+	qc := codes[i*st : i*st+st]
+	n := len(rows)
+	for base := 0; base < n; base += tile {
+		t := min(tile, n-base)
+		limit := h.top()
+		if math.IsInf(limit, 1) {
+			scanRange(rows, i, base, base+t, h)
+			continue
+		}
+		quantSqSumTile(qc, codes[base*st:(base+t)*st], t, ts.bound[:])
+		ns := 0
+		for r := 0; r < t; r++ {
+			if qp.sumClears(ts.bound[r], limit) && (ok == nil || ok[base+r]) {
+				continue
+			}
+			ts.surv[ns] = int32(base + r)
+			ns++
+		}
+		tested += int64(t)
+		rejected += int64(t - ns)
+		for _, j32 := range ts.surv[:ns] {
+			j := int(j32)
+			if j == i {
+				continue
+			}
+			d2, within := squaredEuclideanWithin(q, rows[j], h.top())
+			if within {
+				h.push(j, d2)
+			}
+		}
+	}
+	return tested, rejected
 }
 
 // quantSqSumRef is the portable reference of the bound sum

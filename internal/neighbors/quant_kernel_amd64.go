@@ -21,8 +21,8 @@ func quantSqSumSSE2(a, b *uint8, blocks int) int64
 
 // quantSqSumTile computes the bound sums of count consecutive padded code
 // rows (rows, stride len(q) each) against the query row q into
-// out[0:count], one assembly call for the whole tile — the per-candidate
-// call overhead is what dominates the few-row bands of the landmark tier.
+// out[0:count], one assembly call for the whole tile rather than one per
+// candidate.
 func quantSqSumTile(q, rows []uint8, count int, out []int64) {
 	if count == 0 {
 		return

@@ -58,8 +58,7 @@ loop:
 // consecutive padded code rows against the same query row, storing them
 // into out[0:count]. Same arithmetic per row as quantSqSumSSE2; hoisting
 // the loop over rows into assembly keeps the byte-constant registers live
-// and drops the per-candidate call overhead, which dominates on the
-// few-row bands the landmark tier produces.
+// and drops the per-candidate call overhead.
 TEXT ·quantSqSumTileSSE2(SB), NOSPLIT, $0-40
 	MOVQ	q+0(FP), R8
 	MOVQ	rows+8(FP), DI

@@ -37,7 +37,7 @@ func scratchWidthIndexes() []struct {
 		ix   neighbors.Index
 		n    int
 	}{
-		{"landmark-20d", neighbors.NewIndex(wide), len(wide)}, // n ≥ 256, d > 10: landmark tier
+		{"coded-brute-20d", neighbors.NewIndex(wide), len(wide)}, // d > 10: brute force behind the code bound
 		{"brute-12d", neighbors.NewBruteForce(mid), len(mid)},
 		{"kdtree-4d", neighbors.NewKDTree(narrow), len(narrow)},
 	}

@@ -33,7 +33,8 @@ import (
 //     farther than everything kept — so the slack absorbs expiries without
 //     any rescan until fewer than k trusted entries remain.
 //   - The s arrivals are then merged into every survivor's reservoir
-//     (early-exited against the reservoir's current worst entry). Entries
+//     (early-exited against the reservoir's current worst entry, or the
+//     suspect boundary below, behind the arrivals' code bounds). Entries
 //     that sort beyond the last surviving pre-merge entry are SUSPECT — an
 //     untracked old point could outrank them — and are truncated; a
 //     reservoir still holding ≥ k trusted entries needs no further work,
@@ -70,8 +71,9 @@ type WindowStats struct {
 	// Arrivals the points they delivered (each costing one fresh scan).
 	Batches, Arrivals int
 	// QuantCandidates counts candidates whose 8-bit code bound was
-	// evaluated in a tile pass of a fresh scan; QuantRejected of those
-	// were rejected from codes alone (see quant.go).
+	// evaluated in a tile pass of a fresh scan or a survivor's merge;
+	// QuantRejected of those were rejected from codes alone (see
+	// quant.go).
 	QuantCandidates, QuantRejected int64
 	// SurvivorLists counts reservoirs examined for repair (the per-batch
 	// survivor count, summed); Rescans of those lost too many trusted
@@ -150,17 +152,22 @@ type WindowEngine struct {
 	qok     []bool
 	quncode int
 	qtile   int
+	// arrCodes holds the batch's arrival code rows contiguously, in
+	// arrSlots order, so each survivor's merge bounds them all in one
+	// tile pass.
+	arrCodes []uint8
 }
 
 // windowScratch is the per-worker repair scratch: the bounded heap of full
-// rescans, the saved old k-prefix used for dirty detection, and the
-// worker's code-bound counters (flushed into WindowStats once per batch).
+// rescans, the saved old k-prefix used for dirty detection, the code-bound
+// cells of fresh scans and merges, and the worker's code-bound counters
+// (flushed into WindowStats once per batch).
 type windowScratch struct {
 	h           boundedHeap
 	prefix      []windowEntry
 	qcand, qrej int64
-	qbound      [quantTileMax]int64
-	qsurv       [quantTileMax]int32
+	tiles       tileScratch
+	arrBound    []int64 // the merge's per-arrival code bounds
 }
 
 // NewWindowEngine returns an engine maintaining reservoirs of k+slack
@@ -254,6 +261,13 @@ func (e *WindowEngine) Apply(ctx context.Context, batch []WindowArrival) error {
 	// Refresh the quantized code rows before the parallel phase: arrivals
 	// encode serially here so every worker sees a consistent code table.
 	e.refreshCodes()
+	if e.qp != nil {
+		st := e.qp.stride
+		e.arrCodes = e.arrCodes[:0]
+		for _, s := range e.arrSlots {
+			e.arrCodes = append(e.arrCodes, e.qcodes[int(s)*st:(int(s)+1)*st]...)
+		}
+	}
 
 	shards := parallel.ShardCount(e.workers, n)
 	if cap(e.scratch) < shards {
@@ -341,15 +355,47 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 	}
 
 	// 2) Merge the arrivals, early-exited against the reservoir's current
-	// worst entry once it is full.
+	// worst entry once it is full. When step 3 will truncate the suspect
+	// tail, the boundary caps the radius from the start: an arrival
+	// ordering beyond it could only be inserted behind every trusted entry
+	// and then cut, so skipping it leaves the result unchanged — and with
+	// no boundary at all step 3 cuts everything, so nothing is merged.
+	truncate := !complete && survivorOthers > 0
+	radius := math.Inf(1)
+	if truncate {
+		radius = boundary.d2
+	}
+	arrivals := e.arrSlots
+	if truncate && !haveBoundary {
+		arrivals = nil
+	}
+	// With codes, every arrival's bound comes from one tile pass first: an
+	// arrival whose bound exceeds the limit it meets would fail the exact
+	// kernel's early exit too (quant.go), so it is skipped unread.
+	var bounds []int64
+	if e.qp != nil && e.qok[i] && len(arrivals) > 0 {
+		st := e.qp.stride
+		if cap(sc.arrBound) < len(arrivals) {
+			sc.arrBound = make([]int64, len(arrivals))
+		}
+		bounds = sc.arrBound[:len(arrivals)]
+		quantSqSumTile(e.qcodes[i*st:(i+1)*st], e.arrCodes, len(arrivals), bounds)
+	}
 	q := e.points[i]
-	for _, r := range e.arrSlots {
+	for a, r := range arrivals {
 		if int(r) == i {
 			continue
 		}
-		limit := math.Inf(1)
+		limit := radius
 		if len(list) == e.cap() {
-			limit = list[len(list)-1].d2
+			limit = min(limit, list[len(list)-1].d2)
+		}
+		if bounds != nil {
+			sc.qcand++
+			if e.qp.sumClears(bounds[a], limit) && e.qok[r] {
+				sc.qrej++
+				continue
+			}
 		}
 		d2, within := squaredEuclideanWithin(q, e.points[r], limit)
 		if !within {
@@ -361,7 +407,7 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 	// 3) Truncate suspect tail entries (arrivals beyond the boundary),
 	// unless the reservoir's knowledge is complete: it held every old
 	// point, or no unknown survivor exists to outrank anything.
-	if !complete && survivorOthers > 0 {
+	if truncate {
 		t := len(list)
 		if !haveBoundary {
 			t = 0
@@ -403,15 +449,14 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 	return rescanned
 }
 
-// scanSlot rebuilds slot i's reservoir with one exhaustive scan through the
-// same early-exit kernel and bounded heap as the brute-force index, draining
-// in the shared (squared distance, slot) order. When the quantized
-// prefilter is live and the owner's own code is valid, the scan runs behind
-// the code-bound tile pass (scanPointsQuant) — survivors meet the same live
-// radius, so the reservoir is bit-identical either way. The result reuses
-// out's backing array when large enough.
+// scanSlot rebuilds slot i's reservoir with one exhaustive scan — the
+// brute-force index's own loop, behind the code-bound tile pass (scanTiles)
+// when the quantized prefilter is live and the owner's own code is valid,
+// plain (scanRange) otherwise — draining in the shared (squared distance,
+// slot) order. Survivors of the bound meet the same live radius, so the
+// reservoir is bit-identical either way. The result reuses out's backing
+// array when large enough.
 func (e *WindowEngine) scanSlot(i int, sc *windowScratch, out []windowEntry) []windowEntry {
-	q := e.points[i]
 	h := &sc.h
 	size := e.cap()
 	if size > len(e.points)-1 {
@@ -422,18 +467,11 @@ func (e *WindowEngine) scanSlot(i int, sc *windowScratch, out []windowEntry) []w
 	}
 	h.reset(size)
 	if e.qp != nil && e.qok[i] {
-		e.scanPointsQuant(i, q, sc)
+		tested, rejected := scanTiles(e.points, i, e.qp, e.qcodes, e.qok, e.qtile, h, &sc.tiles)
+		sc.qcand += tested
+		sc.qrej += rejected
 	} else {
-		for j, p := range e.points {
-			if j == i {
-				continue
-			}
-			d2, within := squaredEuclideanWithin(q, p, h.top())
-			if !within {
-				continue
-			}
-			h.push(j, d2)
-		}
+		scanRange(e.points, i, 0, len(e.points), h)
 	}
 	m := h.len()
 	if cap(out) < m {
@@ -445,63 +483,6 @@ func (e *WindowEngine) scanSlot(i int, sc *windowScratch, out []windowEntry) []w
 		out[t] = windowEntry{d2: d2, slot: int32(j)}
 	}
 	return out
-}
-
-// scanPointsQuant is scanSlot's candidate loop behind the quantized
-// prefilter: slots are walked in tiles, each tile running the branch-free
-// code-bound pass over sequential byte rows before the exact kernel sees
-// the survivors (see quant.go for the bound and its safety argument). A
-// slot whose code is invalid (qok false — an arrival outside the frozen
-// book's range) always survives the bound pass; tiles met before the heap
-// fills skip the pass outright since nothing can be rejected.
-func (e *WindowEngine) scanPointsQuant(i int, q []float64, sc *windowScratch) {
-	h := &sc.h
-	qp := e.qp
-	st := qp.stride
-	qc := e.qcodes[i*st : i*st+st]
-	n := len(e.points)
-	bounds, surv := &sc.qbound, &sc.qsurv
-	for base := 0; base < n; base += e.qtile {
-		t := e.qtile
-		if base+t > n {
-			t = n - base
-		}
-		limit := h.top()
-		if math.IsInf(limit, 1) {
-			for j := base; j < base+t; j++ {
-				if j == i {
-					continue
-				}
-				d2, within := squaredEuclideanWithin(q, e.points[j], h.top())
-				if within {
-					h.push(j, d2)
-				}
-			}
-			continue
-		}
-		quantSqSumTile(qc, e.qcodes[base*st:(base+t)*st], t, bounds[:])
-		ns := 0
-		for r := 0; r < t; r++ {
-			j := base + r
-			if e.qok[j] && qp.sumClears(bounds[r], limit) {
-				continue
-			}
-			surv[ns] = int32(j)
-			ns++
-		}
-		sc.qcand += int64(t)
-		sc.qrej += int64(t - ns)
-		for _, j32 := range surv[:ns] {
-			j := int(j32)
-			if j == i {
-				continue
-			}
-			d2, within := squaredEuclideanWithin(q, e.points[j], h.top())
-			if within {
-				h.push(j, d2)
-			}
-		}
-	}
 }
 
 // refreshCodes maintains the quantized code table across a batch: arrivals

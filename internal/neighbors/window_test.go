@@ -85,8 +85,8 @@ func TestWindowEngineBitIdenticalCold(t *testing.T) {
 }
 
 // TestWindowEngineWideViews re-runs the parity sweep at a dimensionality
-// above the KD-tree cutoff, where the cold path routes through the
-// landmark-pruned tier on large windows and the early-exit kernel
+// above the KD-tree cutoff, where the cold path routes through the coded
+// brute-force scan on large windows and the early-exit kernel
 // everywhere — the regime the stream reference workload (20d) lives in.
 func TestWindowEngineWideViews(t *testing.T) {
 	runWindowEngineParity(t, "random", 40, 20, 15, 10, 4, 4, 160)

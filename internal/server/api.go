@@ -149,14 +149,12 @@ type StatsResponse struct {
 	// detectors).
 	Plane            neighbors.PlaneStats `json:"plane"`
 	PlaneDedupFactor float64              `json:"plane_dedup_factor"`
-	// Prune is the landmark-pruned candidate tier's ledger over this
-	// engine's plane builds (Plane.Prune, surfaced at the top level);
-	// PruneScanFraction is the share of candidate rows the tier let
-	// through to the exact distance kernel — 1.0 when the tier never
-	// engaged, ≤ 0.6 on the Figure-9 reference workload per check.sh.
-	// PruneSurvivorFraction is the quantized prefilter's equivalent: the
-	// share of bound-tested candidates its 8-bit code bound could NOT
-	// reject — 1.0 when the prefilter never engaged, ≤ 0.15 on the
+	// Prune is the quantized prefilter's ledger over this engine's plane
+	// builds of wide views (Plane.Prune, surfaced at the top level);
+	// PruneScanFraction is the share of candidate rows that still reached
+	// the exact distance kernel, and PruneSurvivorFraction the share of
+	// bound-tested candidates the 8-bit code bound could NOT reject — both
+	// 1.0 when the prefilter never engaged, ≤ 0.6 and ≤ 0.15 on the
 	// Figure-9 reference workload per check.sh.
 	Prune                 neighbors.PruneStats `json:"prune"`
 	PruneScanFraction     float64              `json:"prune_scan_fraction"`

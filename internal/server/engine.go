@@ -296,6 +296,11 @@ func (e *Engine) Explain(ctx context.Context, req ExplainRequest) (*ExplainRespo
 	if len(req.Points) == 0 {
 		return nil, badRequest("no points to explain")
 	}
+	if len(req.Points) > ds.N() {
+		// Past n, a request can only repeat points — each repeat is paid
+		// in full explainer work, so the dataset's own size is the cap.
+		return nil, badRequest("%d points requested from a dataset of %d rows", len(req.Points), ds.N())
+	}
 	for _, p := range req.Points {
 		if p < 0 || p >= ds.N() {
 			return nil, badRequest("point %d out of range [0, %d)", p, ds.N())

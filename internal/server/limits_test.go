@@ -56,6 +56,45 @@ func TestRegisterBodyCap(t *testing.T) {
 	}
 }
 
+// TestExplainPointCap pins the per-request point cap at the HTTP edge: a
+// request naming more points than the dataset has rows can only repeat
+// points, so it is refused with 400 before any explainer work, while a
+// request at the cap on the same server still answers 200.
+func TestExplainPointCap(t *testing.T) {
+	const n = 40
+	eng := NewEngine(EngineConfig{Workers: 1})
+	if _, err := eng.RegisterCSV("d", []byte(engineCSV(6, n, 2)), true); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(eng, Config{}).Handler())
+	defer ts.Close()
+	post := func(points []int) (int, string) {
+		t.Helper()
+		body, err := json.Marshal(ExplainRequest{Dataset: "d", Points: points, Algo: "beam", Detector: "lof", Dim: 2, Top: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/explain", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, string(raw)
+	}
+	over := make([]int, n+1) // every entry repeats point 0
+	if code, raw := post(over); code != http.StatusBadRequest {
+		t.Fatalf("%d points on a %d-row dataset: %d %s, want 400", len(over), n, code, raw)
+	}
+	atCap := make([]int, n)
+	for i := range atCap {
+		atCap[i] = i
+	}
+	if code, raw := post(atCap); code != http.StatusOK {
+		t.Fatalf("%d points on a %d-row dataset: %d %s, want 200", len(atCap), n, code, raw)
+	}
+}
+
 // TestSlowExplainOutlivesBodyDeadline pins that the body read deadline
 // bounds only the body: an explanation still running well after the
 // deadline would have fired keeps its request context and answers 200.
@@ -147,7 +186,7 @@ func (b repeatByte) Read(p []byte) (int, error) {
 // TestEngineStatsIsolation pins that /v1/stats reports each engine's own
 // prune ledger: one engine routes a wide dataset (24d, n = 300, so
 // RefOut's 17d pool projections exceed the KD-tree cutoff) through the
-// landmark tier, and a second engine in the same process, serving only
+// coded brute-force tier, and a second engine in the same process, serving only
 // low-dimensional data, must still report zero prune activity.
 func TestEngineStatsIsolation(t *testing.T) {
 	ctx := context.Background()
@@ -182,7 +221,7 @@ func TestEngineStatsIsolation(t *testing.T) {
 		return st
 	}
 	if w := stats(wide); w.Prune.Indexes == 0 || w.Prune.Candidates == 0 {
-		t.Fatalf("wide engine never engaged the landmark tier; the isolation check is vacuous: %+v", w.Prune)
+		t.Fatalf("wide engine never engaged the coded brute-force tier; the isolation check is vacuous: %+v", w.Prune)
 	}
 	n := stats(narrow)
 	if n.Prune.Indexes != 0 || n.Prune.Candidates != 0 || n.Prune.Scanned != 0 ||

@@ -35,15 +35,13 @@ trap 'rm -f "$raw"' EXIT
 # (heap drain + the flat builder the plane serves), per-subspace detector
 # scoring + the cache-hit path, the parallel grid plus the
 # shared-vs-unshared plane mini-grid (BenchmarkRunGridKNN, the PR-5
-# acceptance workload), the landmark-pruned versus exhaustive kNN arms on
-# the Figure-9 reference workload (BenchmarkFigure9KNNPrune, the PR-8
-# acceptance workload), the quantized-prefilter versus plain-band arms on
-# the same workload (BenchmarkFigure9KNNQuant, the PR-10 acceptance
-# workload), and the Beam/LOF pipeline cell (the paper's Figure 9 hot spot
-# and the acceptance metric).
+# acceptance workload), the coded versus plain brute-force kNN arms on the
+# Figure-9 reference workload (BenchmarkFigure9KNNQuant, the quantized
+# prefilter's acceptance workload), and the Beam/LOF pipeline cell (the
+# paper's Figure 9 hot spot and the acceptance metric).
 #
-# The -cpu 1,2,4 sweeps are the first multi-core baselines: AllKNN, the
-# prune arms, and the kNN grid parallelise over workers=GOMAXPROCS, so
+# The -cpu 1,2,4 sweeps are the first multi-core baselines: AllKNN and the
+# kNN grid parallelise over workers=GOMAXPROCS, so
 # their scaling across the sweep is the worker-scaling record
 # results/BENCH_NOTES.md tabulates. On a 1-vCPU box the >1 arms measure
 # oversubscribed scheduling, not parallel speedup — the per-entry
@@ -53,7 +51,6 @@ go test -run '^$' -bench 'BenchmarkAllKNN' -benchmem -benchtime=20x -cpu 1,2,4 .
 go test -run '^$' -bench 'BenchmarkDetectors1000x3|BenchmarkCachedDetectorHit' -benchmem -benchtime=10x ./internal/detector >>"$raw"
 go test -run '^$' -bench 'BenchmarkRunGrid$' -benchmem -benchtime=2x ./internal/pipeline >>"$raw"
 go test -run '^$' -bench 'BenchmarkRunGridKNN$' -benchmem -benchtime=2x -cpu 1,2,4 ./internal/pipeline >>"$raw"
-go test -run '^$' -bench 'BenchmarkFigure9KNNPrune$' -benchmem -benchtime=30x -cpu 1,2,4 ./internal/neighbors >>"$raw"
 go test -run '^$' -bench 'BenchmarkFigure9KNNQuant$' -benchmem -benchtime=30x ./internal/neighbors >>"$raw"
 go test -run '^$' -bench 'BenchmarkFigure9/(Beam|RefOut)/LOF' -benchmem -benchtime=20x . >>"$raw"
 # Stream arm: steady-state sliding-window evaluation on the reference
