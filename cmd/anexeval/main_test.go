@@ -93,7 +93,9 @@ func TestRunArgumentValidation(t *testing.T) {
 		{"dim too high", func() error { return run(context.Background(), dataPath, gtPath, "99", 1, 1, 0, 0, 0, false, "", 0) }},
 		{"nonsense dim", func() error { return run(context.Background(), dataPath, gtPath, "x", 1, 1, 0, 0, 0, false, "", 0) }},
 		{"missing file", func() error { return run(context.Background(), "/nope.csv", gtPath, "2", 1, 1, 0, 0, 0, false, "", 0) }},
-		{"missing gt file", func() error { return run(context.Background(), dataPath, "/nope.json", "2", 1, 1, 0, 0, 0, false, "", 0) }},
+		{"missing gt file", func() error {
+			return run(context.Background(), dataPath, "/nope.json", "2", 1, 1, 0, 0, 0, false, "", 0)
+		}},
 	}
 	for _, c := range cases {
 		if _, err := captureStdout(t, c.fn); err == nil {

@@ -139,9 +139,9 @@ func TestArenaForestMatchesRecursiveReference(t *testing.T) {
 	}{
 		{1000, 3, 100, 256, 1},
 		{1000, 3, 100, 256, 3},
-		{300, 5, 50, 256, 2},  // psi clamped to n
-		{100, 2, 30, 16, 2},   // small psi
-		{64, 1, 20, 64, 1},    // psi == n, 1d
+		{300, 5, 50, 256, 2}, // psi clamped to n
+		{100, 2, 30, 16, 2},  // small psi
+		{64, 1, 20, 64, 1},   // psi == n, 1d
 	}
 	for _, tc := range cases {
 		v := mk(tc.n, tc.d, 7)

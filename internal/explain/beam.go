@@ -99,7 +99,7 @@ func (b *Beam) ExplainPoint(ctx context.Context, ds *dataset.Dataset, p, targetD
 	// Stage 1: score all 2d subspaces exhaustively. Candidate enumeration
 	// is cheap and stays serial (a deterministic list); the detector-bound
 	// scoring fans out over the stage worker budget.
-	cands := StageCandidates(ds.D(), 2)
+	cands := stageCandidates(ds.D(), 2)
 	stage, err := b.scoreStage(ctx, ds, cands, p, score)
 	if err != nil {
 		return nil, err
@@ -143,13 +143,11 @@ func (b *Beam) ExplainPoint(ctx context.Context, ds *dataset.Dataset, p, targetD
 	return core.TopK(global, b.topK()), nil
 }
 
-// StageCandidates enumerates every subspace of exactly dim features over a
+// stageCandidates enumerates every subspace of exactly dim features over a
 // d-feature dataset, in the enumerator's deterministic order. It is the
 // candidate universe of one exhaustive sweep — what Beam's stage 1 scores
-// (dim 2) and what the grid's prefetch pass warms the neighbourhood plane
-// with (dims 1 and 2) before any cell starts. dim values outside [1, d]
-// yield an empty list.
-func StageCandidates(d, dim int) []subspace.Subspace {
+// (dim 2). dim values outside [1, d] yield an empty list.
+func stageCandidates(d, dim int) []subspace.Subspace {
 	var out []subspace.Subspace
 	enum := subspace.NewEnumerator(d, dim)
 	for s := enum.Next(); s != nil; s = enum.Next() {

@@ -4,27 +4,24 @@ import (
 	"context"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 
-	"anex/internal/memo"
 	"anex/internal/parallel"
 )
 
 // The delta engine answers AllKNN queries over low-dimensional subspace
-// views by exploiting the structure of staged subspace search instead of
-// building a fresh spatial index per view:
+// views from per-dataset structures shared by every view of the dataset,
+// instead of building a fresh spatial index per view. It has two paths:
 //
-//   - Squared Euclidean distance decomposes additively over dimensions, so
-//     the distance between two points in any SUB-subspace lower-bounds their
-//     distance in the full subspace. A single sorted dimension therefore
-//     yields a sweep order in which candidates can be abandoned as soon as
-//     the one-dimensional gap alone exceeds the current k-th distance.
-//   - A parent subspace's kNN, resident in the plane that owns the engine,
-//     seeds the child query S ∪ {f}: adding only the one-dimension
-//     component (a_f − b_f)² to the squared parent distances gives a tight
-//     upper bound on the child's k-th neighbour distance, which prunes most
-//     of the candidate scan outright.
+//   - 2d views sweep one sorted dimension. Squared Euclidean distance
+//     decomposes additively over dimensions, so the one-dimensional gap
+//     lower-bounds the 2d distance, and each side of the outward walk stops
+//     as soon as the gap alone exceeds the current k-th distance.
+//   - Every other view scans all candidates. The source's full-space kNN
+//     seeds the scan: the canonical subspace distances of a point's
+//     full-space neighbours are computed exactly, and the k-th of them
+//     upper-bounds the true k-th distance, so the scan starts with a tight
+//     radius. The full space itself is scanned unseeded.
 //
 // Results are bit-identical to the brute-force / KD-tree path: every
 // surviving candidate's distance is accumulated in ascending feature order,
@@ -47,21 +44,6 @@ const (
 	// score through the plain index.
 	maxDeltaPoints = 512
 	minDeltaPoints = 64
-
-	// sweepMaxDim bounds the sorted-dimension sweep path; wider views use
-	// the seeded candidate scan, whose pruning threshold comes from a
-	// resident parent or the cached full-space neighbourhood.
-	sweepMaxDim = 2
-
-	// deltaMargin is the relative safety factor applied to prune radii
-	// derived from parent distances. The parent entry holds Euclidean
-	// distances, which the scan squares back: sqrt-then-square is within
-	// ~3 ulp of the parent's squared distance (and exact when that is
-	// subnormal, whose ulp dwarfs the roundtrip's error). The child's
-	// canonical accumulation sums the same non-negative terms in a
-	// different grouping, within ~d ulp more. 1e-9 over-covers that by six
-	// orders of magnitude while loosening the radius immeasurably.
-	deltaMargin = 1e-9
 
 	// maxDeltaSources bounds the per-dataset pinned structures (sorted
 	// dimension orders, full-space seeds) an engine retains. A per-detector
@@ -101,11 +83,14 @@ type ColumnSource interface {
 type DeltaStats struct {
 	// Queries counts AllKNN calls the engine accepted.
 	Queries int
-	// SweepQueries of those used the sorted-dimension sweep (1d/2d views).
+	// SweepQueries of those used the sorted-dimension sweep (2d views).
 	SweepQueries int
-	// ParentSeeded of those pruned with a cached parent subspace's kNN.
+	// ParentSeeded is always 0: no path seeds from a parent subspace. The
+	// benchmark harness reads the field, so it stays until that changes.
 	ParentSeeded int
-	// FullSeeded of those pruned with the cached full-space kNN.
+	// FullSeeded of those pruned with the cached full-space kNN (every
+	// other view narrower than the full space). The rest of Queries are
+	// full-space views, scanned unseeded.
 	FullSeeded int
 	// Rejected counts calls outside the engine's gates (dimension, size,
 	// or non-finite coordinates).
@@ -113,14 +98,11 @@ type DeltaStats struct {
 }
 
 // deltaEngine holds the per-source structures — per-dimension sorted
-// orders, 2d sweep pairs, and full-space neighbourhoods — that make staged
-// subspace scoring incremental, and reads parent neighbourhoods from the
-// owning plane's cache. It is safe for concurrent use; cached structures
-// are immutable once published, and concurrent builds of the same
-// structure are serialised so it is computed once.
+// orders, spreads and finite flags, and full-space neighbourhoods — that
+// every view of a dataset shares. It is safe for concurrent use; cached
+// structures are immutable once published, and concurrent builds of the
+// same structure are serialised so it is computed once.
 type deltaEngine struct {
-	plane *memo.Cache[planeEntry] // parent lookup (Peek only)
-
 	mu      sync.Mutex
 	tick    int64 // source-recency clock (see source)
 	sources map[string]*deltaSource
@@ -128,13 +110,12 @@ type deltaEngine struct {
 }
 
 // deltaSource holds the per-dataset structures: sorted per-dimension orders,
-// 2d sweep pairs built from them, finite flags, and the full-space kNN per
-// neighbourhood size. All are small and pinned (outside the plane's byte
-// budget, bounded by maxDeltaSources).
+// per-feature spreads and finite flags, and the full-space kNN per
+// neighbourhood size. All are pinned outside the plane's byte budget; only
+// the number of sources is bounded (maxDeltaSources).
 type deltaSource struct {
 	dims    map[int]*sortedDim
 	ranges  map[int]float64
-	pairs   map[string]*sweepPair
 	fullKNN map[int]*knnEntry
 	finite  map[int]bool
 	lastUse int64 // tick of the most recent source() lookup
@@ -161,7 +142,7 @@ func (ds *deltaSource) finiteColumn(src ColumnSource, j int) bool {
 	return fin
 }
 
-// sweepPair is the 2d sweep structure of one subspace: the sweep dimension's
+// sweepPair is the 2d sweep structure of one query: the sweep dimension's
 // sorted order plus the OTHER dimension's values gathered into that order,
 // so the outward walk touches only sequential memory.
 type sweepPair struct {
@@ -170,22 +151,15 @@ type sweepPair struct {
 	swFirst bool // sweep dimension is the lower feature (canonical order)
 }
 
-// pairFor returns (building on demand, O(n)) the 2d sweep structure for the
-// view's subspace, sweeping column j.
-func (ds *deltaSource) pairFor(src ColumnSource, j int) *sweepPair {
-	key := src.SubspaceKey()
-	if p, ok := ds.pairs[key]; ok {
-		return p
-	}
-	sd := ds.sortedFor(src, j)
+// newSweepPair builds (O(n)) the 2d sweep structure of a view sweeping its
+// column j, whose sorted order is sd.
+func newSweepPair(src ColumnSource, sd *sortedDim, j int) *sweepPair {
 	oc := src.Column(1 - j)
 	other := make([]float64, len(sd.ord))
 	for r, id := range sd.ord {
 		other[r] = oc[id]
 	}
-	p := &sweepPair{sd: sd, other: other, swFirst: j == 0}
-	ds.pairs[key] = p
-	return p
+	return &sweepPair{sd: sd, other: other, swFirst: j == 0}
 }
 
 // sortedDim is one dimension's sort order: vals ascending, ord the point
@@ -197,23 +171,22 @@ type sortedDim struct {
 }
 
 // knnEntry is one source's full-space neighbourhood at one k: for every
-// point, its m nearest neighbours — the threshold seeds of views with no
-// resident parent.
+// point, its m nearest neighbours — the threshold seeds of the scanned
+// views.
 type knnEntry struct {
 	m   int
 	idx []int32 // n×m neighbour indices
 }
 
-// newDeltaEngine returns an engine that seeds wide views from parent
-// entries resident in plane.
-func newDeltaEngine(plane *memo.Cache[planeEntry]) *deltaEngine {
-	return &deltaEngine{plane: plane, sources: make(map[string]*deltaSource)}
+// newDeltaEngine returns an empty engine.
+func newDeltaEngine() *deltaEngine {
+	return &deltaEngine{sources: make(map[string]*deltaSource)}
 }
 
 // Forget drops the pinned per-source structures of the dataset identified
 // by sourceKey (dataset.Dataset.SourceKey). Owners of short-lived datasets
 // call it (through Plane.Forget) when the dataset dies, so its sorted
-// orders, sweep pairs, and full-space seeds do not occupy one of the
+// orders and full-space seeds do not occupy one of the
 // maxDeltaSources slots until pressure evicts them. Safe when sourceKey
 // has no state.
 func (e *deltaEngine) Forget(sourceKey string) {
@@ -267,16 +240,11 @@ func (e *deltaEngine) AllKNN(ctx context.Context, src ColumnSource, k, workers i
 		}
 	}
 	e.stats.Queries++
-	if d == 1 {
+	if d == 2 {
 		e.stats.SweepQueries++
-		q.sweep = ds.sortedFor(src, 0)
-	} else if d == 2 {
-		e.stats.SweepQueries++
-		q.pair = ds.pairFor(src, e.bestSweepColumn(ds, src))
-	} else if parent, col, found := e.parentEntry(src, m); found {
-		e.stats.ParentSeeded++
-		q.seedIdx, q.seedDist, q.seedM, q.deltaCol = parent.idx, parent.dist, parent.m, col
-	} else {
+		j := e.bestSweepColumn(ds, src)
+		q.pair = newSweepPair(src, ds.sortedFor(src, j), j)
+	} else if d < src.NumFeatures() {
 		full, ferr := e.fullSpaceKNN(ctx, ds, src, k, workers)
 		if ferr != nil {
 			e.mu.Unlock()
@@ -321,7 +289,6 @@ func (e *deltaEngine) source(key string) *deltaSource {
 		ds = &deltaSource{
 			dims:    make(map[int]*sortedDim),
 			ranges:  make(map[int]float64),
-			pairs:   make(map[string]*sweepPair),
 			fullKNN: make(map[int]*knnEntry),
 			finite:  make(map[int]bool),
 		}
@@ -392,43 +359,9 @@ func (ds *deltaSource) sortedFor(src ColumnSource, j int) *sortedDim {
 	return sd
 }
 
-// parentEntry looks in the plane for a resident kNN of any drop-one-feature
-// parent of the view's subspace holding at least m neighbours per point,
-// lowest dropped feature first (deterministic), and returns it with the
-// view column of the dropped feature — the delta dimension.
-func (e *deltaEngine) parentEntry(src ColumnSource, m int) (planeEntry, []float64, bool) {
-	sk := src.SubspaceKey()
-	prefix := src.SourceKey() + "|"
-	for j := 0; j < src.Dim(); j++ {
-		if en, ok := e.plane.Peek(prefix + dropFeature(sk, src.Feature(j))); ok && en.m >= m {
-			return en, src.Column(j), true
-		}
-	}
-	return planeEntry{}, nil, false
-}
-
-// dropFeature removes one feature from a canonical "1,4,9" subspace key.
-func dropFeature(key string, f int) string {
-	tok := strconv.Itoa(f)
-	if key == tok {
-		return ""
-	}
-	if len(key) > len(tok)+1 && key[:len(tok)+1] == tok+"," {
-		return key[len(tok)+1:]
-	}
-	needle := "," + tok
-	for i := 0; i+len(needle) <= len(key); i++ {
-		if key[i:i+len(needle)] == needle &&
-			(i+len(needle) == len(key) || key[i+len(needle)] == ',') {
-			return key[:i] + key[i+len(needle):]
-		}
-	}
-	return key
-}
-
 // fullSpaceKNN returns (building on demand) the source's full-space kNN at
-// neighbourhood size k — the seed structure for views with no cached
-// parent. Full-space distances upper-bound no subspace distance directly,
+// neighbourhood size k — the seed structure of the scanned views.
+// Full-space distances upper-bound no subspace distance directly,
 // but the candidates themselves are excellent threshold seeds: their
 // canonical subspace distances are computed exactly, and the k-th of them
 // always upper-bounds the true k-th. Caller holds mu; the build (one per
@@ -469,17 +402,14 @@ type deltaQuery struct {
 	cols [][]float64
 	n, m int
 
-	// Sweep paths: sorted order of the sweep dimension (1d views), or the
-	// paired structure with the second dimension gathered into sweep order
-	// (2d views).
-	sweep *sortedDim
-	pair  *sweepPair
+	// Sweep path (2d views): the sweep dimension's sorted order with the
+	// second dimension gathered into it.
+	pair *sweepPair
 
-	// Seeded path (dim > sweepMaxDim): threshold candidates per point.
-	seedIdx  []int32
-	seedDist []float64 // parent Euclidean distances (nil for full-space seeds)
-	seedM    int
-	deltaCol []float64 // the one dimension the parent lacks
+	// Scan path (every other view): seedM threshold candidates per point,
+	// none for the unseeded full-space scan.
+	seedIdx []int32
+	seedM   int
 }
 
 // deltaScratch is the per-worker reusable query state.
@@ -559,12 +489,9 @@ func sortNNPairs(e []nnPair) {
 // point answers one query into the output slots.
 func (q *deltaQuery) point(i int, outIdx []int32, outSq []float64, s *deltaScratch) {
 	s.topk.reset(q.m)
-	switch {
-	case q.pair != nil:
+	if q.pair != nil {
 		q.sweepPairPoint(i, s)
-	case q.sweep != nil:
-		q.sweepPoint(i, s)
-	default:
+	} else {
 		q.scanPoint(i, s)
 	}
 	for t, en := range s.topk.ent {
@@ -585,73 +512,6 @@ func (q *deltaQuery) canonical(a, b int) float64 {
 		dd += dv * dv
 	}
 	return dd
-}
-
-// sweepPoint visits candidates outward from the query's sorted position in
-// the sweep dimension: the one-dimensional gap lower-bounds the full
-// distance, so both walks stop as soon as the gap alone exceeds the current
-// k-th distance. Candidates interleave by gap until the k-set fills, then
-// each side drains independently (sequential, branch-predictable).
-func (q *deltaQuery) sweepPoint(i int, s *deltaScratch) {
-	sw := q.sweep
-	n, k := q.n, q.m
-	xq := sw.vals[sw.rank[i]]
-	lo := int(sw.rank[i]) - 1
-	hi := int(sw.rank[i]) + 1
-	worst := math.Float64bits(math.Inf(1))
-	// Fill phase: interleave both sides by gap so worst tightens fast.
-	for len(s.topk.ent) < k && (lo >= 0 || hi < n) {
-		var j int32
-		if lo >= 0 && (hi >= n || xq-sw.vals[lo] <= sw.vals[hi]-xq) {
-			j = sw.ord[lo]
-			lo--
-		} else {
-			j = sw.ord[hi]
-			hi++
-		}
-		if int(j) == i {
-			continue
-		}
-		s.topk.insert(math.Float64bits(q.canonical(i, int(j))), j, k)
-	}
-	if len(s.topk.ent) == k {
-		worst = s.topk.ent[k-1].du
-	}
-	// Drain phase: each side walks out until its gap² exceeds worst. The
-	// gap grows monotonically per side and worst only shrinks, so the
-	// first excess bounds everything beyond it.
-	for ; lo >= 0; lo-- {
-		g := xq - sw.vals[lo]
-		if math.Float64bits(g*g) > worst {
-			break
-		}
-		j := sw.ord[lo]
-		if int(j) == i {
-			continue
-		}
-		du := math.Float64bits(q.canonical(i, int(j)))
-		if du > worst {
-			continue
-		}
-		s.topk.insert(du, j, k)
-		worst = s.topk.ent[k-1].du
-	}
-	for ; hi < n; hi++ {
-		g := sw.vals[hi] - xq
-		if math.Float64bits(g*g) > worst {
-			break
-		}
-		j := sw.ord[hi]
-		if int(j) == i {
-			continue
-		}
-		du := math.Float64bits(q.canonical(i, int(j)))
-		if du > worst {
-			continue
-		}
-		s.topk.insert(du, j, k)
-		worst = s.topk.ent[k-1].du
-	}
 }
 
 // sweepPairPoint is the 2d sweep: candidates are visited outward from the
@@ -766,13 +626,10 @@ func (q *deltaQuery) sweepPairPoint(i int, s *deltaScratch) {
 	}
 }
 
-// scanPoint scores one query by a full candidate scan whose initial prune
-// radius comes from the seed candidates: with a parent, each seed's child
-// distance bound is the squared parent distance plus only the
-// one-dimension delta component (scaled by the float-safety margin);
-// without, the seeds' canonical distances are computed outright. Either
-// way the k-th seed distance upper-bounds the true k-th distance, so
-// initialising worst with it skips most candidates after one compare.
+// scanPoint scores one query by a full candidate scan. When seeded, the
+// seeds' canonical distances are computed outright; the k-th of them
+// upper-bounds the true k-th distance, so initialising worst with it keeps
+// most composed candidates out of the top-k insert after one compare.
 func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
 	n, k := q.n, q.m
 	worst := math.Inf(1)
@@ -781,33 +638,13 @@ func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
 			s.sd = make([]float64, 0, q.seedM)
 		}
 		sd := s.sd[:0]
-		seeds := q.seedIdx[i*q.seedM : (i+1)*q.seedM]
-		if q.seedDist != nil {
-			// Squared parent distance + one-dimension delta.
-			pd := q.seedDist[i*q.seedM : (i+1)*q.seedM]
-			col := q.deltaCol
-			vq := col[i]
-			for t, j := range seeds {
-				if int(j) == i {
-					continue
-				}
-				dv := vq - col[j]
-				sd = append(sd, pd[t]*pd[t]+dv*dv)
-			}
-			if kth, ok := kthSmallest(sd, k); ok {
-				worst = kth * (1 + deltaMargin)
-			}
-		} else {
-			// Canonical distances of the seed candidates; exact, no margin.
-			for _, j := range seeds {
-				if int(j) == i {
-					continue
-				}
+		for _, j := range q.seedIdx[i*q.seedM : (i+1)*q.seedM] {
+			if int(j) != i {
 				sd = append(sd, q.canonical(i, int(j)))
 			}
-			if kth, ok := kthSmallest(sd, k); ok {
-				worst = kth
-			}
+		}
+		if kth, ok := kthSmallest(sd, k); ok {
+			worst = kth
 		}
 		s.sd = sd[:0]
 	}
@@ -862,8 +699,8 @@ func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
 	}
 }
 
-// kthSmallest returns the k-th smallest value of vals (insertion-sorting
-// the leading k as it goes); ok is false when fewer than k values exist.
+// kthSmallest returns the k-th smallest value of vals, insertion-sorting
+// all of vals in place; ok is false when fewer than k values exist.
 func kthSmallest(vals []float64, k int) (float64, bool) {
 	if len(vals) < k {
 		return 0, false

@@ -46,9 +46,9 @@ func referenceKNN(t *testing.T, v *dataset.View, k int) ([]int32, []float64, int
 type deltaPath string
 
 const (
-	pathSweep        deltaPath = "sweep"
-	pathParentSeeded deltaPath = "parent-seeded"
-	pathFullSeeded   deltaPath = "full-seeded"
+	pathSweep      deltaPath = "sweep"
+	pathFullSeeded deltaPath = "full-seeded"
+	pathScan       deltaPath = "scan" // unseeded: the full space itself
 )
 
 // checkDeltaMatches queries the plane for the view at the given worker
@@ -65,9 +65,10 @@ func checkDeltaMatches(t *testing.T, p *neighbors.Plane, v *dataset.View, k, wor
 	}
 	b, a := before.Delta, after.Delta
 	got := map[deltaPath]bool{
-		pathSweep:        a.SweepQueries > b.SweepQueries,
-		pathParentSeeded: a.ParentSeeded > b.ParentSeeded,
-		pathFullSeeded:   a.FullSeeded > b.FullSeeded,
+		pathSweep:      a.SweepQueries > b.SweepQueries,
+		pathFullSeeded: a.FullSeeded > b.FullSeeded,
+		pathScan: a.Queries > b.Queries &&
+			a.SweepQueries == b.SweepQueries && a.FullSeeded == b.FullSeeded,
 	}
 	if !got[want] {
 		t.Fatalf("subspace %s workers=%d: delta counters %+v → %+v, want the %s path", v.Subspace().Key(), workers, b, a, want)
@@ -75,18 +76,21 @@ func checkDeltaMatches(t *testing.T, p *neighbors.Plane, v *dataset.View, k, wor
 }
 
 // chainPath is the path a staged chain's view takes: the 2d start sweeps,
-// every later stage seeds from the previous stage resident in the plane.
-func chainPath(s subspace.Subspace) deltaPath {
-	if s.Dim() <= 2 {
+// the full space is scanned unseeded, and every other stage seeds its scan
+// from the full-space kNN.
+func chainPath(v *dataset.View) deltaPath {
+	switch v.Dim() {
+	case 2:
 		return pathSweep
+	case v.NumFeatures():
+		return pathScan
 	}
-	return pathParentSeeded
+	return pathFullSeeded
 }
 
 // randomChain draws a staged subspace chain over numFeatures: a random 2d
 // start extended one random unseen feature at a time up to maxDim — the
-// access pattern of a Beam search, which is what makes the engine's
-// parent seeding kick in.
+// access pattern of a Beam search.
 func randomChain(rng *rand.Rand, numFeatures, maxDim int) []subspace.Subspace {
 	perm := rng.Perm(numFeatures)
 	var chain []subspace.Subspace
@@ -101,7 +105,7 @@ func randomChain(rng *rand.Rand, numFeatures, maxDim int) []subspace.Subspace {
 
 // TestDeltaMatchesIndexRandomChains is the core invariance property: along
 // random staged subspace chains (2d → 5d), every stage answered by the
-// engine — sweep, parent-seeded, or full-space-seeded — is bit-identical to
+// engine — the 2d sweep or the full-space-seeded scan — is bit-identical to
 // the standard index path, at 1 and at 4 workers (each replaying the chain
 // on a fresh plane, so both worker counts really compute).
 func TestDeltaMatchesIndexRandomChains(t *testing.T) {
@@ -113,15 +117,17 @@ func TestDeltaMatchesIndexRandomChains(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			p := neighbors.NewPlane(0)
 			for _, s := range chain {
-				checkDeltaMatches(t, p, ds.View(s), k, workers, chainPath(s))
+				v := ds.View(s)
+				checkDeltaMatches(t, p, v, k, workers, chainPath(v))
 			}
 		}
 	}
 }
 
-// TestDeltaColdHighDimQuery covers the full-space-seeded scan: a fresh
-// plane asked for a 3d–5d view straight away (no parent resident) must
-// seed from the full-space neighbourhood and still match exactly.
+// TestDeltaColdHighDimQuery covers the full-space-seeded scan on its own: a
+// fresh plane asked for a 3d–5d view straight away, with nothing else
+// resident, must seed from the full-space neighbourhood and still match
+// exactly.
 func TestDeltaColdHighDimQuery(t *testing.T) {
 	ds := deltaDataset(t, "cold", 256, 10, 2)
 	for _, dim := range []int{3, 4, 5} {
@@ -136,11 +142,14 @@ func TestDeltaColdHighDimQuery(t *testing.T) {
 	}
 }
 
-// TestDeltaPruneTightParentRadii attacks the parent-seeded radius:
-// the parent dims are near-duplicates (tiny parent distances, so the seed
-// radius is extremely tight) while the added dimension spreads points far
-// apart, forcing the scan to discard essentially every seed and re-rank on
-// delta terms alone. Any off-by-epsilon in the pruning margin shows up here.
+// TestDeltaPruneTightParentRadii attacks near-duplicate coordinates under
+// a full-space seed: dims 0–1 are four crowded clusters of spread 1e-9
+// while dims 2–3 spread points ~1e3 apart, so every squared distance sums
+// terms over twenty orders of magnitude apart (any accumulation order but
+// SquaredEuclidean's changes the bits) and the 2d start is one mass of
+// near-ties. The 3d stage seeds its scan from the full-space kNN, whose
+// neighbours are ranked almost entirely by dim 3, which the view lacks.
+// The 4d stage is the full space itself and takes the unseeded scan.
 func TestDeltaPruneTightParentRadii(t *testing.T) {
 	const n, k = 200, 10
 	rng := rand.New(rand.NewSource(3))
@@ -169,7 +178,8 @@ func TestDeltaPruneTightParentRadii(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := neighbors.NewPlane(0)
 		for _, s := range chain {
-			checkDeltaMatches(t, p, ds.View(s), k, workers, chainPath(s))
+			v := ds.View(s)
+			checkDeltaMatches(t, p, v, k, workers, chainPath(v))
 		}
 	}
 }
@@ -198,7 +208,8 @@ func TestDeltaLatticeTies(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			p := neighbors.NewPlane(0)
 			for _, s := range chain {
-				checkDeltaMatches(t, p, ds.View(s), k, workers, chainPath(s))
+				v := ds.View(s)
+				checkDeltaMatches(t, p, v, k, workers, chainPath(v))
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"anex/internal/failpoint"
 	"anex/internal/memo"
-	"anex/internal/parallel"
 )
 
 // The shared neighbourhood plane deduplicates kNN work ACROSS detectors.
@@ -136,16 +135,16 @@ func (s PlaneStats) String() string {
 }
 
 // NewPlane returns a plane whose resident entries are bounded by maxBytes
-// (≤ 0 → DefaultPlaneBytes). That one budget covers everything the plane
-// caches per view: its delta engine seeds wider views from the plane's own
-// resident entries instead of keeping copies.
+// (≤ 0 → DefaultPlaneBytes). That budget covers every per-view entry; the
+// delta engine's per-dataset structures (sorted dimensions, full-space
+// seeds) are pinned outside it, bounded by dataset count.
 func NewPlane(maxBytes int64) *Plane {
 	if maxBytes <= 0 {
 		maxBytes = DefaultPlaneBytes
 	}
 	size := func(en planeEntry) int64 { return int64(len(en.idx))*4 + int64(len(en.dist))*8 }
 	p := &Plane{cache: memo.New(maxBytes, size)}
-	p.delta = newDeltaEngine(p.cache)
+	p.delta = newDeltaEngine()
 	return p
 }
 
@@ -377,23 +376,4 @@ func sourceRows(src ColumnSource) [][]float64 {
 		rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
 	}
 	return rows
-}
-
-// Warm precomputes entries for the given views at the current kmax — the
-// grid's prefetch pass. Views already resident cost a cache hit; failures
-// other than context cancellation are swallowed (a cold entry just gets
-// computed later, by whichever cell needs it). No-op on a nil plane or
-// before any consumer registered a k.
-func (p *Plane) Warm(ctx context.Context, srcs []ColumnSource, workers int) error {
-	if p == nil || len(srcs) == 0 {
-		return nil
-	}
-	k := p.KMax()
-	if k < 1 {
-		return nil
-	}
-	return parallel.ForEach(ctx, workers, len(srcs), func(i int) {
-		// Serial inside: the fan-out is across views.
-		_, _, _, _, _, _ = p.AllKNN(ctx, srcs[i], k, 1)
-	})
 }

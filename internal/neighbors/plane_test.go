@@ -82,9 +82,9 @@ func checkPlaneMatches(t *testing.T, p *neighbors.Plane, v *dataset.View, k, wor
 // TestPlanePrefixSlicingProperty pins the contract the whole plane rests
 // on: AllKNN(view, k) equals the first k entries of AllKNN(view, kmax) for
 // every k ≤ kmax — including duplicate rows and massively tied distances —
-// on both compute paths (the delta engine's sweep/seeded answers for
-// low-dimensional views, and the standard-index fallback for wide ones).
-// The property holds because every path orders the kept set by the total
+// on both compute paths (the delta engine's sweep/scan answers for
+// low-dimensional views, and the standard-index fallback for wide ones),
+// with the plane computing at 1 and at 4 workers. The property holds because every path orders the kept set by the total
 // order (distance bit pattern, index), making the k-list a strict prefix
 // of the kmax-list.
 func TestPlanePrefixSlicingProperty(t *testing.T) {
@@ -96,24 +96,27 @@ func TestPlanePrefixSlicingProperty(t *testing.T) {
 		wideSub = wideSub.With(f)
 	}
 	views := []*dataset.View{
+		low.View(subspace.New(0)),          // 1d full-seeded scan
 		low.View(subspace.New(0, 1)),       // 2d sweep path
-		low.View(subspace.New(0, 1, 2, 3)), // seeded delta path
+		low.View(subspace.New(0, 1, 2, 3)), // full-seeded scan
 		wide.View(wideSub),                 // standard-index fallback
 		wide.FullView(),                    // 12d full space, fallback
 	}
 	for _, v := range views {
-		p := neighbors.NewPlane(0)
-		p.RegisterK(kmax)
-		// Descending k first: the kmax entry must already serve them all.
-		for k := kmax; k >= 1; k-- {
-			checkPrefix(t, p, v, k)
-		}
-		st := p.Stats()
-		if st.Computations != 1 {
-			t.Errorf("view %s: %d computations serving k=1..%d, want 1", v.Subspace().Key(), st.Computations, kmax)
-		}
-		if st.Queries != kmax || st.Hits != kmax-1 {
-			t.Errorf("view %s: queries=%d hits=%d, want %d/%d", v.Subspace().Key(), st.Queries, st.Hits, kmax, kmax-1)
+		for _, workers := range []int{1, 4} {
+			p := neighbors.NewPlane(0)
+			p.RegisterK(kmax)
+			// Descending k first: the kmax entry must already serve them all.
+			for k := kmax; k >= 1; k-- {
+				checkPlaneMatches(t, p, v, k, workers)
+			}
+			st := p.Stats()
+			if st.Computations != 1 {
+				t.Errorf("view %s workers=%d: %d computations serving k=1..%d, want 1", v.Subspace().Key(), workers, st.Computations, kmax)
+			}
+			if st.Queries != kmax || st.Hits != kmax-1 {
+				t.Errorf("view %s workers=%d: queries=%d hits=%d, want %d/%d", v.Subspace().Key(), workers, st.Queries, st.Hits, kmax, kmax-1)
+			}
 		}
 	}
 }
@@ -234,38 +237,6 @@ func TestPlaneDisabled(t *testing.T) {
 	p := neighbors.NewPlane(0)
 	if _, _, _, _, ok, _ := p.AllKNN(context.Background(), v, 0, 1); ok {
 		t.Fatal("k=0 accepted")
-	}
-}
-
-// TestPlaneWarm: prefetching views makes later detector-sized queries pure
-// hits, and warming is idempotent.
-func TestPlaneWarm(t *testing.T) {
-	ds := tieDataset(t, "warm", 128, 4, 0, 7)
-	var srcs []neighbors.ColumnSource
-	for f := 0; f < ds.D(); f++ {
-		srcs = append(srcs, ds.View(subspace.New(f)))
-		for g := f + 1; g < ds.D(); g++ {
-			srcs = append(srcs, ds.View(subspace.New(f, g)))
-		}
-	}
-	p := neighbors.NewPlane(0)
-	p.RegisterK(15)
-	if err := p.Warm(context.Background(), srcs, 2); err != nil {
-		t.Fatal(err)
-	}
-	warmed := p.Stats().Computations
-	if warmed != len(srcs) {
-		t.Fatalf("warm computed %d entries, want %d", warmed, len(srcs))
-	}
-	if err := p.Warm(context.Background(), srcs, 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range srcs {
-		v := src.(*dataset.View)
-		checkPrefix(t, p, v, 10)
-	}
-	if got := p.Stats().Computations; got != warmed {
-		t.Fatalf("queries after warm recomputed: %d computations, want %d", got, warmed)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"anex/internal/dataset"
 	"anex/internal/detector"
-	"anex/internal/explain"
 	"anex/internal/neighbors"
 	"anex/internal/parallel"
 )
@@ -49,12 +48,6 @@ type GridSpec struct {
 	// longest-estimated-first. Results are byte-identical either way —
 	// scheduling only affects wall-clock packing.
 	NoSched bool
-	// Prefetch warms the plane (Plane, or the shared default) with the
-	// dataset's 1d and 2d subspace neighbourhoods before any cell starts,
-	// so the sweeps every explainer's candidate enumeration hammers are
-	// resident up front. Only useful when the grid's detectors actually
-	// query that plane.
-	Prefetch bool
 	// PointPipelines and SummaryPipelines, when either is non-nil,
 	// replace the factory-built pipelines entirely: the grid runs exactly
 	// the given pipelines per dimension, and Detectors/Options-driven
@@ -176,10 +169,6 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 		}
 		recordJournal(res)
 		return res
-	}
-
-	if spec.Prefetch && len(pending) > 0 {
-		warmNeighborhoods(ctx, spec.Plane, spec.Dataset, budget)
 	}
 
 	done := ctx.Done()
@@ -357,29 +346,6 @@ func buildCells(spec GridSpec, inner int) []gridCell {
 // detectors through it.
 type neighborsSetter interface {
 	SetNeighbors(p *neighbors.Plane)
-}
-
-// warmNeighborhoods is the grid's prefetch pass: it precomputes the plane's
-// neighbourhood entries for every 1d and 2d subspace of the dataset — the
-// sweeps Beam's stage 1, LookOut's pair enumeration, and the delta engine's
-// prefix chains all start from — so cells begin against a hot cache. A nil
-// plane resolves to the process-wide shared one (what the factory-built
-// detectors query); planes with no registered consumer are left alone.
-// Cancellation just cuts the pass short — the cells carry the ctx error.
-func warmNeighborhoods(ctx context.Context, plane *neighbors.Plane, ds *dataset.Dataset, workers int) {
-	if plane == nil {
-		plane = neighbors.Shared()
-	}
-	if plane.KMax() < 1 {
-		return
-	}
-	var srcs []neighbors.ColumnSource
-	for dim := 1; dim <= 2; dim++ {
-		for _, s := range explain.StageCandidates(ds.D(), dim) {
-			srcs = append(srcs, ds.View(s))
-		}
-	}
-	_ = plane.Warm(ctx, srcs, workers)
 }
 
 // isContextErr reports whether err is (or wraps) a context cancellation or

@@ -66,7 +66,6 @@ func TestGridSchedulerInvariance(t *testing.T) {
 			Dataset: ds, GroundTruth: gt, Dims: []int{2, 3}, Seed: 5,
 			Options: opts, Detectors: knnDetectors(p),
 			Workers: workers, NoSched: noSched,
-			Prefetch: plane && !noSched,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -117,31 +116,6 @@ func TestGridPlaneDedupFactor(t *testing.T) {
 	}
 	if f := st.DedupFactor(); f < 1.5 {
 		t.Errorf("dedup factor %.2f < 1.5: %s", f, st)
-	}
-}
-
-// TestGridPrefetchWarmsPlane: with Prefetch set, the 1d/2d sweeps are
-// resident before cells run, so a subsequent grid pass over the same plane
-// computes nothing new for 2d cells beyond what warming built.
-func TestGridPrefetchWarmsPlane(t *testing.T) {
-	ds, gt := planeTestbed(t)
-	p := neighbors.NewPlane(0)
-	spec := GridSpec{
-		Dataset: ds, GroundTruth: gt, Dims: []int{2}, Seed: 5,
-		Options: planeGridOptions(), Detectors: knnDetectors(p),
-		Workers: 1, Prefetch: true,
-	}
-	if _, err := RunGrid(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	// 6 features → 6 one-dim + 15 two-dim views warmed; the grid itself
-	// may add full-space and deeper entries, but the sweep must be there.
-	if st.Computations < 21 {
-		t.Fatalf("prefetch computed %d entries, want ≥ 21 (1d+2d sweep)", st.Computations)
-	}
-	if f := st.DedupFactor(); f < 1.5 {
-		t.Errorf("dedup factor %.2f < 1.5 after prefetch: %s", f, st)
 	}
 }
 

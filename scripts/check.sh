@@ -8,6 +8,9 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+# Formatting: every tracked Go file must be gofmt-clean. git ls-files keeps
+# the untracked .bench_build/ module cache out of the scan.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go build ./...
 go test -race ./...
 
