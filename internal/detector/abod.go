@@ -62,25 +62,17 @@ func (a *FastABOD) k() int {
 // clamped to n−1 (the complete neighbourhood), so degenerate
 // parameterisations degrade instead of indexing out of bounds.
 func (a *FastABOD) Scores(ctx context.Context, v *dataset.View) ([]float64, error) {
-	if err := checkView("FastABOD", v); err != nil {
-		return nil, err
-	}
-	n := v.N()
-	k := a.k()
-	if k > n-1 {
-		k = n - 1
-	}
-	scores := make([]float64, n)
-	if k < 2 {
-		// No angle pairs exist; everything is equally (non-)outlying.
-		return scores, nil
-	}
-	nnIdx, _, m, stride, err := neighbors.AllKNNOrIndex(ctx, a.Neighbors, v, k, a.Workers)
+	nnIdx, _, m, stride, err := knnView(ctx, "FastABOD", v, a.Neighbors, a.k(), 2, a.Workers)
 	if err != nil {
 		return nil, err
 	}
-
-	dim := v.Dim()
+	n := v.N()
+	scores := make([]float64, n)
+	if m == 0 {
+		// No angle pairs exist; everything is equally (non-)outlying.
+		return scores, nil
+	}
+	points, dim := v.Points(), v.Dim()
 	// One pair of difference-vector scratch buffers per worker shard: the
 	// O(k²) angle accumulation per point is independent across points.
 	shards := parallel.ShardCount(a.Workers, n)
@@ -91,57 +83,69 @@ func (a *FastABOD) Scores(ctx context.Context, v *dataset.View) ([]float64, erro
 		scratchB[s] = make([]float64, dim)
 	}
 	err = parallel.ForEachShard(ctx, a.Workers, n, func(shard, i int) {
-		da, db := scratchA[shard], scratchB[shard]
-		p := v.Point(i)
-		nbrs := nnIdx[i*stride : i*stride+m]
-		// Welford accumulation of the weighted angle statistic
-		// f(x1,x2) = <x1−p, x2−p> / (|x1−p|² · |x2−p|²)
-		// over all neighbour pairs.
-		var mean, m2 float64
-		var count int
-		for s := 0; s < len(nbrs); s++ {
-			ps := v.Point(int(nbrs[s]))
-			var na float64
-			for d := 0; d < dim; d++ {
-				da[d] = ps[d] - p[d]
-				na += da[d] * da[d]
-			}
-			if na == 0 {
-				continue // duplicate of p; angle undefined
-			}
-			for t := s + 1; t < len(nbrs); t++ {
-				pt := v.Point(int(nbrs[t]))
-				var nb, dot float64
-				for d := 0; d < dim; d++ {
-					db[d] = pt[d] - p[d]
-					nb += db[d] * db[d]
-					dot += da[d] * db[d]
-				}
-				if nb == 0 {
-					continue
-				}
-				val := dot / (na * nb)
-				count++
-				delta := val - mean
-				mean += delta / float64(count)
-				m2 += delta * (val - mean)
-			}
-		}
-		if count < 2 {
-			// Point duplicated k times over: treat as maximally inlying.
-			scores[i] = math.Inf(-1)
-			return
-		}
-		abof := m2 / float64(count) // population variance of the spectrum
-		scores[i] = -abof
+		scores[i] = negABOF(points, i, nnIdx[i*stride:i*stride+m], scratchA[shard], scratchB[shard])
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Replace the -Inf sentinels with the minimum finite score so that
-	// downstream statistics stay finite.
+	floorSentinels(scores, scores)
+	return scores, nil
+}
+
+// negABOF is FastABOD's per-point arithmetic, shared by Scores and
+// ScoresWindow: −ABOF of points[i] over its neighbours nbrs, with da and db
+// as difference-vector scratch of the points' dimension. A point with
+// fewer than two defined angles (duplicated k times over) gets the −Inf
+// sentinel that floorSentinels replaces.
+func negABOF(points [][]float64, i int, nbrs []int32, da, db []float64) float64 {
+	p, dim := points[i], len(da)
+	// Welford accumulation of the weighted angle statistic
+	// f(x1,x2) = <x1−p, x2−p> / (|x1−p|² · |x2−p|²)
+	// over all neighbour pairs.
+	var mean, m2 float64
+	var count int
+	for s := 0; s < len(nbrs); s++ {
+		ps := points[int(nbrs[s])]
+		var na float64
+		for d := 0; d < dim; d++ {
+			da[d] = ps[d] - p[d]
+			na += da[d] * da[d]
+		}
+		if na == 0 {
+			continue // duplicate of p; angle undefined
+		}
+		for t := s + 1; t < len(nbrs); t++ {
+			pt := points[int(nbrs[t])]
+			var nb, dot float64
+			for d := 0; d < dim; d++ {
+				db[d] = pt[d] - p[d]
+				nb += db[d] * db[d]
+				dot += da[d] * db[d]
+			}
+			if nb == 0 {
+				continue
+			}
+			val := dot / (na * nb)
+			count++
+			delta := val - mean
+			mean += delta / float64(count)
+			m2 += delta * (val - mean)
+		}
+	}
+	if count < 2 {
+		// Point duplicated k times over: treat as maximally inlying.
+		return math.Inf(-1)
+	}
+	return -(m2 / float64(count)) // population variance of the spectrum
+}
+
+// floorSentinels copies raw into out (which may alias it), replacing the
+// −Inf sentinels with the minimum finite score so that downstream
+// statistics stay finite. The minimum is global, so this is a whole-view
+// pass even when only some raw scores were recomputed.
+func floorSentinels(raw, out []float64) {
 	minFinite := math.Inf(1)
-	for _, s := range scores {
+	for _, s := range raw {
 		if !math.IsInf(s, -1) && s < minFinite {
 			minFinite = s
 		}
@@ -149,10 +153,11 @@ func (a *FastABOD) Scores(ctx context.Context, v *dataset.View) ([]float64, erro
 	if math.IsInf(minFinite, 1) {
 		minFinite = 0
 	}
-	for i, s := range scores {
+	for i, s := range raw {
 		if math.IsInf(s, -1) {
-			scores[i] = minFinite
+			out[i] = minFinite
+		} else {
+			out[i] = s
 		}
 	}
-	return scores, nil
 }

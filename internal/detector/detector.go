@@ -18,6 +18,7 @@ import (
 	"anex/internal/dataset"
 	"anex/internal/failpoint"
 	"anex/internal/memo"
+	"anex/internal/neighbors"
 	"anex/internal/stats"
 )
 
@@ -187,4 +188,20 @@ func checkView(name string, v *dataset.View) error {
 		return fmt.Errorf("%s: zero-dimensional view", name)
 	}
 	return nil
+}
+
+// knnView is the kNN detectors' shared Scores prologue: it validates v,
+// clamps k to n−1 (every other point is a neighbour, so degenerate
+// parameterisations degrade instead of indexing out of bounds) and, when
+// that leaves at least minK neighbours, returns the view's flat neighbour
+// rows through p (nil: a private per-view index). m == 0 reports the
+// degenerate case.
+func knnView(ctx context.Context, name string, v *dataset.View, p *neighbors.Plane, k, minK, workers int) (idx []int32, dist []float64, m, stride int, err error) {
+	if err = checkView(name, v); err != nil {
+		return nil, nil, 0, 0, err
+	}
+	if k = min(k, v.N()-1); k < minK {
+		return nil, nil, 0, 0, nil
+	}
+	return neighbors.AllKNNOrIndex(ctx, p, v, k, workers)
 }

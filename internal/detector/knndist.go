@@ -57,28 +57,33 @@ func (d *KNNDist) k() int {
 // Scores returns the mean distance of each point to its k nearest
 // neighbours (higher = more outlying). K values ≥ n are clamped to n−1.
 func (d *KNNDist) Scores(ctx context.Context, v *dataset.View) ([]float64, error) {
-	if err := checkView("kNN-dist", v); err != nil {
-		return nil, err
-	}
-	n := v.N()
-	k := d.k()
-	if k > n-1 {
-		k = n - 1
-	}
-	scores := make([]float64, n)
-	if k < 1 {
-		return scores, nil
-	}
-	_, dist, m, stride, err := neighbors.AllKNNOrIndex(ctx, d.Neighbors, v, k, d.Workers)
+	_, dist, m, stride, err := knnView(ctx, "kNN-dist", v, d.Neighbors, d.k(), 1, d.Workers)
 	if err != nil {
 		return nil, err
 	}
-	for i := range scores {
-		var sum float64
-		for _, dd := range dist[i*stride : i*stride+m] {
-			sum += dd
-		}
-		scores[i] = sum / float64(m)
+	scores := make([]float64, v.N())
+	if m > 0 {
+		knnDistScores(scores, dist, m, stride, nil)
 	}
 	return scores, nil
+}
+
+// knnDistScores is kNN-dist's one arithmetic, shared by Scores and
+// ScoresWindow: it writes the mean of md neighbour distances (per
+// stride-spaced row of dist) into out for every point marked in dirty —
+// every point when dirty is nil — and returns how many it wrote.
+func knnDistScores(out, dist []float64, md, stride int, dirty []bool) int {
+	rescored := 0
+	for i := range out {
+		if dirty != nil && !dirty[i] {
+			continue
+		}
+		var sum float64
+		for _, dd := range dist[i*stride : i*stride+md] {
+			sum += dd
+		}
+		out[i] = sum / float64(md)
+		rescored++
+	}
+	return rescored
 }

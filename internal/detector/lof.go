@@ -61,45 +61,59 @@ func (l *LOF) k() int {
 // is a neighbour), so degenerate parameterisations degrade instead of
 // indexing out of bounds.
 func (l *LOF) Scores(ctx context.Context, v *dataset.View) ([]float64, error) {
-	if err := checkView("LOF", v); err != nil {
-		return nil, err
-	}
-	n := v.N()
-	k := l.k()
-	if k > n-1 {
-		k = n - 1
-	}
-	if k < 1 {
-		// A single point has no neighbours; call it a perfect inlier.
-		return []float64{1}, nil
-	}
-	nnIdx, nnDist, m, stride, err := neighbors.AllKNNOrIndex(ctx, l.Neighbors, v, k, l.Workers)
+	idx, dist, m, stride, err := knnView(ctx, "LOF", v, l.Neighbors, l.k(), 1, l.Workers)
 	if err != nil {
 		return nil, err
 	}
+	scores := make([]float64, v.N())
+	if m == 0 {
+		// A single point has no neighbours; call it a perfect inlier.
+		scores[0] = 1
+		return scores, nil
+	}
+	lofScores(scores, make([]float64, len(scores)), idx, dist, m, stride, nil)
+	return scores, nil
+}
 
-	// k-distance of each point = distance to its k-th nearest neighbour.
-	// The plane's rows may be wider than m (they hold kmax neighbours);
-	// this detector reads the first m slots of each stride-spaced row.
+// lofScores is LOF's one arithmetic, shared by Scores and ScoresWindow. It
+// reads md neighbours per stride-spaced row of the flat arrays (the plane's
+// rows may be wider: they hold kmax neighbours) and writes the scores of
+// the points within 2 hops of dirty into out, the densities they need into
+// lrd, and leaves every other entry as it found it; a nil dirty scores
+// every point. It returns how many scores it wrote.
+func lofScores(out, lrd []float64, idx []int32, dist []float64, md, stride int, dirty []bool) int {
+	n := len(out)
+	// k-distance of each point = distance to its k-th nearest neighbour,
+	// read live from the current rows.
 	kdist := make([]float64, n)
 	for i := range kdist {
-		kdist[i] = nnDist[i*stride+m-1]
+		kdist[i] = dist[i*stride+md-1]
 	}
 
 	// Local reachability density:
 	// lrd(p) = 1 / mean_{o ∈ kNN(p)} max(kdist(o), d(p, o)).
-	lrd := make([]float64, n)
+	// Hop 1: it reads i's row and its neighbours' k-distances.
+	var lrdDirty []bool
+	if dirty != nil {
+		lrdDirty = make([]bool, n)
+		for i := range lrdDirty {
+			lrdDirty[i] = touched(dirty, idx, i, md, stride)
+		}
+	}
 	for i := 0; i < n; i++ {
+		if lrdDirty != nil && !lrdDirty[i] {
+			continue
+		}
 		var sum float64
 		row := i * stride
-		for j, o := range nnIdx[row : row+m] {
-			reach := nnDist[row+j]
+		for j, o := range idx[row : row+md] {
+			reach := dist[row+j]
 			if kdist[o] > reach {
 				reach = kdist[o]
 			}
 			sum += reach
 		}
-		mean := sum / float64(m)
+		mean := sum / float64(md)
 		if mean == 0 {
 			// Duplicate points: infinite density, representable as a
 			// large finite value to keep downstream arithmetic clean.
@@ -110,15 +124,20 @@ func (l *LOF) Scores(ctx context.Context, v *dataset.View) ([]float64, error) {
 	}
 
 	// LOF(p) = mean_{o ∈ kNN(p)} lrd(o) / lrd(p).
-	scores := make([]float64, n)
+	// Hop 2: it reads i's lrd and its neighbours' lrds.
+	rescored := 0
 	for i := 0; i < n; i++ {
+		if !touched(lrdDirty, idx, i, md, stride) {
+			continue
+		}
 		var sum float64
-		for _, o := range nnIdx[i*stride : i*stride+m] {
+		for _, o := range idx[i*stride : i*stride+md] {
 			sum += lrd[o]
 		}
-		scores[i] = sum / (float64(m) * lrd[i])
+		out[i] = sum / (float64(md) * lrd[i])
+		rescored++
 	}
-	return scores, nil
+	return rescored
 }
 
 // maxDensity caps the local reachability density of duplicated points.

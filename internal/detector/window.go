@@ -1,6 +1,6 @@
 package detector
 
-import "math"
+import "slices"
 
 // window.go — the dirty-aware scoring path of the incremental stream engine.
 //
@@ -28,10 +28,11 @@ import "math"
 //
 // Dirtiness is conservative by construction — the engine marks the
 // maintained winK-prefix, a superset of any detector's own k-prefix — which
-// costs spurious rescores, never a stale score. Every arithmetic loop below
-// replicates its Scores sibling operation for operation, in the same order,
-// so a full rescore and an incremental one emit identical bit patterns
-// (pinned by TestScoresWindowBitIdentical).
+// costs spurious rescores, never a stale score. There is one kernel per
+// detector (lofScores, knnDistScores, negABOF with floorSentinels): Scores
+// runs it with every point dirty and no memo, ScoresWindow with the
+// engine's dirty marks and the memo's previous values, so a full rescore
+// and an incremental one emit identical bit patterns by construction.
 
 // WindowScorer is implemented by detectors that can score a sliding window
 // incrementally from a maintained neighbourhood export. The monitor feeds
@@ -63,262 +64,106 @@ type WindowMemo struct {
 	lrd    []float64 // LOF only: previous local reachability densities
 }
 
-// valid reports whether the memo's state matches a window of n points
-// scored at depth m.
-func (mm *WindowMemo) valid(n, m int) bool {
-	return mm.n == n && mm.m == m && len(mm.scores) == n
-}
-
-// reset sizes the memo for a window of n points at depth m, invalidating
-// previous state.
-func (mm *WindowMemo) reset(n, m int) {
+// begin prepares the memo for a window of n points scored at depth m and
+// returns the dirty marks the kernels must honour: the caller's when the
+// memo already holds state for exactly this window, otherwise nil — every
+// point — after resizing the memo (a full rescore).
+func (mm *WindowMemo) begin(n, m int, dirty []bool) []bool {
+	if mm.n == n && mm.m == m && len(mm.scores) == n {
+		return dirty
+	}
 	mm.n, mm.m = n, m
 	if cap(mm.scores) < n {
 		mm.scores = make([]float64, n)
 	}
 	mm.scores = mm.scores[:n]
+	return nil
+}
+
+// touched reports whether point i or any of its md neighbours is marked in
+// dirty; a nil dirty marks every point.
+func touched(dirty []bool, idx []int32, i, md, stride int) bool {
+	if dirty == nil || dirty[i] {
+		return true
+	}
+	for _, o := range idx[i*stride : i*stride+md] {
+		if dirty[o] {
+			return true
+		}
+	}
+	return false
 }
 
 // WindowK returns the engine depth LOF needs: its neighbourhood size.
 func (l *LOF) WindowK() int { return l.k() }
 
-// ScoresWindow is the incremental sibling of LOF.Scores: identical
-// arithmetic, restricted to the lrd-dirty and score-dirty sets.
+// ScoresWindow runs LOF.Scores's kernel over the window, restricted to the
+// lrd-dirty and score-dirty sets (2 hops from the dirty marks).
 func (l *LOF) ScoresWindow(points [][]float64, idx []int32, dist []float64, m, stride int, dirty []bool, memo *WindowMemo) ([]float64, int) {
-	n := len(points)
-	md := l.k()
-	if md > m {
-		md = m
-	}
-	out := make([]float64, n)
+	n, md := len(points), min(l.k(), m)
 	if md < 1 {
 		// No neighbours exist; every point is a perfect inlier (the n=1
 		// degenerate of Scores).
+		out := make([]float64, n)
 		for i := range out {
 			out[i] = 1
 		}
 		return out, 0
 	}
-	full := !memo.valid(n, md)
-	if full {
-		memo.reset(n, md)
-	}
+	dirty = memo.begin(n, md, dirty)
+	out := slices.Clone(memo.scores)
 	if cap(memo.lrd) < n {
 		memo.lrd = make([]float64, n)
 	}
 	memo.lrd = memo.lrd[:n]
-
-	// k-distance of each point — read live from the current rows, O(n), so
-	// no staleness tracking is ever needed for it.
-	kdist := make([]float64, n)
-	for i := range kdist {
-		kdist[i] = dist[i*stride+md-1]
-	}
-
-	// Hop 1: lrd(i) reads i's row and its neighbours' k-distances.
-	lrdDirty := make([]bool, n)
-	if full {
-		for i := range lrdDirty {
-			lrdDirty[i] = true
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			ld := dirty[i]
-			if !ld {
-				row := i * stride
-				for _, o := range idx[row : row+md] {
-					if dirty[o] {
-						ld = true
-						break
-					}
-				}
-			}
-			lrdDirty[i] = ld
-		}
-	}
-	lrd := memo.lrd
-	for i := 0; i < n; i++ {
-		if !lrdDirty[i] {
-			continue
-		}
-		var sum float64
-		row := i * stride
-		for j, o := range idx[row : row+md] {
-			reach := dist[row+j]
-			if kdist[o] > reach {
-				reach = kdist[o]
-			}
-			sum += reach
-		}
-		mean := sum / float64(md)
-		if mean == 0 {
-			lrd[i] = maxDensity
-		} else {
-			lrd[i] = 1 / mean
-		}
-	}
-
-	// Hop 2: the score reads i's lrd and its neighbours' lrds.
-	rescored := 0
-	for i := 0; i < n; i++ {
-		sd := lrdDirty[i]
-		if !sd {
-			row := i * stride
-			for _, o := range idx[row : row+md] {
-				if lrdDirty[o] {
-					sd = true
-					break
-				}
-			}
-		}
-		if !sd {
-			out[i] = memo.scores[i]
-			continue
-		}
-		var sum float64
-		for _, o := range idx[i*stride : i*stride+md] {
-			sum += lrd[o]
-		}
-		out[i] = sum / (float64(md) * lrd[i])
-		memo.scores[i] = out[i]
-		rescored++
-	}
+	rescored := lofScores(out, memo.lrd, idx, dist, md, stride, dirty)
+	copy(memo.scores, out)
 	return out, rescored
 }
 
 // WindowK returns the engine depth kNN-dist needs: its neighbourhood size.
 func (d *KNNDist) WindowK() int { return d.k() }
 
-// ScoresWindow is the incremental sibling of KNNDist.Scores. The score
+// ScoresWindow runs KNNDist.Scores's kernel over the window. The score
 // reads only the point's own neighbour distances, so dirty(i) alone decides.
 func (d *KNNDist) ScoresWindow(points [][]float64, idx []int32, dist []float64, m, stride int, dirty []bool, memo *WindowMemo) ([]float64, int) {
-	n := len(points)
-	md := d.k()
-	if md > m {
-		md = m
-	}
-	out := make([]float64, n)
+	n, md := len(points), min(d.k(), m)
 	if md < 1 {
-		return out, 0
+		return make([]float64, n), 0
 	}
-	full := !memo.valid(n, md)
-	if full {
-		memo.reset(n, md)
-	}
-	rescored := 0
-	for i := 0; i < n; i++ {
-		if !full && !dirty[i] {
-			out[i] = memo.scores[i]
-			continue
-		}
-		var sum float64
-		for _, dd := range dist[i*stride : i*stride+md] {
-			sum += dd
-		}
-		out[i] = sum / float64(md)
-		memo.scores[i] = out[i]
-		rescored++
-	}
+	dirty = memo.begin(n, md, dirty)
+	out := slices.Clone(memo.scores)
+	rescored := knnDistScores(out, dist, md, stride, dirty)
+	copy(memo.scores, out)
 	return out, rescored
 }
 
 // WindowK returns the engine depth FastABOD needs: its neighbourhood size.
 func (a *FastABOD) WindowK() int { return a.k() }
 
-// ScoresWindow is the incremental sibling of FastABOD.Scores. The angle
-// spectrum reads neighbour coordinates; slot re-occupations are always
-// marked dirty by the engine, so one hop of dirty propagation covers both
-// neighbour-set and neighbour-coordinate changes. Raw scores (with the
+// ScoresWindow runs FastABOD.Scores's per-point kernel over the window.
+// The angle spectrum reads neighbour coordinates; slot re-occupations are
+// always marked dirty by the engine, so one hop of dirty propagation covers
+// both neighbour-set and neighbour-coordinate changes. Raw scores (with the
 // duplicate-point -Inf sentinels) are memoised and the global
 // minimum-finite substitution re-runs over the whole window every call.
 func (a *FastABOD) ScoresWindow(points [][]float64, idx []int32, dist []float64, m, stride int, dirty []bool, memo *WindowMemo) ([]float64, int) {
-	n := len(points)
-	md := a.k()
-	if md > m {
-		md = m
-	}
-	out := make([]float64, n)
+	n, md := len(points), min(a.k(), m)
 	if md < 2 {
 		// No angle pairs exist (the k<2 degenerate of Scores).
-		return out, 0
+		return make([]float64, n), 0
 	}
-	full := !memo.valid(n, md)
-	if full {
-		memo.reset(n, md)
-	}
+	dirty = memo.begin(n, md, dirty)
 	dim := len(points[0])
-	da := make([]float64, dim)
-	db := make([]float64, dim)
-	raw := memo.scores
+	da, db := make([]float64, dim), make([]float64, dim)
 	rescored := 0
-	for i := 0; i < n; i++ {
-		recompute := full || dirty[i]
-		if !recompute {
-			row := i * stride
-			for _, o := range idx[row : row+md] {
-				if dirty[o] {
-					recompute = true
-					break
-				}
-			}
-		}
-		if !recompute {
-			continue
-		}
-		p := points[i]
-		nbrs := idx[i*stride : i*stride+md]
-		var mean, m2 float64
-		var count int
-		for s := 0; s < len(nbrs); s++ {
-			ps := points[int(nbrs[s])]
-			var na float64
-			for d := 0; d < dim; d++ {
-				da[d] = ps[d] - p[d]
-				na += da[d] * da[d]
-			}
-			if na == 0 {
-				continue
-			}
-			for t := s + 1; t < len(nbrs); t++ {
-				pt := points[int(nbrs[t])]
-				var nb, dot float64
-				for d := 0; d < dim; d++ {
-					db[d] = pt[d] - p[d]
-					nb += db[d] * db[d]
-					dot += da[d] * db[d]
-				}
-				if nb == 0 {
-					continue
-				}
-				val := dot / (na * nb)
-				count++
-				delta := val - mean
-				mean += delta / float64(count)
-				m2 += delta * (val - mean)
-			}
-		}
-		if count < 2 {
-			raw[i] = math.Inf(-1)
-		} else {
-			raw[i] = -(m2 / float64(count))
-		}
-		rescored++
-	}
-	minFinite := math.Inf(1)
-	for _, s := range raw {
-		if !math.IsInf(s, -1) && s < minFinite {
-			minFinite = s
+	for i := range points {
+		if touched(dirty, idx, i, md, stride) {
+			memo.scores[i] = negABOF(points, i, idx[i*stride:i*stride+md], da, db)
+			rescored++
 		}
 	}
-	if math.IsInf(minFinite, 1) {
-		minFinite = 0
-	}
-	for i, s := range raw {
-		if math.IsInf(s, -1) {
-			out[i] = minFinite
-		} else {
-			out[i] = s
-		}
-	}
+	out := make([]float64, n)
+	floorSentinels(memo.scores, out)
 	return out, rescored
 }

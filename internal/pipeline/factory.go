@@ -44,8 +44,6 @@ type Options struct {
 	HiCSCutoff      int
 	HiCSIterations  int
 	TopK            int
-	RefOutPoolFrac  float64
-	HiCSContrast    summarize.ContrastTest
 	UseKSContrast   bool
 	RawScores       bool // ablation: disable Z-score standardisation
 	BeamVariableDim bool // ablation: plain Beam instead of Beam_FX
@@ -87,14 +85,13 @@ func PointPipelines(d NamedDetector, seed int64, o Options) []PointPipeline {
 	}
 	refoutTimer := detector.NewTimed(d.Detector)
 	refout := &explain.RefOut{
-		Detector:        refoutTimer,
-		PoolSize:        o.RefOutPoolSize,
-		PoolDimFraction: o.RefOutPoolFrac,
-		Width:           o.RefOutWidth,
-		TopK:            o.TopK,
-		Seed:            seed,
-		Score:           o.scoreFunc(),
-		Workers:         o.Workers,
+		Detector: refoutTimer,
+		PoolSize: o.RefOutPoolSize,
+		Width:    o.RefOutWidth,
+		TopK:     o.TopK,
+		Seed:     seed,
+		Score:    o.scoreFunc(),
+		Workers:  o.Workers,
 	}
 	return []PointPipeline{
 		{Detector: d.Name, Explainer: beam, Workers: o.Workers, Timer: beamTimer},
@@ -106,7 +103,7 @@ func PointPipelines(d NamedDetector, seed int64, o Options) []PointPipeline {
 // detector: LookOut and HiCS_FX (fixed dimensionality for fairness with
 // LookOut).
 func SummaryPipelines(d NamedDetector, seed int64, o Options) []SummaryPipeline {
-	test := o.HiCSContrast
+	test := summarize.WelchTest
 	if o.UseKSContrast {
 		test = summarize.KSTest
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"anex/internal/core"
 	"anex/internal/detector"
 	"anex/internal/neighbors"
 )
@@ -41,12 +42,20 @@ func lofArm(k, workers, stride, slack int) parityArm {
 	}
 }
 
-func abodArm(k, workers, stride int) parityArm {
+// planeDetector is a kNN detector that reads a neighbourhood plane.
+type planeDetector interface {
+	core.Detector
+	SetNeighbors(*neighbors.Plane)
+}
+
+// oneHopArm drives a detector with 1-hop dirty propagation (FastABOD,
+// kNN-dist); newDet must return a fresh detector per monitor.
+func oneHopArm(name string, workers, stride int, newDet func() planeDetector) parityArm {
 	return parityArm{
-		name: fmt.Sprintf("FastABOD-k%d-w%d-s%d", k, workers, stride),
+		name: name,
 		mk: func(noInc bool) (*Monitor, *neighbors.Plane) {
 			plane := neighbors.NewPlane(0)
-			det := &detector.FastABOD{K: k, Workers: workers}
+			det := newDet()
 			det.SetNeighbors(plane)
 			return mustMonitor(Config{
 				WindowSize:    48,
@@ -59,6 +68,16 @@ func abodArm(k, workers, stride int) parityArm {
 			}), plane
 		},
 	}
+}
+
+func abodArm(k, workers, stride int) parityArm {
+	return oneHopArm(fmt.Sprintf("FastABOD-k%d-w%d-s%d", k, workers, stride), workers, stride,
+		func() planeDetector { return &detector.FastABOD{K: k, Workers: workers} })
+}
+
+func knnDistArm(k, workers, stride int) parityArm {
+	return oneHopArm(fmt.Sprintf("kNN-dist-k%d-w%d-s%d", k, workers, stride), workers, stride,
+		func() planeDetector { return &detector.KNNDist{K: k, Workers: workers} })
 }
 
 func cachedLOFArm(k, stride int) parityArm {
@@ -104,6 +123,7 @@ func TestMonitorIncrementalAlertParity(t *testing.T) {
 		lofArm(15, 4, 47, 8),
 		abodArm(6, 1, 12),
 		abodArm(6, 4, 5),
+		knnDistArm(6, 4, 5),
 		cachedLOFArm(5, 12),
 	}
 	for _, arm := range arms {

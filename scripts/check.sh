@@ -14,10 +14,11 @@ test -z "$(gofmt -l $(git ls-files '*.go'))"
 go build ./...
 go test -race ./...
 
-# The benchmark harness is its own module, so the root sweep above skips
-# it. Its tests pin the neighbourhood plane's and delta engine's replay
-# counters and the KD-tree and coded brute-force tier views the benchmark
-# traces.
+# The benchmark harness is its own module, so the root vet and test sweeps
+# above skip it. Its tests pin the neighbourhood plane's and delta engine's
+# replay counters and the KD-tree and coded brute-force tier views the
+# benchmark traces.
+(cd perfbench && go vet ./...)
 (cd perfbench && go test -count=1 ./...)
 
 # Short fuzz smoke on the CSV parser: the only loader of external bytes.
