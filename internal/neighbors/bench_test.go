@@ -2,6 +2,7 @@ package neighbors
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -152,3 +153,49 @@ func BenchmarkFigure9KNNQuant(b *testing.B) {
 	b.Run("quant", func(b *testing.B) { run(b, newBruteForce(points, quantTileDefault)) })
 	b.Run("noquant", func(b *testing.B) { run(b, NewBruteForce(points)) })
 }
+
+// BenchmarkDeltaScan measures the delta engine's scan path as the
+// Figure-9/10 grid exercises it: on a 300×10 source, one 3d and one 7d view
+// at k = 15, each seeded from the full-space kNN. Every iteration starts
+// from a fresh plane, so it pays the full-space seed build and both scans.
+func BenchmarkDeltaScan(b *testing.B) {
+	const n, d, k = 300, 10, 15
+	points := benchPoints(n, d)
+	cols := make([][]float64, d)
+	for f := range cols {
+		cols[f] = make([]float64, n)
+		for i, p := range points {
+			cols[f][i] = p[f]
+		}
+	}
+	views := []benchView{{cols, []int{1, 4, 8}}, {cols, []int{0, 2, 3, 5, 6, 7, 9}}}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := NewPlane(0)
+		for _, v := range views {
+			if _, _, _, _, ok, err := p.AllKNN(ctx, v, k, 1); err != nil || !ok {
+				b.Fatalf("view %v: ok=%v err=%v", v.feats, ok, err)
+			}
+		}
+		if st := p.Stats().Delta; st.FullSeeded != len(views) {
+			b.Fatalf("delta stats %+v, want %d seeded scans", st, len(views))
+		}
+	}
+}
+
+// benchView is a minimal in-package ColumnSource: the given features of a
+// column-major source.
+type benchView struct {
+	src   [][]float64
+	feats []int
+}
+
+func (v benchView) N() int                       { return len(v.src[0]) }
+func (v benchView) Dim() int                     { return len(v.feats) }
+func (v benchView) Column(j int) []float64       { return v.src[v.feats[j]] }
+func (v benchView) Feature(j int) int            { return v.feats[j] }
+func (v benchView) NumFeatures() int             { return len(v.src) }
+func (v benchView) SourceColumn(f int) []float64 { return v.src[f] }
+func (v benchView) SourceKey() string            { return "bench" }
+func (v benchView) SubspaceKey() string          { return fmt.Sprint(v.feats) }

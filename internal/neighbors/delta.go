@@ -17,11 +17,12 @@ import (
 //     decomposes additively over dimensions, so the one-dimensional gap
 //     lower-bounds the 2d distance, and each side of the outward walk stops
 //     as soon as the gap alone exceeds the current k-th distance.
-//   - Every other view scans all candidates. The source's full-space kNN
-//     seeds the scan: the canonical subspace distances of a point's
-//     full-space neighbours are computed exactly, and the k-th of them
-//     upper-bounds the true k-th distance, so the scan starts with a tight
-//     radius. The full space itself is scanned unseeded.
+//   - Every other view scans all candidates. The view's squared distances
+//     are composed once per pair into an n×n block, and each point's
+//     top-k starts full: from its full-space neighbours (the source's
+//     cached full-space kNN), whose k-th distance upper-bounds the true
+//     k-th and so starts the scan with a tight radius, or, for the full
+//     space itself, from its first k candidates.
 //
 // Results are bit-identical to the brute-force / KD-tree path: every
 // surviving candidate's distance is accumulated in ascending feature order,
@@ -256,6 +257,17 @@ func (e *deltaEngine) AllKNN(ctx context.Context, src ColumnSource, k, workers i
 	}
 	e.mu.Unlock()
 
+	if q.pair == nil {
+		bp := sqBlocks.Get().(*[]float64)
+		defer sqBlocks.Put(bp)
+		if cap(*bp) < n*n {
+			*bp = make([]float64, n*n)
+		}
+		q.block = (*bp)[:n*n]
+		if err := parallel.ForEach(ctx, workers, n, q.composeRow); err != nil {
+			return nil, nil, 0, false, err
+		}
+	}
 	flatIdx := make([]int32, n*m)
 	flatDist := make([]float64, n*m) // squared until the final pass
 	scratch := make([]deltaScratch, parallel.ShardCount(workers, n))
@@ -397,7 +409,11 @@ func (e *deltaEngine) fullSpaceKNN(ctx context.Context, ds *deltaSource, src Col
 	return en, nil
 }
 
-// deltaQuery is one AllKNN invocation's immutable query plan.
+// sqBlocks recycles the scan path's n×n squared-distance blocks (at most
+// maxDeltaPoints² float64s, 2 MiB) across queries.
+var sqBlocks = sync.Pool{New: func() any { return new([]float64) }}
+
+// deltaQuery is one AllKNN invocation's query plan.
 type deltaQuery struct {
 	cols [][]float64
 	n, m int
@@ -407,16 +423,19 @@ type deltaQuery struct {
 	pair *sweepPair
 
 	// Scan path (every other view): seedM threshold candidates per point,
-	// none for the unseeded full-space scan.
+	// none for the unseeded full-space scan, and the view's n×n squared
+	// distances, row-major (the diagonal is never written; its value is unused).
 	seedIdx []int32
 	seedM   int
+	block   []float64
 }
 
-// deltaScratch is the per-worker reusable query state.
+// deltaScratch is the per-worker reusable query state. stamp[j] == gen
+// marks candidate j as already in the current scan point's prefilled top-k.
 type deltaScratch struct {
-	topk topKScratch
-	sd   []float64
-	row  []float64
+	topk  topKScratch
+	stamp []uint32
+	gen   uint32
 }
 
 // nnPair is one top-k entry: the squared distance as its IEEE-754 bit
@@ -431,14 +450,16 @@ type nnPair struct {
 	id int32
 }
 
-// topKScratch maintains the k smallest (distance, index) pairs seen,
-// ascending, ordered lexicographically by (distance, index) — the same
-// total order and boundary tie-break as the standard path's boundedHeap,
-// so the kept k-set is independent of visitation order even with
-// duplicated points. An insertion-sorted array measures faster than a
-// binary heap at the k ≈ 10–15 the detectors use: the average shift is
-// short, sequential, and branch-predictable, where heap sift-downs pay
-// two data-dependent comparisons per level.
+// topKScratch holds the k smallest (distance, index) pairs seen, ascending,
+// ordered lexicographically by (distance, index) — the same total order and
+// boundary tie-break as the standard path's boundedHeap, so the kept k-set
+// is independent of visitation order even with duplicated points. Both
+// paths fill it with k candidates unconditionally, sort it once, and then
+// offer every further candidate against the k-th through push. An
+// insertion-sorted array measures faster than a binary heap at the
+// k ≈ 10–15 the detectors use: the average shift is short, sequential, and
+// branch-predictable, where heap sift-downs pay two data-dependent
+// comparisons per level.
 type topKScratch struct {
 	ent []nnPair
 }
@@ -450,27 +471,21 @@ func (t *topKScratch) reset(k int) {
 	t.ent = t.ent[:0]
 }
 
-// insert adds (du, j), evicting the lexicographic maximum when full. A
-// full-boundary tie — du equal to the current k-th distance with j above
-// the incumbent's index — is a no-op, exactly boundedHeap.push semantics.
-func (t *topKScratch) insert(du uint64, j int32, k int) {
+// push shifts (du, j) into the full, sorted set, evicting the k-th entry,
+// and returns the new k-th distance. The caller has already rejected every
+// candidate that does not precede the k-th under (distance, index): one
+// strictly farther, or tied at the k-th distance with a higher index —
+// exactly the candidates boundedHeap.push discards — so the kept set stays
+// the lexicographic minimum whatever the visit order.
+func (t *topKScratch) push(du uint64, j int32) uint64 {
 	e := t.ent
-	m := len(e)
-	if m < k {
-		e = append(e, nnPair{})
-		t.ent = e
-	} else {
-		m = k - 1
-		if du > e[m].du || (du == e[m].du && j > e[m].id) {
-			return
-		}
+	p := len(e) - 1
+	for p > 0 && (e[p-1].du > du || (e[p-1].du == du && e[p-1].id > j)) {
+		e[p] = e[p-1]
+		p--
 	}
-	i := m
-	for i > 0 && (e[i-1].du > du || (e[i-1].du == du && e[i-1].id > j)) {
-		e[i] = e[i-1]
-		i--
-	}
-	e[i] = nnPair{du: du, id: j}
+	e[p] = nnPair{du: du, id: j}
+	return e[len(e)-1].du
 }
 
 // sortNNPairs insertion-sorts the entries ascending by (du, id).
@@ -498,20 +513,6 @@ func (q *deltaQuery) point(i int, outIdx []int32, outSq []float64, s *deltaScrat
 		outIdx[t] = en.id
 		outSq[t] = math.Float64frombits(en.du)
 	}
-}
-
-// canonical returns the squared distance between points a and b accumulated
-// in ascending feature order — bit-identical to SquaredEuclidean on the
-// materialised rows for dim ≤ maxDeltaDim.
-func (q *deltaQuery) canonical(a, b int) float64 {
-	c0 := q.cols[0]
-	d0 := c0[a] - c0[b]
-	dd := d0 * d0
-	for _, c := range q.cols[1:] {
-		dv := c[a] - c[b]
-		dd += dv * dv
-	}
-	return dd
 }
 
 // sweepPairPoint is the 2d sweep: candidates are visited outward from the
@@ -567,11 +568,8 @@ func (q *deltaQuery) sweepPairPoint(i int, s *deltaScratch) {
 	// Drain phase: each side walks out until its gap² exceeds the radius;
 	// the gap grows monotonically per side and the radius only shrinks.
 	// The k-set is full here (the fill phase only stops short when both
-	// sides are exhausted, in which case the drains never run), so the
-	// insert is open-coded without the fill branch: with du ≤ worst ==
-	// ent[k-1].du already established, only the boundary TIE can still be
-	// a no-op (equal distance, higher index — boundedHeap.push semantics),
-	// and everything else shifts in.
+	// sides are exhausted, in which case the drains never run), so every
+	// candidate that precedes the k-th goes straight to push.
 	ent := topk.ent
 	last := k - 1
 	for ; lo >= 0; lo-- {
@@ -591,13 +589,7 @@ func (q *deltaQuery) sweepPairPoint(i int, s *deltaScratch) {
 		if du == worst && j > ent[last].id {
 			continue
 		}
-		p := last
-		for p > 0 && (ent[p-1].du > du || (ent[p-1].du == du && ent[p-1].id > j)) {
-			ent[p] = ent[p-1]
-			p--
-		}
-		ent[p] = nnPair{du: du, id: j}
-		worst = ent[last].du
+		worst = topk.push(du, j)
 	}
 	for ; hi < n; hi++ {
 		g := vals[hi] - xq
@@ -616,60 +608,32 @@ func (q *deltaQuery) sweepPairPoint(i int, s *deltaScratch) {
 		if du == worst && j > ent[last].id {
 			continue
 		}
-		p := last
-		for p > 0 && (ent[p-1].du > du || (ent[p-1].du == du && ent[p-1].id > j)) {
-			ent[p] = ent[p-1]
-			p--
-		}
-		ent[p] = nnPair{du: du, id: j}
-		worst = ent[last].du
+		worst = topk.push(du, j)
 	}
 }
 
-// scanPoint scores one query by a full candidate scan. When seeded, the
-// seeds' canonical distances are computed outright; the k-th of them
-// upper-bounds the true k-th distance, so initialising worst with it keeps
-// most composed candidates out of the top-k insert after one compare.
-func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
-	n, k := q.n, q.m
-	worst := math.Inf(1)
-	if q.seedM >= k {
-		if cap(s.sd) < q.seedM {
-			s.sd = make([]float64, 0, q.seedM)
-		}
-		sd := s.sd[:0]
-		for _, j := range q.seedIdx[i*q.seedM : (i+1)*q.seedM] {
-			if int(j) != i {
-				sd = append(sd, q.canonical(i, int(j)))
-			}
-		}
-		if kth, ok := kthSmallest(sd, k); ok {
-			worst = kth
-		}
-		s.sd = sd[:0]
-	}
-
-	// Compose every candidate's distance by streaming column passes over
-	// the column-major data, two columns per traversal to halve the row
-	// traffic. Each row slot accumulates its squares one at a time in
-	// ascending feature order, left-associated — exactly SquaredEuclidean's
-	// grouping at dim ≤ 7, so the values are bit-identical to the
-	// row-major path.
-	if cap(s.row) < n {
-		s.row = make([]float64, n)
-	}
-	row := s.row[:n]
-	cols := q.cols
-	c0 := cols[0]
-	v0 := c0[i]
+// composeRow writes point i's squared distances to every later point into
+// row i of the block and mirrors each into column i, so every pair is
+// composed once. The column passes stream the column-major data, two
+// columns per traversal to halve the row traffic; each slot accumulates
+// its squares one at a time in ascending feature order, left-associated —
+// exactly SquaredEuclidean's grouping at dim ≤ 7 — and (vi − vj)² equals
+// (vj − vi)² bit for bit, so both halves of the block are bit-identical to
+// the row-major path.
+func (q *deltaQuery) composeRow(i int) {
+	n, cols := q.n, q.cols
+	row := q.block[i*n+i+1 : (i+1)*n]
+	c0 := cols[0][i+1:]
+	v0 := cols[0][i]
 	for j, cv := range c0 {
 		d0 := v0 - cv
 		row[j] = d0 * d0
 	}
 	t := 1
 	for ; t+1 < len(cols); t += 2 {
-		ca, cb := cols[t], cols[t+1]
-		va, vb := ca[i], cb[i]
+		ca, cb := cols[t][i+1:], cols[t+1][i+1:]
+		ca, cb = ca[:len(row)], cb[:len(row)] // bounds-check hint
+		va, vb := cols[t][i], cols[t+1][i]
 		for j := range row {
 			da := va - ca[j]
 			acc := row[j] + da*da
@@ -678,41 +642,58 @@ func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
 		}
 	}
 	for ; t < len(cols); t++ {
-		c := cols[t]
-		vi := c[i]
+		c := cols[t][i+1:]
+		vi := cols[t][i]
 		for j, cv := range c {
 			dv := vi - cv
 			row[j] += dv * dv
 		}
 	}
-	for j := 0; j < n; j++ {
-		dd := row[j]
-		if dd > worst || j == i {
-			continue
-		}
-		s.topk.insert(math.Float64bits(dd), int32(j), k)
-		if len(s.topk.ent) == k {
-			if w := math.Float64frombits(s.topk.ent[k-1].du); w < worst {
-				worst = w
-			}
-		}
+	for j, dd := range row {
+		q.block[(i+1+j)*n+i] = dd
 	}
 }
 
-// kthSmallest returns the k-th smallest value of vals, insertion-sorting
-// all of vals in place; ok is false when fewer than k values exist.
-func kthSmallest(vals []float64, k int) (float64, bool) {
-	if len(vals) < k {
-		return 0, false
+// scanPoint selects one query's top-k from its block row. The top-k is
+// prefilled with k candidates — the point's full-space neighbours (none
+// when the view is unseeded), topped up with the first non-self candidates
+// — which are stamped so the scan skips them. Any k distinct candidates
+// upper-bound the true k-th distance, and seeds bound it tightly, so most
+// of the row is rejected by its first compare against the k-th.
+func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
+	n, k := q.n, q.m
+	row := q.block[i*n : (i+1)*n]
+	if len(s.stamp) < n {
+		s.stamp = make([]uint32, n)
 	}
-	for i := 1; i < len(vals); i++ {
-		d := vals[i]
-		j := i - 1
-		for j >= 0 && vals[j] > d {
-			vals[j+1] = vals[j]
-			j--
+	s.gen++
+	stamp, gen := s.stamp[:n], s.gen
+	topk := &s.topk
+	ent := topk.ent
+	for _, j := range q.seedIdx[i*q.seedM : (i+1)*q.seedM] {
+		if int(j) != i && len(ent) < k {
+			ent = append(ent, nnPair{du: math.Float64bits(row[j]), id: j})
+			stamp[j] = gen
 		}
-		vals[j+1] = d
 	}
-	return vals[k-1], true
+	for j := 0; len(ent) < k; j++ {
+		if j != i && stamp[j] != gen {
+			ent = append(ent, nnPair{du: math.Float64bits(row[j]), id: int32(j)})
+			stamp[j] = gen
+		}
+	}
+	sortNNPairs(ent)
+	topk.ent = ent
+	last := k - 1
+	worst := ent[last].du
+	for j, dd := range row {
+		du := math.Float64bits(dd)
+		if du > worst || j == i || stamp[j] == gen {
+			continue
+		}
+		if du == worst && int32(j) > ent[last].id {
+			continue
+		}
+		worst = topk.push(du, int32(j))
+	}
 }

@@ -187,29 +187,46 @@ func TestDeltaPruneTightParentRadii(t *testing.T) {
 // TestDeltaLatticeTies feeds the engine lattice data — coordinates drawn
 // from {0,1,2}, including exactly duplicated points and massive distance
 // ties — so correctness hinges on the lexicographic (distance, index)
-// ordering matching the standard path's bounded heap exactly.
+// ordering matching the standard path's bounded heap exactly. The second
+// set of trials runs at the smallest view the engine accepts (64 points),
+// where the scan's prefilled top-k takes k of only 63 candidates and
+// duplicated points put zero-distance seeds at the k-th boundary; its
+// chains end on the full space, whose unseeded scan prefills from the
+// first k candidates.
 func TestDeltaLatticeTies(t *testing.T) {
-	const n, k = 128, 15
-	rng := rand.New(rand.NewSource(4))
-	cols := make([][]float64, 6)
-	for f := range cols {
-		cols[f] = make([]float64, n)
-		for i := range cols[f] {
-			cols[f][i] = float64(rng.Intn(3))
+	const k = 15
+	lattice := func(name string, n int, seed int64) *dataset.Dataset {
+		rng := rand.New(rand.NewSource(seed))
+		cols := make([][]float64, 6)
+		for f := range cols {
+			cols[f] = make([]float64, n)
+			for i := range cols[f] {
+				cols[f][i] = float64(rng.Intn(3))
+			}
 		}
+		ds, err := dataset.New(name, cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
 	}
-	ds, err := dataset.New("lattice", cols, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng2 := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 3; trial++ {
-		chain := randomChain(rng2, ds.D(), 5)
-		for _, workers := range []int{1, 4} {
-			p := neighbors.NewPlane(0)
-			for _, s := range chain {
-				v := ds.View(s)
-				checkDeltaMatches(t, p, v, k, workers, chainPath(v))
+	for _, c := range []struct {
+		ds           *dataset.Dataset
+		chainSeed    int64
+		trials, maxD int
+	}{
+		{lattice("lattice", 128, 4), 5, 3, 5},
+		{lattice("lattice-min", 64, 6), 7, 4, 6},
+	} {
+		rng2 := rand.New(rand.NewSource(c.chainSeed))
+		for trial := 0; trial < c.trials; trial++ {
+			chain := randomChain(rng2, c.ds.D(), c.maxD)
+			for _, workers := range []int{1, 4} {
+				p := neighbors.NewPlane(0)
+				for _, s := range chain {
+					v := c.ds.View(s)
+					checkDeltaMatches(t, p, v, k, workers, chainPath(v))
+				}
 			}
 		}
 	}

@@ -192,6 +192,55 @@ func TestWelchTTestDegenerate(t *testing.T) {
 	}
 }
 
+// TestWelchFromMomentsMatchesWelchTTest requires WelchFromMoments, fed the
+// MeanVariance moments of two samples, to reproduce WelchTTest on the
+// samples themselves bit for bit — on random samples and on every
+// degenerate branch (a sample below two elements, equal constants,
+// different constants, zero variance on one side only).
+func TestWelchFromMomentsMatchesWelchTTest(t *testing.T) {
+	same := func(xs, ys []float64) bool {
+		mx, vx := MeanVariance(xs)
+		my, vy := MeanVariance(ys)
+		got := WelchFromMoments(mx, vx, len(xs), my, vy, len(ys))
+		want := WelchTTest(xs, ys)
+		return math.Float64bits(got.Statistic) == math.Float64bits(want.Statistic) &&
+			math.Float64bits(got.DF) == math.Float64bits(want.DF) &&
+			math.Float64bits(got.P) == math.Float64bits(want.P)
+	}
+	degenerate := []struct {
+		name   string
+		xs, ys []float64
+	}{
+		{"empty", nil, []float64{1, 2, 3}},
+		{"single", []float64{4}, []float64{1, 2, 3}},
+		{"single-right", []float64{1, 2, 3}, []float64{4}},
+		{"equal-constants", []float64{2, 2, 2}, []float64{2, 2}},
+		{"different-constants", []float64{3, 3, 3}, []float64{1, 1, 1, 1}},
+		{"constant-left", []float64{5, 5, 5}, []float64{1, 4, 2, 8}},
+		{"constant-right", []float64{1, 4, 2, 8}, []float64{5, 5}},
+	}
+	for _, c := range degenerate {
+		if !same(c.xs, c.ys) {
+			t.Errorf("%s: WelchFromMoments differs from WelchTTest", c.name)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	f := func(nxRaw uint8, nyRaw uint16, shift float64) bool {
+		xs := make([]float64, int(nxRaw%40))
+		ys := make([]float64, int(nyRaw%300))
+		for i := range xs {
+			xs[i] = rng.NormFloat64() + math.Mod(shift, 3)
+		}
+		for i := range ys {
+			ys[i] = 2 * rng.Float64()
+		}
+		return same(xs, ys)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestWelchTTestSeparatesShiftedSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := make([]float64, 60)

@@ -22,14 +22,23 @@ type TTestResult struct {
 // result with P=1 is returned, which makes degenerate partitions score as
 // "no discrepancy".
 func WelchTTest(xs, ys []float64) TTestResult {
-	if len(xs) < 2 || len(ys) < 2 {
-		return TTestResult{P: 1}
-	}
 	mx, vx := MeanVariance(xs)
 	my, vy := MeanVariance(ys)
-	nx, ny := float64(len(xs)), float64(len(ys))
-	sx := vx / nx
-	sy := vy / ny
+	return WelchFromMoments(mx, vx, len(xs), my, vy, len(ys))
+}
+
+// WelchFromMoments is WelchTTest on samples already reduced to their
+// MeanVariance moments and sizes, so a caller testing many samples against
+// one fixed sample computes that sample's moments once. Given the moments
+// WelchTTest would compute, the result is bit-identical to it, including
+// the P=1 result when either size is below two.
+func WelchFromMoments(mx, vx float64, nx int, my, vy float64, ny int) TTestResult {
+	if nx < 2 || ny < 2 {
+		return TTestResult{P: 1}
+	}
+	fx, fy := float64(nx), float64(ny)
+	sx := vx / fx
+	sy := vy / fy
 	se := math.Sqrt(sx + sy)
 	if se == 0 || math.IsNaN(se) {
 		// Identical constant samples: no evidence of discrepancy.
@@ -41,15 +50,15 @@ func WelchTTest(xs, ys []float64) TTestResult {
 		if mx < my {
 			t = math.Inf(-1)
 		}
-		return TTestResult{Statistic: t, DF: nx + ny - 2, P: 0}
+		return TTestResult{Statistic: t, DF: fx + fy - 2, P: 0}
 	}
 	t := (mx - my) / se
 	// Welch–Satterthwaite degrees of freedom.
 	num := (sx + sy) * (sx + sy)
-	den := sx*sx/(nx-1) + sy*sy/(ny-1)
+	den := sx*sx/(fx-1) + sy*sy/(fy-1)
 	df := num / den
 	if den == 0 || math.IsNaN(df) {
-		df = nx + ny - 2
+		df = fx + fy - 2
 	}
 	p := 2 * StudentTCDF(-math.Abs(t), df)
 	if p > 1 {

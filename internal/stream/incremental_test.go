@@ -49,8 +49,9 @@ type planeDetector interface {
 }
 
 // oneHopArm drives a detector with 1-hop dirty propagation (FastABOD,
-// kNN-dist); newDet must return a fresh detector per monitor.
-func oneHopArm(name string, workers, stride int, newDet func() planeDetector) parityArm {
+// kNN-dist) at flagging threshold z; newDet must return a fresh detector
+// per monitor.
+func oneHopArm(name string, workers, stride int, z float64, newDet func() planeDetector) parityArm {
 	return parityArm{
 		name: name,
 		mk: func(noInc bool) (*Monitor, *neighbors.Plane) {
@@ -60,7 +61,7 @@ func oneHopArm(name string, workers, stride int, newDet func() planeDetector) pa
 			return mustMonitor(Config{
 				WindowSize:    48,
 				Stride:        stride,
-				ZThreshold:    Threshold(2.5),
+				ZThreshold:    Threshold(z),
 				Detector:      det,
 				Plane:         plane,
 				NoIncremental: noInc,
@@ -70,13 +71,13 @@ func oneHopArm(name string, workers, stride int, newDet func() planeDetector) pa
 	}
 }
 
-func abodArm(k, workers, stride int) parityArm {
-	return oneHopArm(fmt.Sprintf("FastABOD-k%d-w%d-s%d", k, workers, stride), workers, stride,
+func abodArm(k, workers, stride int, z float64) parityArm {
+	return oneHopArm(fmt.Sprintf("FastABOD-k%d-w%d-s%d", k, workers, stride), workers, stride, z,
 		func() planeDetector { return &detector.FastABOD{K: k, Workers: workers} })
 }
 
 func knnDistArm(k, workers, stride int) parityArm {
-	return oneHopArm(fmt.Sprintf("kNN-dist-k%d-w%d-s%d", k, workers, stride), workers, stride,
+	return oneHopArm(fmt.Sprintf("kNN-dist-k%d-w%d-s%d", k, workers, stride), workers, stride, 2.5,
 		func() planeDetector { return &detector.KNNDist{K: k, Workers: workers} })
 }
 
@@ -115,14 +116,18 @@ func alertKey(a Alert) string {
 // Flushes, including repeated zero-new-point Flushes that take the fast
 // path) through an incremental and a cold-rebuild monitor, and requires the
 // alert streams to be bit-identical — sequence, raw score, and z-score —
-// across detectors, strides, worker counts, and slacks.
+// across detectors, strides, worker counts, and slacks. Every arm must
+// raise alerts on both sides, so no arm passes by comparing empty streams.
 func TestMonitorIncrementalAlertParity(t *testing.T) {
 	arms := []parityArm{
 		lofArm(7, 1, 12, 4),
 		lofArm(7, 4, 1, 0),
 		lofArm(15, 4, 47, 8),
-		abodArm(6, 1, 12),
-		abodArm(6, 4, 5),
+		// FastABOD's standardised scores (−ABOF) have a long left tail and a
+		// short right one, so its arms flag at z > 1: at 2.5 they raised
+		// no alert and compared two empty streams.
+		abodArm(6, 1, 12, 1),
+		abodArm(6, 4, 5, 1),
 		knnDistArm(6, 4, 5),
 		cachedLOFArm(5, 12),
 	}
@@ -170,6 +175,9 @@ func TestMonitorIncrementalAlertParity(t *testing.T) {
 					flush()
 					flush() // zero new points: the fast path, alert-identical
 				}
+			}
+			if len(incAlerts) == 0 || len(coldAlerts) == 0 {
+				t.Fatalf("no alerts to compare: incremental %d, cold %d", len(incAlerts), len(coldAlerts))
 			}
 			if strings.Join(incAlerts, "\n") != strings.Join(coldAlerts, "\n") {
 				t.Fatalf("alert streams diverged\nincremental (%d):\n%s\ncold (%d):\n%s",

@@ -29,11 +29,14 @@ func (t ContrastTest) String() string {
 }
 
 // contrastEstimator computes Monte-Carlo subspace contrast over one
-// dataset. It owns the per-feature sort orders, which are computed once and
-// shared across the thousands of subspace evaluations of a HiCS run.
+// dataset. It owns the per-feature sort orders and marginal moments, which
+// are computed once and shared across the thousands of subspace evaluations
+// of a HiCS run.
 type contrastEstimator struct {
 	ds      *dataset.Dataset
-	sortIdx [][]int // sortIdx[f] = point indices ordered by feature f value
+	sortIdx [][]int   // sortIdx[f] = point indices ordered by feature f value
+	mean    []float64 // mean[f], vari[f] = stats.MeanVariance of feature f
+	vari    []float64
 	alpha   float64
 	mc      int
 	test    ContrastTest
@@ -52,6 +55,8 @@ func newContrastEstimator(ds *dataset.Dataset, alpha float64, mcIterations int, 
 		mask:  make([]int, ds.N()),
 	}
 	e.sortIdx = make([][]int, ds.D())
+	e.mean = make([]float64, ds.D())
+	e.vari = make([]float64, ds.D())
 	for f := 0; f < ds.D(); f++ {
 		idx := make([]int, ds.N())
 		for i := range idx {
@@ -60,6 +65,7 @@ func newContrastEstimator(ds *dataset.Dataset, alpha float64, mcIterations int, 
 		col := ds.Column(f)
 		sort.Slice(idx, func(a, b int) bool { return col[idx[a]] < col[idx[b]] })
 		e.sortIdx[f] = idx
+		e.mean[f], e.vari[f] = stats.MeanVariance(col)
 	}
 	return e
 }
@@ -126,7 +132,10 @@ func (e *contrastEstimator) contrast(s subspace.Subspace) float64 {
 		case KSTest:
 			p = stats.KolmogorovSmirnov(cond, col).P
 		default:
-			p = stats.WelchTTest(cond, col).P
+			// The marginal's moments are the column's, computed once in
+			// newContrastEstimator: WelchTTest(cond, col) bit for bit.
+			mc, vc := stats.MeanVariance(cond)
+			p = stats.WelchFromMoments(mc, vc, len(cond), e.mean[testDim], e.vari[testDim], n).P
 		}
 		sum += 1 - p
 		valid++

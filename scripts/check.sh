@@ -49,6 +49,9 @@ go test -race -count=1 -run 'TestCrashSchedule|TestCrashDuringRecovery' ./intern
 # harness still compiles and runs end to end (full numbers come from
 # scripts/bench.sh, which this deliberately does not replicate).
 go test -run '^$' -bench 'BenchmarkRunGrid/workers=4' -benchtime=1x ./internal/pipeline
+# Same smoke for the delta engine's scan layer (the grid's hottest
+# neighbourhood path): one seeded 3d and one seeded 7d view per iteration.
+go test -run '^$' -bench 'BenchmarkDeltaScan$' -benchtime=1x ./internal/neighbors
 
 # Figure-9 Beam/LOF perf gate: fail if the acceptance metric regresses >10%
 # versus the committed same-host baseline (results/BENCH_11.json, recorded
