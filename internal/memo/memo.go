@@ -182,18 +182,6 @@ func (c *Cache[V]) lead(ctx context.Context, key string, usable func(V) bool, co
 	return cl.val, cl.err
 }
 
-// Peek returns the resident value under key without counting anything or
-// refreshing its recency.
-func (c *Cache[V]) Peek(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		return el.Value.(*entry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Put installs a ready-made value under key unless a resident value
 // already satisfies usable (nil: any resident value wins).
 func (c *Cache[V]) Put(key string, v V, usable func(V) bool) {

@@ -44,23 +44,30 @@ func TestGetUsableAndStale(t *testing.T) {
 }
 
 // TestPutPeekForget: Put keeps a resident value that already satisfies its
-// predicate, Peek counts nothing, and Forget drops exactly its prefix.
+// predicate, and Forget drops exactly its prefix. Residency is probed
+// through Get with a compute that counts its runs: a resident key answers
+// without running it.
 func TestPutPeekForget(t *testing.T) {
 	c := newDepthCache(1 << 20)
+	ctx := context.Background()
 	c.Put("ds1|a", depth{9}, atLeast(5))
 	c.Put("ds1|a", depth{5}, atLeast(5)) // resident 9 already serves 5
 	c.Put("ds1|b", depth{3}, nil)
 	c.Put("ds2|a", depth{3}, nil)
-	if v, ok := c.Peek("ds1|a"); !ok || v.k != 9 {
-		t.Fatalf("Peek = %v, %v; want the deeper resident value", v, ok)
-	}
-	if _, ok := c.Peek("missing"); ok {
-		t.Fatal("Peek found a missing key")
+	runs := 0
+	if v, err := c.Get(ctx, "ds1|a", nil, computeAt(1, &runs)); err != nil || runs != 0 || v.k != 9 {
+		t.Fatalf("Get = %v, %v after %d runs; want the deeper resident value", v, err, runs)
 	}
 	c.Forget("ds1|")
 	st := c.Stats()
-	if st.Calls != 0 || st.Hits != 0 || st.Forgets != 2 || st.Entries != 1 || st.Bytes != Charge("ds2|a", 100) {
+	if st.Calls != 1 || st.Hits != 1 || st.Forgets != 2 || st.Entries != 1 || st.Bytes != Charge("ds2|a", 100) {
 		t.Fatalf("stats %+v", st)
+	}
+	if v, _ := c.Get(ctx, "ds2|a", nil, computeAt(1, &runs)); runs != 0 || v.k != 3 {
+		t.Fatalf("Forget dropped a key outside its prefix: got %v after %d runs", v, runs)
+	}
+	if v, _ := c.Get(ctx, "ds1|b", nil, computeAt(1, &runs)); runs != 1 || v.k != 1 {
+		t.Fatalf("Forget kept a key inside its prefix: got %v after %d runs", v, runs)
 	}
 }
 
@@ -76,11 +83,18 @@ func TestHardBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := c.Peek("k1"); ok {
-		t.Fatal("least recently used entry survived")
-	}
 	if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 || st.Bytes > st.MaxBytes {
 		t.Fatalf("stats %+v", st)
+	}
+	// The survivors answer without computing; k1, the LRU victim, does not.
+	before := runs
+	for _, key := range []string{"k0", "k2"} {
+		if _, err := c.Get(ctx, key, nil, computeAt(1, &runs)); err != nil || runs != before {
+			t.Fatalf("%s: resident entry recomputed (runs %d → %d, err %v)", key, before, runs, err)
+		}
+	}
+	if _, err := c.Get(ctx, "k1", nil, computeAt(1, &runs)); err != nil || runs != before+1 {
+		t.Fatalf("least recently used entry survived (runs %d → %d, err %v)", before, runs, err)
 	}
 	tiny := newDepthCache(8)
 	if v, err := tiny.Get(ctx, "x", nil, computeAt(4, &runs)); err != nil || v.k != 4 {

@@ -19,10 +19,10 @@ import (
 //     as soon as the gap alone exceeds the current k-th distance.
 //   - Every other view scans all candidates. The view's squared distances
 //     are composed once per pair into an n×n block, and each point's
-//     top-k starts full: from its full-space neighbours (the source's
-//     cached full-space kNN), whose k-th distance upper-bounds the true
-//     k-th and so starts the scan with a tight radius, or, for the full
-//     space itself, from its first k candidates.
+//     k-nearest list starts full: from its full-space neighbours (the
+//     source's cached full-space kNN), whose k-th distance upper-bounds
+//     the true k-th and so starts the scan with a tight radius, or, for
+//     the full space itself, from its first k candidates.
 //
 // Results are bit-identical to the brute-force / KD-tree path: every
 // surviving candidate's distance is accumulated in ascending feature order,
@@ -124,9 +124,9 @@ type deltaSource struct {
 
 // finiteColumn reports (memoised per feature) whether the column holds only
 // finite values. NaN or ±Inf coordinates would break both the sweep's gap
-// lower bound and the bit-ordered distance compares of the packed top-k, so
-// the engine declines such views and the caller's standard-path fallback
-// answers them. Caller holds mu.
+// lower bound and the (d2, id) order of the k-nearest lists (a NaN
+// distance orders against nothing), so the engine declines such views and
+// the caller's standard-path fallback answers them. Caller holds mu.
 func (ds *deltaSource) finiteColumn(src ColumnSource, j int) bool {
 	f := src.Feature(j)
 	if fin, ok := ds.finite[f]; ok {
@@ -430,88 +430,25 @@ type deltaQuery struct {
 	block   []float64
 }
 
-// deltaScratch is the per-worker reusable query state. stamp[j] == gen
-// marks candidate j as already in the current scan point's prefilled top-k.
+// deltaScratch is the per-worker reusable query state: the k-nearest list
+// of the current point, and stamp[j] == gen marking candidate j as already
+// in the current scan point's prefilled list.
 type deltaScratch struct {
-	topk  topKScratch
+	nn    []neighbor
 	stamp []uint32
 	gen   uint32
 }
 
-// nnPair is one top-k entry: the squared distance as its IEEE-754 bit
-// pattern plus the neighbour index, packed into 16 bytes so an insertion
-// shift moves one struct instead of slots in two parallel arrays. Squared
-// distances of finite data are non-negative (possibly +Inf on overflow),
-// and for non-negative non-NaN floats the bit patterns order exactly as the
-// values — the finiteColumn gate excludes the NaN case — so uint64 compares
-// on du are bit-equivalent to float compares on the distance.
-type nnPair struct {
-	du uint64
-	id int32
-}
-
-// topKScratch holds the k smallest (distance, index) pairs seen, ascending,
-// ordered lexicographically by (distance, index) — the same total order and
-// boundary tie-break as the standard path's boundedHeap, so the kept k-set
-// is independent of visitation order even with duplicated points. Both
-// paths fill it with k candidates unconditionally, sort it once, and then
-// offer every further candidate against the k-th through push. An
-// insertion-sorted array measures faster than a binary heap at the
-// k ≈ 10–15 the detectors use: the average shift is short, sequential, and
-// branch-predictable, where heap sift-downs pay two data-dependent
-// comparisons per level.
-type topKScratch struct {
-	ent []nnPair
-}
-
-func (t *topKScratch) reset(k int) {
-	if cap(t.ent) < k {
-		t.ent = make([]nnPair, 0, k)
-	}
-	t.ent = t.ent[:0]
-}
-
-// push shifts (du, j) into the full, sorted set, evicting the k-th entry,
-// and returns the new k-th distance. The caller has already rejected every
-// candidate that does not precede the k-th under (distance, index): one
-// strictly farther, or tied at the k-th distance with a higher index —
-// exactly the candidates boundedHeap.push discards — so the kept set stays
-// the lexicographic minimum whatever the visit order.
-func (t *topKScratch) push(du uint64, j int32) uint64 {
-	e := t.ent
-	p := len(e) - 1
-	for p > 0 && (e[p-1].du > du || (e[p-1].du == du && e[p-1].id > j)) {
-		e[p] = e[p-1]
-		p--
-	}
-	e[p] = nnPair{du: du, id: j}
-	return e[len(e)-1].du
-}
-
-// sortNNPairs insertion-sorts the entries ascending by (du, id).
-func sortNNPairs(e []nnPair) {
-	for a := 1; a < len(e); a++ {
-		p := e[a]
-		b := a - 1
-		for b >= 0 && (e[b].du > p.du || (e[b].du == p.du && e[b].id > p.id)) {
-			e[b+1] = e[b]
-			b--
-		}
-		e[b+1] = p
-	}
-}
-
 // point answers one query into the output slots.
 func (q *deltaQuery) point(i int, outIdx []int32, outSq []float64, s *deltaScratch) {
-	s.topk.reset(q.m)
 	if q.pair != nil {
-		q.sweepPairPoint(i, s)
+		s.nn = q.sweepPairPoint(i, emptyList(s.nn, q.m))
 	} else {
-		q.scanPoint(i, s)
+		s.nn = q.scanPoint(i, emptyList(s.nn, q.m), s)
 	}
-	for t, en := range s.topk.ent {
-		outIdx[t] = en.id
-		outSq[t] = math.Float64frombits(en.du)
+	for t, nb := range s.nn {
+		outIdx[t] = nb.id
+		outSq[t] = nb.d2
 	}
 }
 
@@ -522,7 +459,7 @@ func (q *deltaQuery) point(i int, outIdx []int32, outSq []float64, s *deltaScrat
 // each side stops at the first gap² past the current k-th distance. The
 // two squares are added in canonical (ascending-feature) order, keeping the
 // values bit-identical to SquaredEuclidean.
-func (q *deltaQuery) sweepPairPoint(i int, s *deltaScratch) {
+func (q *deltaQuery) sweepPairPoint(i int, nn []neighbor) []neighbor {
 	p := q.pair
 	sd := p.sd
 	vals, other, ord := sd.vals, p.other, sd.ord
@@ -541,11 +478,10 @@ func (q *deltaQuery) sweepPairPoint(i int, s *deltaScratch) {
 		x0, x1 = yq, xq
 	}
 	lo, hi := r-1, r+1
-	topk := &s.topk
 	// Fill phase: take the k gap-nearest candidates unconditionally,
 	// interleaving both sides by gap so the radius is honest immediately
 	// after.
-	for len(topk.ent) < k && (lo >= 0 || hi < n) {
+	for len(nn) < k && (lo >= 0 || hi < n) {
 		var pos int
 		if lo >= 0 && (hi >= n || xq-vals[lo] <= vals[hi]-xq) {
 			pos = lo
@@ -558,58 +494,42 @@ func (q *deltaQuery) sweepPairPoint(i int, s *deltaScratch) {
 		dd := d0 * d0
 		d1 := c1[pos] - x1
 		dd += d1 * d1
-		topk.ent = append(topk.ent, nnPair{du: math.Float64bits(dd), id: ord[pos]})
+		nn = insertNeighbor(nn, dd, ord[pos], k)
 	}
-	sortNNPairs(topk.ent)
-	worst := math.Float64bits(math.Inf(1))
-	if len(topk.ent) == k {
-		worst = topk.ent[k-1].du
-	}
+	radius := listRadius(nn, k)
 	// Drain phase: each side walks out until its gap² exceeds the radius;
 	// the gap grows monotonically per side and the radius only shrinks.
-	// The k-set is full here (the fill phase only stops short when both
-	// sides are exhausted, in which case the drains never run), so every
-	// candidate that precedes the k-th goes straight to push.
-	ent := topk.ent
-	last := k - 1
+	// The list is full here (the fill phase only stops short when both
+	// sides are exhausted, in which case the drains never run).
 	for ; lo >= 0; lo-- {
 		g := xq - vals[lo]
-		if math.Float64bits(g*g) > worst {
+		if g*g > radius {
 			break
 		}
 		d0 := c0[lo] - x0
 		dd := d0 * d0
 		d1 := c1[lo] - x1
 		dd += d1 * d1
-		du := math.Float64bits(dd)
-		if du > worst {
-			continue
+		if dd <= radius {
+			nn = insertNeighbor(nn, dd, ord[lo], k)
+			radius = listRadius(nn, k)
 		}
-		j := ord[lo]
-		if du == worst && j > ent[last].id {
-			continue
-		}
-		worst = topk.push(du, j)
 	}
 	for ; hi < n; hi++ {
 		g := vals[hi] - xq
-		if math.Float64bits(g*g) > worst {
+		if g*g > radius {
 			break
 		}
 		d0 := c0[hi] - x0
 		dd := d0 * d0
 		d1 := c1[hi] - x1
 		dd += d1 * d1
-		du := math.Float64bits(dd)
-		if du > worst {
-			continue
+		if dd <= radius {
+			nn = insertNeighbor(nn, dd, ord[hi], k)
+			radius = listRadius(nn, k)
 		}
-		j := ord[hi]
-		if du == worst && j > ent[last].id {
-			continue
-		}
-		worst = topk.push(du, j)
 	}
+	return nn
 }
 
 // composeRow writes point i's squared distances to every later point into
@@ -654,13 +574,14 @@ func (q *deltaQuery) composeRow(i int) {
 	}
 }
 
-// scanPoint selects one query's top-k from its block row. The top-k is
-// prefilled with k candidates — the point's full-space neighbours (none
-// when the view is unseeded), topped up with the first non-self candidates
-// — which are stamped so the scan skips them. Any k distinct candidates
-// upper-bound the true k-th distance, and seeds bound it tightly, so most
-// of the row is rejected by its first compare against the k-th.
-func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
+// scanPoint selects one query's k-nearest list from its block row. The
+// list is prefilled with k candidates — the point's full-space neighbours
+// (none when the view is unseeded), topped up with the first non-self
+// candidates — which are stamped so the scan skips them. Any k distinct
+// candidates upper-bound the true k-th distance, and seeds bound it
+// tightly, so most of the row is rejected by its first compare against
+// the radius.
+func (q *deltaQuery) scanPoint(i int, nn []neighbor, s *deltaScratch) []neighbor {
 	n, k := q.n, q.m
 	row := q.block[i*n : (i+1)*n]
 	if len(s.stamp) < n {
@@ -668,32 +589,25 @@ func (q *deltaQuery) scanPoint(i int, s *deltaScratch) {
 	}
 	s.gen++
 	stamp, gen := s.stamp[:n], s.gen
-	topk := &s.topk
-	ent := topk.ent
 	for _, j := range q.seedIdx[i*q.seedM : (i+1)*q.seedM] {
-		if int(j) != i && len(ent) < k {
-			ent = append(ent, nnPair{du: math.Float64bits(row[j]), id: j})
+		if int(j) != i && len(nn) < k {
+			nn = insertNeighbor(nn, row[j], j, k)
 			stamp[j] = gen
 		}
 	}
-	for j := 0; len(ent) < k; j++ {
+	for j := 0; len(nn) < k; j++ {
 		if j != i && stamp[j] != gen {
-			ent = append(ent, nnPair{du: math.Float64bits(row[j]), id: int32(j)})
+			nn = insertNeighbor(nn, row[j], int32(j), k)
 			stamp[j] = gen
 		}
 	}
-	sortNNPairs(ent)
-	topk.ent = ent
-	last := k - 1
-	worst := ent[last].du
+	radius := listRadius(nn, k)
 	for j, dd := range row {
-		du := math.Float64bits(dd)
-		if du > worst || j == i || stamp[j] == gen {
+		if dd > radius || j == i || stamp[j] == gen {
 			continue
 		}
-		if du == worst && int32(j) > ent[last].id {
-			continue
-		}
-		worst = topk.push(du, int32(j))
+		nn = insertNeighbor(nn, dd, int32(j), k)
+		radius = listRadius(nn, k)
 	}
+	return nn
 }

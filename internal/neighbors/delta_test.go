@@ -186,10 +186,11 @@ func TestDeltaPruneTightParentRadii(t *testing.T) {
 
 // TestDeltaLatticeTies feeds the engine lattice data — coordinates drawn
 // from {0,1,2}, including exactly duplicated points and massive distance
-// ties — so correctness hinges on the lexicographic (distance, index)
-// ordering matching the standard path's bounded heap exactly. The second
-// set of trials runs at the smallest view the engine accepts (64 points),
-// where the scan's prefilled top-k takes k of only 63 candidates and
+// ties — so correctness hinges on the one k-nearest list's lexicographic
+// (distance, index) order settling every boundary tie the same way on the
+// delta paths as on the standard one. The second set of trials runs at the
+// smallest view the engine accepts (64 points), where the scan's
+// prefilled list takes k of only 63 candidates and
 // duplicated points put zero-distance seeds at the k-th boundary; its
 // chains end on the full space, whose unseeded scan prefills from the
 // first k candidates.

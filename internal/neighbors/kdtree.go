@@ -132,51 +132,41 @@ func (t *KDTree) KNNInto(i, k int, s *Scratch) ([]int, []float64) {
 	if len(t.points) == 0 {
 		return nil, nil
 	}
-	s.h.reset(k)
-	t.search(0, t.points[i], i, &s.h)
+	s.nn = t.search(0, t.points[i], i, emptyList(s.nn, k), k)
 	return s.drain()
 }
 
-// Query returns the k points nearest to an arbitrary query vector q
-// (no exclusion).
-func (t *KDTree) Query(q []float64, k int) ([]int, []float64) {
-	checkK(k)
-	if len(t.points) == 0 {
-		return nil, nil
-	}
-	var s Scratch
-	s.h.reset(k)
-	t.search(0, q, -1, &s.h)
-	idx, dist := s.drain()
-	return append([]int(nil), idx...), append([]float64(nil), dist...)
-}
-
-func (t *KDTree) search(nodeID int, q []float64, exclude int, h *boundedHeap) {
+// search offers the points under nodeID to the list, skipping exclude, and
+// returns the list.
+func (t *KDTree) search(nodeID int, q []float64, exclude int, list []neighbor, capacity int) []neighbor {
 	node := t.nodes[nodeID]
 	if node.splitDim == -1 {
+		radius := listRadius(list, capacity)
 		for _, p := range t.leafPoints[node.left:node.right] {
 			if p == exclude {
 				continue
 			}
 			// Same early-exit kernel as the brute-force scan: candidates
 			// beyond the prune radius never finish their accumulation.
-			if d2, within := squaredEuclideanWithin(q, t.points[p], h.top()); within {
-				h.push(p, d2)
+			if d2, within := squaredEuclideanWithin(q, t.points[p], radius); within {
+				list = insertNeighbor(list, d2, int32(p), capacity)
+				radius = listRadius(list, capacity)
 			}
 		}
-		return
+		return list
 	}
 	delta := q[node.splitDim] - node.splitVal
 	near, far := node.left, node.right
 	if delta >= 0 {
 		near, far = node.right, node.left
 	}
-	t.search(near, q, exclude, h)
+	list = t.search(near, q, exclude, list, capacity)
 	// The far side must also be visited on exact ties: a point at exactly
 	// the current radius can still win its tie-break on index.
-	if delta*delta <= h.top() {
-		t.search(far, q, exclude, h)
+	if delta*delta <= listRadius(list, capacity) {
+		list = t.search(far, q, exclude, list, capacity)
 	}
+	return list
 }
 
 // Depth returns the height of the tree, useful for balance diagnostics.

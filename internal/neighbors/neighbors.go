@@ -11,6 +11,7 @@ package neighbors
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"anex/internal/parallel"
 )
@@ -148,6 +149,71 @@ func squaredEuclideanWithin(a, b []float64, limit float64) (sum float64, within 
 		sum += d * d
 	}
 	return sum, sum <= limit
+}
+
+// neighbor is one entry of a k-nearest list: the squared distance to the
+// query (squared, so selection happens where the kernels compute; exports
+// square-root) and the neighbour's row, or window slot. Every list — a
+// brute-force or KD-tree query, the delta engine's sweep and scan, a window
+// reservoir — is a slice of these ascending by (d2, id), built by
+// insertNeighbor alone. That one total order is what makes the kept set
+// independent of visit order even with duplicated points, so every path
+// returns bit-identical neighbours, and what makes the plane's prefix
+// slicing legal.
+type neighbor struct {
+	d2 float64
+	id int32
+}
+
+// less orders entries lexicographically by (d2, id). Inserted distances are
+// never NaN (each passed a sum ≤ radius test or is a composed sum of
+// squares of finite data) and never −0, so float order here is the order of
+// the bit patterns too.
+func (a neighbor) less(b neighbor) bool {
+	return a.d2 < b.d2 || (a.d2 == b.d2 && a.id < b.id)
+}
+
+// insertNeighbor is the one insert of every k-nearest list: it shifts
+// (d2, id) into the (d2, id)-ascending list from the tail and drops
+// whatever falls past capacity (≥ 1) — the candidate itself when it orders
+// after a full list's last entry. The list's backing array must hold
+// capacity+1 entries (emptyList provides them): the spare slot lets a full
+// list take the candidate before its tail is dropped, so the insert needs
+// no separate reject test and stays small enough for the compiler to
+// inline into the scans' per-candidate loops. listRadius reports the
+// radius after it. The insertion-sorted array measures faster than a
+// binary heap at the k ≈ 10–15 the detectors use: the average shift is
+// short, sequential and branch-predictable, where a heap's sift-down pays
+// two data-dependent compares per level.
+func insertNeighbor(list []neighbor, d2 float64, id int32, capacity int) []neighbor {
+	nb := neighbor{d2: d2, id: id}
+	p := len(list)
+	list = list[:p+1]
+	for ; p > 0 && nb.less(list[p-1]); p-- {
+		list[p] = list[p-1]
+	}
+	list[p] = nb
+	return list[:min(len(list), capacity)]
+}
+
+// listRadius is a list's prune radius: +Inf until it holds capacity
+// entries, its last entry's d2 after that. A candidate farther than the
+// radius cannot enter; one at exactly the radius still can, on its id.
+func listRadius(list []neighbor, capacity int) float64 {
+	if len(list) < capacity {
+		return math.Inf(1)
+	}
+	return list[len(list)-1].d2
+}
+
+// emptyList returns list emptied, with a backing array of capacity+1
+// entries — list's own when it is large enough, so a reused list is
+// allocation-free.
+func emptyList(list []neighbor, capacity int) []neighbor {
+	if cap(list) <= capacity {
+		return make([]neighbor, 0, capacity+1)
+	}
+	return list[:0]
 }
 
 func checkK(k int) {

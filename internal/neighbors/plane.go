@@ -22,10 +22,9 @@ import (
 //     grid, session, and test in the process without name collisions.
 //   - The one computation runs at k = kmax, the maximum neighbourhood size
 //     across registered consumers (15 with the paper's detectors). Cheaper
-//     k are answered by PREFIX SLICING: the packed top-k entries are
-//     totally ordered by (distance bit pattern, index) on every path —
-//     the delta engine's insertion-sorted scratch and the standard path's
-//     bounded heap drain agree on this order — so the k-nearest list is a
+//     k are answered by PREFIX SLICING: every path builds its lists with
+//     the one insert (insertNeighbor), so entries are totally ordered by
+//     (squared distance, index) everywhere and the k-nearest list is a
 //     strict prefix of the kmax-nearest list, bit for bit. The contract is
 //     pinned by TestPlanePrefixSlicingProperty.
 //   - Concurrent misses on one key are deduplicated singleflight-style

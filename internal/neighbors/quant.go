@@ -25,7 +25,7 @@ import "math"
 //
 //	Σ_j Δx_j²  ≥  s² · Σ_j max(0, |Δcode_j| − 1)².
 //
-// A candidate whose bound already exceeds the live heap radius cannot
+// A candidate whose bound already exceeds the live list radius cannot
 // enter the k-set and is rejected from its code row alone — sequential
 // 8-bit loads and small-integer arithmetic instead of the float kernel's
 // 64-bit loads and multiply-adds. The integer sum is quantSqSum, a
@@ -50,9 +50,9 @@ import "math"
 // would have produced a distance strictly above the radius at that moment
 // — and the radius only shrinks, so also above the final k-th distance.
 // Ties at the radius are not strict excesses and are never rejected;
-// tie-breaking stays inside the shared heap push. Survivors go through the
+// tie-breaking stays inside the shared insert. Survivors go through the
 // unchanged squaredEuclideanWithin kernel against the live radius, in the
-// same row order as the plain scan, so the heap evolves exactly as it
+// same row order as the plain scan, so the list evolves exactly as it
 // would unpruned and kept distances are bit-identical at any tile size and
 // worker count.
 //
@@ -283,32 +283,32 @@ type tileScratch struct {
 
 // scanTiles is the one candidate loop behind the quantized prefilter,
 // shared by the coded brute-force index and the window engine's fresh
-// scans: it offers every row j ≠ i of rows to h, as the plain early-exit
-// scan would, but tile by tile — quantSqSumTile over the tile's padded code
-// rows (codes holds one per row, in row order), then the survivor list,
-// then squaredEuclideanWithin and the heap push for the survivors only.
-// ok, when non-nil, marks the rows whose code is valid; an invalid row is
-// never rejected by the bound. The radius snapshot is taken at tile entry
-// and only shrinks during the tile, so it merely under-rejects; tiles met
-// before the heap fills skip the bound pass, since nothing can be
-// rejected. It reports how many candidates were bound-tested and how many
-// of those the bound rejected.
-func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []bool, tile int, h *boundedHeap, ts *tileScratch) (tested, rejected int64) {
+// scans: it offers every row j ≠ i of rows to the list, as the plain
+// early-exit scan would, but tile by tile — quantSqSumTile over the tile's
+// padded code rows (codes holds one per row, in row order), then the
+// survivor list, then squaredEuclideanWithin and the insert for the
+// survivors only. ok, when non-nil, marks the rows whose code is valid; an
+// invalid row is never rejected by the bound. The radius snapshot is taken
+// at tile entry and only shrinks during the tile, so it merely
+// under-rejects; tiles met before the list fills skip the bound pass,
+// since nothing can be rejected. It returns the list, how many candidates
+// were bound-tested and how many of those the bound rejected.
+func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []bool, tile int, list []neighbor, capacity int, ts *tileScratch) (out []neighbor, tested, rejected int64) {
 	q := rows[i]
 	st := qp.stride
 	qc := codes[i*st : i*st+st]
 	n := len(rows)
 	for base := 0; base < n; base += tile {
 		t := min(tile, n-base)
-		limit := h.top()
-		if math.IsInf(limit, 1) {
-			scanRange(rows, i, base, base+t, h)
+		radius := listRadius(list, capacity)
+		if math.IsInf(radius, 1) {
+			list = scanRange(rows, i, base, base+t, list, capacity)
 			continue
 		}
 		quantSqSumTile(qc, codes[base*st:(base+t)*st], t, ts.bound[:])
 		ns := 0
 		for r := 0; r < t; r++ {
-			if qp.sumClears(ts.bound[r], limit) && (ok == nil || ok[base+r]) {
+			if qp.sumClears(ts.bound[r], radius) && (ok == nil || ok[base+r]) {
 				continue
 			}
 			ts.surv[ns] = int32(base + r)
@@ -316,18 +316,17 @@ func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []boo
 		}
 		tested += int64(t)
 		rejected += int64(t - ns)
-		for _, j32 := range ts.surv[:ns] {
-			j := int(j32)
-			if j == i {
+		for _, j := range ts.surv[:ns] {
+			if int(j) == i {
 				continue
 			}
-			d2, within := squaredEuclideanWithin(q, rows[j], h.top())
-			if within {
-				h.push(j, d2)
+			if d2, within := squaredEuclideanWithin(q, rows[j], radius); within {
+				list = insertNeighbor(list, d2, j, capacity)
+				radius = listRadius(list, capacity)
 			}
 		}
 	}
-	return tested, rejected
+	return list, tested, rejected
 }
 
 // quantSqSumRef is the portable reference of the bound sum

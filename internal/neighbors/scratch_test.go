@@ -53,14 +53,14 @@ func scratchWidthIndexes() []struct {
 // previous query's longer result, fails the bitwise compare.
 func TestScratchReuseAcrossWidths(t *testing.T) {
 	indexes := scratchWidthIndexes()
-	shared := neighbors.NewScratch()
+	shared := new(neighbors.Scratch)
 	order := []int{0, 1, 2, 2, 1, 0, 1} // wide→narrow, then narrow→wide
 	for _, k := range []int{15, 3, 40, 1} {
 		for _, which := range order {
 			tc := indexes[which]
 			for _, i := range []int{0, tc.n / 2, tc.n - 1} {
 				gotIdx, gotDist := tc.ix.KNNInto(i, k, shared)
-				wantIdx, wantDist := tc.ix.KNNInto(i, k, neighbors.NewScratch())
+				wantIdx, wantDist := tc.ix.KNNInto(i, k, new(neighbors.Scratch))
 				if len(gotIdx) != len(wantIdx) {
 					t.Fatalf("%s k=%d i=%d: got %d neighbours, want %d",
 						tc.name, k, i, len(gotIdx), len(wantIdx))
@@ -87,7 +87,7 @@ func TestScratchReuseAcrossWidths(t *testing.T) {
 // no buffer is sized by width.
 func TestScratchReuseAllocs(t *testing.T) {
 	indexes := scratchWidthIndexes()
-	s := neighbors.NewScratch()
+	s := new(neighbors.Scratch)
 	for _, tc := range indexes { // warm across every width at the largest k
 		tc.ix.KNNInto(0, 40, s)
 	}

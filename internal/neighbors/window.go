@@ -15,11 +15,10 @@ import (
 // window's: with the default stride W/4, three quarters of every all-kNN
 // computation re-derives lists that could not have changed much. The
 // WindowEngine amortises that work across overlapping windows. It keeps one
-// reservoir of the k+slack nearest live points per window slot, totally
-// ordered by (squared-distance bit pattern, slot) — the same strict order
-// the bounded-heap drain and the delta engine emit, the order that makes
-// the plane's prefix slicing legal — and repairs it under point arrival
-// and expiry:
+// reservoir of the k+slack nearest live points per window slot — a
+// k-nearest list like every other path's, ordered by (squared distance,
+// slot) and built by the same insert (insertNeighbor) — and repairs it
+// under point arrival and expiry:
 //
 //   - An ARRIVAL occupies the slot its expired predecessor vacated (the
 //     monitor's ring layout), so slot identity is stable and the engine's
@@ -101,24 +100,6 @@ func (s WindowStats) String() string {
 		s.Batches, s.Arrivals, s.SurvivorLists, s.Rescans, s.RepairFraction(), s.DirtyMarks, s.QuantRejected, s.QuantCandidates)
 }
 
-// windowEntry is one reservoir member: the squared distance to the owning
-// slot's point (squared, so selection happens in exactly the space the
-// bounded heap selects in; the export square-roots) and the member's slot.
-type windowEntry struct {
-	d2   float64
-	slot int32
-}
-
-// entryLess orders reservoir entries by (squared distance, slot) — the
-// strict total order shared with the bounded-heap drain. Non-negative
-// distances make numeric order and bit-pattern order coincide.
-func entryLess(a, b windowEntry) bool {
-	if a.d2 != b.d2 {
-		return a.d2 < b.d2
-	}
-	return a.slot < b.slot
-}
-
 // WindowEngine maintains per-slot neighbour reservoirs under sliding-window
 // point arrival and expiry. Not safe for concurrent use; internal repair
 // work is parallelised over the configured worker budget with bit-identical
@@ -127,8 +108,8 @@ type WindowEngine struct {
 	k, slack, workers int
 	d                 int // fixed by the first arrival
 	points            [][]float64
-	lists             [][]windowEntry
-	dirty             []bool // k-prefix changed since the last TakeDirty
+	lists             [][]neighbor // per-slot reservoirs; ids are slots
+	dirty             []bool       // k-prefix changed since the last TakeDirty
 	stats             WindowStats
 
 	// Per-batch scratch, reused across Apply calls so steady-state strides
@@ -158,13 +139,12 @@ type WindowEngine struct {
 	arrCodes []uint8
 }
 
-// windowScratch is the per-worker repair scratch: the bounded heap of full
-// rescans, the saved old k-prefix used for dirty detection, the code-bound
-// cells of fresh scans and merges, and the worker's code-bound counters
-// (flushed into WindowStats once per batch).
+// windowScratch is the per-worker repair scratch: the saved old k-prefix
+// used for dirty detection, the code-bound cells of fresh scans and merges,
+// and the worker's code-bound counters (flushed into WindowStats once per
+// batch).
 type windowScratch struct {
-	h           boundedHeap
-	prefix      []windowEntry
+	prefix      []neighbor
 	qcand, qrej int64
 	tiles       tileScratch
 	arrBound    []int64 // the merge's per-arrival code bounds
@@ -219,7 +199,7 @@ func (e *WindowEngine) Apply(ctx context.Context, batch []WindowArrival) error {
 		switch {
 		case a.Slot == len(e.points):
 			e.points = append(e.points, a.Point)
-			e.lists = append(e.lists, make([]windowEntry, 0, e.cap()))
+			e.lists = append(e.lists, nil) // an arrival: scanSlot builds it
 			e.dirty = append(e.dirty, false)
 		case a.Slot >= 0 && a.Slot < len(e.points):
 			e.points[a.Slot] = a.Point
@@ -329,7 +309,7 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 		kOld = e.k
 	}
 	if cap(sc.prefix) < e.k {
-		sc.prefix = make([]windowEntry, e.k)
+		sc.prefix = make([]neighbor, e.k)
 	}
 	prefix := sc.prefix[:kOld]
 	copy(prefix, list[:kOld])
@@ -339,7 +319,7 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 	// untracked was farther than every kept entry.
 	w := 0
 	for _, en := range list {
-		if e.replaced[en.slot] {
+		if e.replaced[en.id] {
 			continue
 		}
 		list[w] = en
@@ -348,7 +328,7 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 	list = list[:w]
 	// The knowledge boundary: entries ordering beyond the farthest kept
 	// pre-merge entry might be outranked by an untracked old survivor.
-	var boundary windowEntry
+	var boundary neighbor
 	haveBoundary := w > 0
 	if haveBoundary {
 		boundary = list[w-1]
@@ -386,10 +366,7 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 		if int(r) == i {
 			continue
 		}
-		limit := radius
-		if len(list) == e.cap() {
-			limit = min(limit, list[len(list)-1].d2)
-		}
+		limit := min(radius, listRadius(list, e.cap()))
 		if bounds != nil {
 			sc.qcand++
 			if e.qp.sumClears(bounds[a], limit) && e.qok[r] {
@@ -401,7 +378,7 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 		if !within {
 			continue
 		}
-		list = insertWindowEntry(list, windowEntry{d2: d2, slot: r}, e.cap())
+		list = insertNeighbor(list, d2, r, e.cap())
 	}
 
 	// 3) Truncate suspect tail entries (arrivals beyond the boundary),
@@ -412,7 +389,7 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 		if !haveBoundary {
 			t = 0
 		} else {
-			for t > 0 && entryLess(boundary, list[t-1]) {
+			for t > 0 && boundary.less(list[t-1]) {
 				t--
 			}
 		}
@@ -452,37 +429,18 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 // scanSlot rebuilds slot i's reservoir with one exhaustive scan — the
 // brute-force index's own loop, behind the code-bound tile pass (scanTiles)
 // when the quantized prefilter is live and the owner's own code is valid,
-// plain (scanRange) otherwise — draining in the shared (squared distance,
-// slot) order. Survivors of the bound meet the same live radius, so the
-// reservoir is bit-identical either way. The result reuses out's backing
-// array when large enough.
-func (e *WindowEngine) scanSlot(i int, sc *windowScratch, out []windowEntry) []windowEntry {
-	h := &sc.h
-	size := e.cap()
-	if size > len(e.points)-1 {
-		size = len(e.points) - 1
-	}
-	if size <= 0 {
-		return out[:0]
-	}
-	h.reset(size)
+// plain (scanRange) otherwise — straight into out's backing array at the
+// reservoir's capacity. Survivors of the bound meet the same live radius,
+// so the reservoir is bit-identical either way.
+func (e *WindowEngine) scanSlot(i int, sc *windowScratch, out []neighbor) []neighbor {
+	out = emptyList(out, e.cap())
 	if e.qp != nil && e.qok[i] {
-		tested, rejected := scanTiles(e.points, i, e.qp, e.qcodes, e.qok, e.qtile, h, &sc.tiles)
+		out, tested, rejected := scanTiles(e.points, i, e.qp, e.qcodes, e.qok, e.qtile, out, e.cap(), &sc.tiles)
 		sc.qcand += tested
 		sc.qrej += rejected
-	} else {
-		scanRange(e.points, i, 0, len(e.points), h)
+		return out
 	}
-	m := h.len()
-	if cap(out) < m {
-		out = make([]windowEntry, m, e.cap())
-	}
-	out = out[:m]
-	for t := m - 1; t >= 0; t-- {
-		j, d2 := h.popMax()
-		out[t] = windowEntry{d2: d2, slot: int32(j)}
-	}
-	return out
+	return scanRange(e.points, i, 0, len(e.points), out, e.cap())
 }
 
 // refreshCodes maintains the quantized code table across a batch: arrivals
@@ -545,30 +503,6 @@ func (e *WindowEngine) rebuildCodes() {
 	e.qp = qp
 }
 
-// insertWindowEntry inserts en into the (squared distance, slot)-sorted
-// list, dropping the tail entry past the capacity. An entry ordering at or
-// beyond a full list's end is discarded.
-func insertWindowEntry(list []windowEntry, en windowEntry, capacity int) []windowEntry {
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if entryLess(list[mid], en) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= capacity {
-		return list
-	}
-	if len(list) < capacity {
-		list = append(list, windowEntry{})
-	}
-	copy(list[lo+1:], list[lo:])
-	list[lo] = en
-	return list
-}
-
 // TakeDirty returns which slots' exported k-prefixes changed since the last
 // TakeDirty (arrival slots always count) and resets the marks. The returned
 // slice is valid until the next Apply.
@@ -602,7 +536,7 @@ func (e *WindowEngine) Neighborhood() (idx []int32, dist []float64, m, stride in
 	for i, list := range e.lists {
 		row := i * m
 		for t := 0; t < m; t++ {
-			idx[row+t] = list[t].slot
+			idx[row+t] = list[t].id
 			dist[row+t] = math.Sqrt(list[t].d2)
 		}
 	}

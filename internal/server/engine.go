@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -269,6 +270,10 @@ func (req *ExplainRequest) setDefaults() {
 	}
 }
 
+// maxTimeoutMS is the largest TimeoutMS whose millisecond Duration fits
+// in an int64 (about 292 years).
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // Explain answers one explanation request against a registered dataset,
 // with the same construction path as the anexplain CLI: factory-built
 // detector wrapped in a score memo, factory-built explainer, per-point
@@ -278,6 +283,11 @@ func (req *ExplainRequest) setDefaults() {
 // defaults (the caller's struct is not mutated).
 func (e *Engine) Explain(ctx context.Context, req ExplainRequest) (*ExplainResponse, error) {
 	req.setDefaults()
+	if req.TimeoutMS > maxTimeoutMS {
+		// Past this, the millisecond product overflows time.Duration into a
+		// negative deadline that would expire at once.
+		return nil, badRequest("timeout_ms %d exceeds the maximum %d", req.TimeoutMS, maxTimeoutMS)
+	}
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)

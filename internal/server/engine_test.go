@@ -149,6 +149,8 @@ func TestExplainRequestValidation(t *testing.T) {
 		{"unknown detector", ExplainRequest{Dataset: "d", Points: []int{0}, Detector: "nope"}, 400},
 		{"unknown algo", ExplainRequest{Dataset: "d", Points: []int{0}, Algo: "nope"}, 400},
 		{"stale hash pin", ExplainRequest{Dataset: "d", Points: []int{0}, Hash: "deadbeef"}, 409},
+		{"timeout overflows duration", ExplainRequest{Dataset: "d", Points: []int{0}, TimeoutMS: 10000000000000}, 400},
+		{"timeout one past the maximum", ExplainRequest{Dataset: "d", Points: []int{0}, TimeoutMS: maxTimeoutMS + 1}, 400},
 	}
 	for _, c := range cases {
 		if _, err := eng.Explain(context.Background(), c.req); statusCode(err) != c.code {

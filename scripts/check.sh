@@ -62,10 +62,13 @@ go test -run '^$' -bench 'BenchmarkDeltaScan$' -benchtime=1x ./internal/neighbor
 # The recording box is a shared VM whose effective speed swings with host load
 # (see results/BENCH_NOTES.md), so raw ns/op from different moments are not
 # comparable. Interference slows all code about equally, so each round
-# measures Beam/LOF AND a fixed reference workload (brute-force 2d kNN, a
-# pure distance loop untouched by pipeline changes) back to back and gates
-# on their RATIO against the baseline's ratio: machine speed cancels, a
-# structural regression of Beam/LOF does not. The best of three rounds is
+# measures Beam/LOF AND a fixed reference workload (brute-force 2d kNN)
+# back to back and gates on their RATIO against the baseline's ratio:
+# machine speed cancels, a structural regression of Beam/LOF does not. The
+# reference is not independent of the code under test: its scan builds its
+# lists with the same k-nearest list insert (internal/neighbors) as every
+# other kNN path, Beam/LOF's included, so a change to that insert moves
+# both sides, and not necessarily equally. The best of three rounds is
 # compared — noise only ever inflates a round, so the minimum is the honest
 # estimate, and a real >10% regression still cannot pass.
 # The reference runs at -cpu 1 (its serial BENCH_11 entry): it
