@@ -58,6 +58,10 @@ type Options struct {
 	// CacheBytes is the byte budget of each cached detector's score memo
 	// (see detector.NewCachedBudget); zero selects the generous default.
 	CacheBytes int64
+
+	// hicsSearches is the contrast-search cache RunGrid shares among its
+	// HiCS cells (see summarize.HiCS.Searches); nil outside a grid.
+	hicsSearches *summarize.SearchCache
 }
 
 func (o Options) scoreFunc() explain.ScoreFunc {
@@ -121,6 +125,7 @@ func SummaryPipelines(d NamedDetector, seed int64, o Options) []SummaryPipeline 
 		FixedDim:        true,
 		TopK:            o.TopK,
 		Seed:            seed,
+		Searches:        o.hicsSearches,
 	}
 	// The Ranker bypasses the timer: its scoring happens in the evaluation
 	// phase, which Duration (and the scoring/search split) excludes.

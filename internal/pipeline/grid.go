@@ -11,11 +11,20 @@ import (
 	"anex/internal/detector"
 	"anex/internal/neighbors"
 	"anex/internal/parallel"
+	"anex/internal/summarize"
 )
 
 // GridSpec describes a full Figure 7 grid execution: every detector paired
 // with every point explainer and summarizer, across the requested
 // explanation dimensionalities.
+//
+// Work shared between cells is paid for by whichever cell gets there
+// first. Neighbourhoods come from the shared plane (see Plane), and the
+// factory-built HiCS cells of one dimensionality share one contrast
+// search: the first HiCS_FX cell of a dimension carries the search in its
+// Duration and SearchTime, and the other detectors' HiCS_FX cells report
+// their ranking (plus any wait on a search in flight). Per-cell runtimes
+// therefore split a grid's cost rather than reproduce a standalone run's.
 type GridSpec struct {
 	// Dataset and GroundTruth define the workload.
 	Dataset     *dataset.Dataset
@@ -184,7 +193,10 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 				if !ok {
 					return
 				}
-				var res Result
+				var (
+					res     Result
+					elapsed time.Duration
+				)
 				cancelled := false
 				if done != nil {
 					select {
@@ -204,8 +216,9 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 				} else {
 					start := time.Now()
 					res = runCell(c)
-					sched.observe(c, time.Since(start))
+					elapsed = time.Since(start)
 				}
+				sched.finish(c, elapsed)
 				resMu.Lock()
 				results[c.order] = res
 				ran[c.order] = true
@@ -317,6 +330,10 @@ func buildCells(spec GridSpec, inner int) []gridCell {
 	if opts.Workers <= 0 {
 		opts.Workers = inner
 	}
+	// HiCS's contrast search ignores the detector, so the grid's HiCS cells
+	// of one dimensionality share one search instead of running it once
+	// per detector.
+	opts.hicsSearches = summarize.NewSearchCache()
 	for _, dim := range spec.Dims {
 		for _, d := range dets {
 			for _, pp := range PointPipelines(d, spec.Seed, opts) {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -137,5 +138,68 @@ func TestGridSpecPlaneWiring(t *testing.T) {
 	}
 	if st := p.Stats(); st.Queries == 0 {
 		t.Fatalf("injected plane never queried: %+v", st)
+	}
+}
+
+// TestGridHiCSMatchesStandalone: a grid's HiCS_FX cells, which share one
+// contrast search per dimensionality across detectors, equal the same
+// pipelines run through RunSummarization outside any grid, each with its
+// own search. TestGridSchedulerInvariance cannot show this: its reference
+// grid shares the search too.
+func TestGridHiCSMatchesStandalone(t *testing.T) {
+	// Unlike planeTestbed, plant a 3d subspace too, so the 3d HiCS_FX
+	// cells have points to explain and run their search.
+	ds, gt, err := synth.GenerateSubspaceOutliers(synth.SubspaceConfig{
+		Name:                "grid-hics",
+		TotalDims:           6,
+		SubspaceDims:        []int{2, 3},
+		N:                   160,
+		OutliersPerSubspace: 3,
+		Seed:                12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := planeGridOptions()
+	dims := []int{2, 3}
+	res, err := RunGrid(context.Background(), GridSpec{
+		Dataset: ds, GroundTruth: gt, Dims: dims, Seed: 5,
+		Options: opts, Detectors: knnDetectors(nil), Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]Result{}
+	for _, r := range stripTimings(res) {
+		if r.Explainer == "HiCS_FX" {
+			got[fmt.Sprintf("%s/%d", r.Detector, r.TargetDim)] = r
+		}
+	}
+	checked := 0
+	for _, dim := range dims {
+		for _, d := range knnDetectors(nil) {
+			for _, sp := range SummaryPipelines(d, 5, opts) {
+				if sp.Summarizer.Name() != "HiCS_FX" {
+					continue
+				}
+				key := fmt.Sprintf("%s/%d", d.Name, dim)
+				want := stripTimings([]Result{RunSummarization(context.Background(), ds, gt, sp, dim)})[0]
+				if want.Err != nil {
+					t.Fatalf("%s: %v", key, want.Err)
+				}
+				if !reflect.DeepEqual(got[key], want) {
+					t.Errorf("%s: grid cell differs from the standalone run", key)
+				}
+				checked++
+			}
+		}
+	}
+	if checked != 6 {
+		t.Fatalf("compared %d HiCS_FX cells, want 6", checked)
+	}
+	for key, r := range got {
+		if r.PointsEvaluated == 0 {
+			t.Errorf("%s: no points evaluated, so the cell never searched", key)
+		}
 	}
 }

@@ -13,6 +13,15 @@ import (
 // free worker takes the most expensive pending cell, so the big rocks are
 // placed first and the small cells pack around them.
 //
+// Cells that walk the same views are kept apart. A cell's view group is its
+// (explainer, dimension): two detectors under one explainer at one
+// dimensionality ask the shared plane for the same subspaces in the same
+// order (HiCS_FX cells also share one contrast search), so running them
+// side by side leaves one worker parked in the other's singleflight wait
+// instead of computing. A free worker therefore takes the costliest pending
+// cell whose group has no running cell, and falls back to the costliest
+// cell overall only when every pending cell's group is already running.
+//
 // Estimates start from static priors per explainer, detector, and target
 // dimensionality (calibrated against results/BENCH_4.json) and are refined
 // online: each completed cell's wall time is folded into an EWMA of the
@@ -65,9 +74,9 @@ func staticCost(c gridCell) float64 {
 }
 
 // cellScheduler hands pending cells to free workers. With byCost set it
-// dispatches longest-estimated-first; otherwise it preserves the cells'
-// deterministic (dimension, detector, explainer) order, which is exactly
-// the old FIFO channel behaviour.
+// dispatches longest-estimated-first, keeping view groups apart; otherwise
+// it preserves the cells' deterministic (dimension, detector, explainer)
+// order, which is exactly the old FIFO channel behaviour.
 type cellScheduler struct {
 	mu      sync.Mutex
 	pending []gridCell
@@ -75,15 +84,32 @@ type cellScheduler struct {
 	// units holds, per explainer, an EWMA of observed seconds per static
 	// cost unit. Missing entries fall back to the pure prior.
 	units map[string]float64
+	// running counts the popped, unfinished cells of each view group.
+	running map[viewGroup]int
 }
 
+// viewGroup is the (explainer, dimension) pair whose cells walk the same
+// subspace views whatever their detector.
+type viewGroup struct {
+	explainer string
+	dim       int
+}
+
+func groupOf(c gridCell) viewGroup { return viewGroup{c.explainer, c.dim} }
+
 func newCellScheduler(pending []gridCell, byCost bool) *cellScheduler {
-	return &cellScheduler{pending: pending, byCost: byCost, units: make(map[string]float64)}
+	return &cellScheduler{
+		pending: pending,
+		byCost:  byCost,
+		units:   make(map[string]float64),
+		running: make(map[viewGroup]int),
+	}
 }
 
 // next pops the next cell to dispatch; ok=false when the grid is drained.
-// Under cost-aware dispatch ties keep the lowest order, so the dispatch
-// sequence itself is deterministic for a fixed estimate state.
+// Every popped cell must be handed back through finish. Under cost-aware
+// dispatch ties keep the lowest order, so the dispatch sequence itself is
+// deterministic for a fixed estimate and running state.
 func (s *cellScheduler) next() (c gridCell, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,15 +118,20 @@ func (s *cellScheduler) next() (c gridCell, ok bool) {
 	}
 	best := 0
 	if s.byCost {
-		bestCost := s.estimateLocked(s.pending[0])
-		for i := 1; i < len(s.pending); i++ {
-			if est := s.estimateLocked(s.pending[i]); est > bestCost {
-				best, bestCost = i, est
+		best = -1
+		bestFree := false
+		var bestCost float64
+		for i, p := range s.pending {
+			free := s.running[groupOf(p)] == 0
+			est := s.estimateLocked(p)
+			if best < 0 || (free && !bestFree) || (free == bestFree && est > bestCost) {
+				best, bestFree, bestCost = i, free, est
 			}
 		}
 	}
 	c = s.pending[best]
 	s.pending = append(s.pending[:best], s.pending[best+1:]...)
+	s.running[groupOf(c)]++
 	return c, true
 }
 
@@ -117,17 +148,24 @@ func (s *cellScheduler) estimateLocked(c gridCell) float64 {
 // cells of an explainer.
 const ewmaAlpha = 0.4
 
-// observe folds a completed cell's wall time back into the estimates.
-func (s *cellScheduler) observe(c gridCell, elapsed time.Duration) {
-	if !s.byCost {
+// finish hands a popped cell back: it releases the cell's view group and,
+// when the cell ran (elapsed > 0), folds its wall time into the estimates.
+// A cell stamped with the grid's cancellation never ran and passes zero —
+// a zero observation would price its explainer at nothing.
+func (s *cellScheduler) finish(c gridCell, elapsed time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := groupOf(c)
+	if s.running[g]--; s.running[g] <= 0 {
+		delete(s.running, g)
+	}
+	if !s.byCost || elapsed <= 0 {
 		return
 	}
 	unit := elapsed.Seconds() / staticCost(c)
-	s.mu.Lock()
 	if prev, ok := s.units[c.explainer]; ok {
 		s.units[c.explainer] = (1-ewmaAlpha)*prev + ewmaAlpha*unit
 	} else {
 		s.units[c.explainer] = unit
 	}
-	s.mu.Unlock()
 }

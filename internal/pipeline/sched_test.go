@@ -17,7 +17,10 @@ func schedCells() []gridCell {
 
 // TestCellSchedulerLongestFirst: cost-aware dispatch pops by descending
 // static estimate — RefOut cells (5× prior) before Beam cells, the pricier
-// detector and deeper dimensionality first within each explainer.
+// detector and deeper dimensionality first within each explainer. Each
+// cell finishes before the next pop, so no view group is running and the
+// order is the pure estimate order. The cells finish unrun (zero elapsed):
+// a zero observation must not reach the estimates.
 func TestCellSchedulerLongestFirst(t *testing.T) {
 	s := newCellScheduler(schedCells(), true)
 	want := []int{3, 1, 4, 2, 0} // FastABOD/RefOut, LOF/RefOut, 4d Beam, FastABOD/Beam, LOF/Beam
@@ -29,10 +32,41 @@ func TestCellSchedulerLongestFirst(t *testing.T) {
 		if c.order != w {
 			t.Fatalf("pop %d: order=%d, want %d", i, c.order, w)
 		}
+		s.finish(c, 0)
 	}
 	if _, ok := s.next(); ok {
 		t.Fatal("scheduler not drained")
 	}
+	if len(s.units) != 0 || len(s.running) != 0 {
+		t.Fatalf("unrun cells left state behind: units=%v running=%v", s.units, s.running)
+	}
+}
+
+// TestCellSchedulerSeparatesViewSharers: a free worker skips a costlier
+// cell whose (explainer, dimension) group is already running, takes the
+// costliest sharer only when nothing else is pending, and a cell stamped
+// with the grid's cancellation still releases its group.
+func TestCellSchedulerSeparatesViewSharers(t *testing.T) {
+	pop := func(s *cellScheduler, want int) gridCell {
+		t.Helper()
+		c, ok := s.next()
+		if !ok || c.order != want {
+			t.Fatalf("popped order=%d ok=%v, want %d", c.order, ok, want)
+		}
+		return c
+	}
+	s := newCellScheduler(schedCells(), true)
+	pop(s, 3) // FastABOD/RefOut/2 runs ...
+	pop(s, 4) // ... so the 4d Beam goes next, not LOF/RefOut/2
+	pop(s, 2) // FastABOD/Beam_FX/2: its group is still free
+	// Only sharers remain (RefOut/2 and Beam_FX/2 both run): the costliest
+	// sharer pops.
+	pop(s, 1)
+	pop(s, 0)
+
+	s = newCellScheduler(schedCells(), true)
+	s.finish(pop(s, 3), 0) // cancelled before it ran: releases RefOut/2
+	pop(s, 1)
 }
 
 // TestCellSchedulerFIFO: with cost-aware dispatch off the original
@@ -57,8 +91,8 @@ func TestCellSchedulerEWMARefinement(t *testing.T) {
 	}
 	s := newCellScheduler(cells, true)
 	// LookOut was observed to take 100 s per unit; RefOut 0.01 s per unit.
-	s.observe(gridCell{detector: "LOF", explainer: "LookOut", dim: 2}, 100*time.Second)
-	s.observe(gridCell{detector: "LOF", explainer: "RefOut", dim: 2}, 50*time.Millisecond)
+	s.finish(gridCell{detector: "LOF", explainer: "LookOut", dim: 2}, 100*time.Second)
+	s.finish(gridCell{detector: "LOF", explainer: "RefOut", dim: 2}, 50*time.Millisecond)
 	c, _ := s.next()
 	if c.explainer != "LookOut" {
 		t.Fatalf("popped %s first, want the observed-expensive LookOut", c.explainer)

@@ -8,6 +8,7 @@ import (
 
 	"anex/internal/core"
 	"anex/internal/dataset"
+	"anex/internal/memo"
 	"anex/internal/stats"
 	"anex/internal/subspace"
 )
@@ -57,6 +58,42 @@ type HiCS struct {
 	// maximum matches summarization semantics (see rank); the mean is
 	// kept for ablation — it drowns subspaces relevant to small groups.
 	RankByMean bool
+	// Searches, when non-nil, shares Summarize's contrast search with
+	// every other HiCS holding the same cache: the search ignores the
+	// detector, so HiCS instances that differ only in Detector, TopK or
+	// RankByMean run it once per (dataset, target dimensionality). The
+	// first Summarize of a key pays for the search; the others wait for it
+	// or read it back, so their wall time covers ranking only. Nil runs
+	// the search on every call.
+	Searches *SearchCache
+}
+
+// SearchCache holds finished HiCS contrast searches (see HiCS.Searches),
+// keyed by the dataset's identity and every parameter the search reads.
+// Concurrent Summarize calls with one key run a single search; a caller
+// whose context is cancelled mid-search leaves no entry, and callers
+// waiting on it run the search themselves. Safe for concurrent use.
+type SearchCache struct {
+	memo *memo.Cache[[]core.ScoredSubspace]
+}
+
+// searchCacheBytes bounds a SearchCache. One entry is a cutoff-long list
+// of small subspaces — tens of KiB at the paper's settings — so the bound
+// only matters to a cache shared far beyond one grid.
+const searchCacheBytes = 64 << 20
+
+// NewSearchCache returns an empty search cache.
+func NewSearchCache() *SearchCache {
+	// An element is a 24-byte subspace header, an 8-byte score and 8 bytes
+	// per feature.
+	size := func(list []core.ScoredSubspace) int64 {
+		b := int64(len(list)) * 32
+		for _, s := range list {
+			b += int64(len(s.Subspace)) * 8
+		}
+		return b
+	}
+	return &SearchCache{memo: memo.New(searchCacheBytes, size)}
 }
 
 // NewHiCS returns a HiCS summariser with the paper's settings.
@@ -117,7 +154,7 @@ func (h *HiCS) Summarize(ctx context.Context, ds *dataset.Dataset, points []int,
 	if targetDim < 2 {
 		return nil, fmt.Errorf("hics: target dimensionality must be ≥ 2, got %d", targetDim)
 	}
-	candidates, err := h.SearchContrastSubspaces(ctx, ds, targetDim)
+	candidates, err := h.search(ctx, ds, targetDim)
 	if err != nil {
 		return nil, err
 	}
@@ -126,6 +163,20 @@ func (h *HiCS) Summarize(ctx context.Context, ds *dataset.Dataset, points []int,
 		return nil, err
 	}
 	return core.TopK(ranked, h.topK()), nil
+}
+
+// search runs the contrast search up to targetDim, through h.Searches when
+// set. The returned list may be shared with other callers and must not be
+// modified.
+func (h *HiCS) search(ctx context.Context, ds *dataset.Dataset, targetDim int) ([]core.ScoredSubspace, error) {
+	if h.Searches == nil {
+		return h.SearchContrastSubspaces(ctx, ds, targetDim)
+	}
+	key := fmt.Sprintf("%s|seed=%d|cutoff=%d|alpha=%v|mc=%d|test=%d|fixed=%t|dim=%d",
+		ds.SourceKey(), h.Seed, h.cutoff(), h.alpha(), h.mcIterations(), h.Test, h.FixedDim, targetDim)
+	return h.Searches.memo.Get(ctx, key, nil, func(ctx context.Context) ([]core.ScoredSubspace, error) {
+		return h.SearchContrastSubspaces(ctx, ds, targetDim)
+	})
 }
 
 // SearchContrastSubspaces runs the detector-independent part of HiCS: the
