@@ -139,8 +139,8 @@ type (
 	StreamConfig = stream.Config
 	// StreamAlert is one flagged, explained stream point.
 	StreamAlert = stream.Alert
-	// StreamStats counts a StreamMonitor's evaluations and the work its
-	// incremental engine saved (repairs, rescans, dirty rescores).
+	// StreamStats counts a StreamMonitor's evaluations and its
+	// incremental engine's work (arrivals, repairs, rescans, publishes).
 	StreamStats = stream.StreamStats
 )
 

@@ -88,15 +88,15 @@ func (a *FastABOD) Scores(ctx context.Context, v *dataset.View) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	floorSentinels(scores, scores)
+	floorSentinels(scores)
 	return scores, nil
 }
 
-// negABOF is FastABOD's per-point arithmetic, shared by Scores and
-// ScoresWindow: −ABOF of points[i] over its neighbours nbrs, with da and db
-// as difference-vector scratch of the points' dimension. A point with
-// fewer than two defined angles (duplicated k times over) gets the −Inf
-// sentinel that floorSentinels replaces.
+// negABOF is FastABOD's per-point arithmetic: −ABOF of points[i] over its
+// neighbours nbrs, with da and db as difference-vector scratch of the
+// points' dimension. A point with fewer than two defined angles
+// (duplicated k times over) gets the −Inf sentinel that floorSentinels
+// replaces.
 func negABOF(points [][]float64, i int, nbrs []int32, da, db []float64) float64 {
 	p, dim := points[i], len(da)
 	// Welford accumulation of the weighted angle statistic
@@ -139,13 +139,11 @@ func negABOF(points [][]float64, i int, nbrs []int32, da, db []float64) float64 
 	return -(m2 / float64(count)) // population variance of the spectrum
 }
 
-// floorSentinels copies raw into out (which may alias it), replacing the
-// −Inf sentinels with the minimum finite score so that downstream
-// statistics stay finite. The minimum is global, so this is a whole-view
-// pass even when only some raw scores were recomputed.
-func floorSentinels(raw, out []float64) {
+// floorSentinels replaces the −Inf sentinels in scores with the minimum
+// finite score so that downstream statistics stay finite.
+func floorSentinels(scores []float64) {
 	minFinite := math.Inf(1)
-	for _, s := range raw {
+	for _, s := range scores {
 		if !math.IsInf(s, -1) && s < minFinite {
 			minFinite = s
 		}
@@ -153,11 +151,9 @@ func floorSentinels(raw, out []float64) {
 	if math.IsInf(minFinite, 1) {
 		minFinite = 0
 	}
-	for i, s := range raw {
+	for i, s := range scores {
 		if math.IsInf(s, -1) {
-			out[i] = minFinite
-		} else {
-			out[i] = s
+			scores[i] = minFinite
 		}
 	}
 }

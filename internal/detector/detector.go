@@ -91,9 +91,9 @@ func NewCachedBudget(d core.Detector, maxBytes int64) *Cached {
 func (c *Cached) Name() string { return c.inner.Name() }
 
 // Inner returns the wrapped detector. The stream monitor uses it to reach
-// a WindowScorer through the memo wrapper: window datasets carry fresh
-// process-unique names, so the memo never hits on them anyway, and the
-// incremental path's own score reuse subsumes it.
+// a WindowScorer through the memo wrapper: it sizes its window engine by
+// it and scores each window with it directly, since a window's scores are
+// never asked for twice.
 func (c *Cached) Inner() core.Detector { return c.inner }
 
 // Scores returns memoised scores for the view's subspace, computing them on

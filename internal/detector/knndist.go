@@ -63,27 +63,20 @@ func (d *KNNDist) Scores(ctx context.Context, v *dataset.View) ([]float64, error
 	}
 	scores := make([]float64, v.N())
 	if m > 0 {
-		knnDistScores(scores, dist, m, stride, nil)
+		knnDistScores(scores, dist, m, stride)
 	}
 	return scores, nil
 }
 
-// knnDistScores is kNN-dist's one arithmetic, shared by Scores and
-// ScoresWindow: it writes the mean of md neighbour distances (per
-// stride-spaced row of dist) into out for every point marked in dirty —
-// every point when dirty is nil — and returns how many it wrote.
-func knnDistScores(out, dist []float64, md, stride int, dirty []bool) int {
-	rescored := 0
+// knnDistScores is kNN-dist's arithmetic: it writes the mean of md
+// neighbour distances (per stride-spaced row of dist) into out for every
+// point.
+func knnDistScores(out, dist []float64, md, stride int) {
 	for i := range out {
-		if dirty != nil && !dirty[i] {
-			continue
-		}
 		var sum float64
 		for _, dd := range dist[i*stride : i*stride+md] {
 			sum += dd
 		}
 		out[i] = sum / float64(md)
-		rescored++
 	}
-	return rescored
 }

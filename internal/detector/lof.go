@@ -71,20 +71,16 @@ func (l *LOF) Scores(ctx context.Context, v *dataset.View) ([]float64, error) {
 		scores[0] = 1
 		return scores, nil
 	}
-	lofScores(scores, make([]float64, len(scores)), idx, dist, m, stride, nil)
+	lofScores(scores, idx, dist, m, stride)
 	return scores, nil
 }
 
-// lofScores is LOF's one arithmetic, shared by Scores and ScoresWindow. It
-// reads md neighbours per stride-spaced row of the flat arrays (the plane's
-// rows may be wider: they hold kmax neighbours) and writes the scores of
-// the points within 2 hops of dirty into out, the densities they need into
-// lrd, and leaves every other entry as it found it; a nil dirty scores
-// every point. It returns how many scores it wrote.
-func lofScores(out, lrd []float64, idx []int32, dist []float64, md, stride int, dirty []bool) int {
+// lofScores is LOF's arithmetic: it reads md neighbours per stride-spaced
+// row of the flat arrays (the plane's rows may be wider: they hold kmax
+// neighbours) and writes every point's score into out.
+func lofScores(out []float64, idx []int32, dist []float64, md, stride int) {
 	n := len(out)
-	// k-distance of each point = distance to its k-th nearest neighbour,
-	// read live from the current rows.
+	// k-distance of each point = distance to its k-th nearest neighbour.
 	kdist := make([]float64, n)
 	for i := range kdist {
 		kdist[i] = dist[i*stride+md-1]
@@ -92,18 +88,8 @@ func lofScores(out, lrd []float64, idx []int32, dist []float64, md, stride int, 
 
 	// Local reachability density:
 	// lrd(p) = 1 / mean_{o ∈ kNN(p)} max(kdist(o), d(p, o)).
-	// Hop 1: it reads i's row and its neighbours' k-distances.
-	var lrdDirty []bool
-	if dirty != nil {
-		lrdDirty = make([]bool, n)
-		for i := range lrdDirty {
-			lrdDirty[i] = touched(dirty, idx, i, md, stride)
-		}
-	}
+	lrd := make([]float64, n)
 	for i := 0; i < n; i++ {
-		if lrdDirty != nil && !lrdDirty[i] {
-			continue
-		}
 		var sum float64
 		row := i * stride
 		for j, o := range idx[row : row+md] {
@@ -124,20 +110,13 @@ func lofScores(out, lrd []float64, idx []int32, dist []float64, md, stride int, 
 	}
 
 	// LOF(p) = mean_{o ∈ kNN(p)} lrd(o) / lrd(p).
-	// Hop 2: it reads i's lrd and its neighbours' lrds.
-	rescored := 0
 	for i := 0; i < n; i++ {
-		if !touched(lrdDirty, idx, i, md, stride) {
-			continue
-		}
 		var sum float64
 		for _, o := range idx[i*stride : i*stride+md] {
 			sum += lrd[o]
 		}
 		out[i] = sum / (float64(md) * lrd[i])
-		rescored++
 	}
-	return rescored
 }
 
 // maxDensity caps the local reachability density of duplicated points.

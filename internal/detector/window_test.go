@@ -10,18 +10,22 @@ import (
 	"anex/internal/neighbors"
 )
 
-// windowScorerCase drives one detector pair — the WindowScorer and a plain
-// Scores sibling — over a sliding stream backed by a real WindowEngine, and
-// requires the incremental scores to equal the full recompute bit for bit
-// at every evaluation, while actually reusing memoised values.
-func windowScorerCase(t *testing.T, name string, ws WindowScorer, full interface {
+// windowDetector is a kNN detector the stream monitor drives: its window
+// depth sizes the engine, and its Scores reads the plane it is wired to.
+type windowDetector interface {
+	WindowScorer
 	Scores(context.Context, *dataset.View) ([]float64, error)
-}, shape string) {
+	SetNeighbors(*neighbors.Plane)
+}
+
+// windowScorerCase drives the monitor's scoring path over a sliding stream:
+// a real WindowEngine publishes each window's Neighborhood() into a private
+// plane, and the detector's Scores over that plane must equal a plane-less
+// cold Scores bit for bit at every evaluation, without the plane computing
+// a single neighbourhood itself.
+func windowScorerCase(t *testing.T, name string, newDet func() windowDetector, shape string) {
 	t.Helper()
 	t.Run(name+"/"+shape, func(t *testing.T) {
-		// Small stride relative to W: LOF's 2-hop dirty ball covers
-		// ~(1+k+k²) slots per dirty arrival, and the reuse assertion below
-		// needs some points to stay outside every ball.
 		const (
 			W      = 60
 			stride = 2
@@ -50,12 +54,14 @@ func windowScorerCase(t *testing.T, name string, ws WindowScorer, full interface
 			}
 			return p
 		}
-		eng := neighbors.NewWindowEngine(ws.WindowK(), 4, 2)
+		plane := neighbors.NewPlane(0)
+		det, cold := newDet(), newDet() // cold has no plane: a private index
+		det.SetNeighbors(plane)
+		eng := neighbors.NewWindowEngine(det.WindowK(), 4, 2)
 		window := make([][]float64, 0, W)
 		next := 0
 		var batch []neighbors.WindowArrival
-		memo := &WindowMemo{}
-		evals, reuses := 0, 0
+		evals := 0
 		for i := 0; i < total; i++ {
 			p := gen()
 			slot := len(window)
@@ -84,14 +90,17 @@ func windowScorerCase(t *testing.T, name string, ws WindowScorer, full interface
 				t.Fatal(err)
 			}
 			batch = batch[:0]
-			idx, dist, m, str := eng.Neighborhood()
-			dirty := eng.TakeDirty()
-			got, rescored := ws.ScoresWindow(window, idx, dist, m, str, dirty, memo)
 			ds, err := dataset.FromRows("win-cmp", window, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := full.Scores(context.Background(), ds.FullView())
+			idx, dist, m, _ := eng.Neighborhood()
+			plane.Publish(ds.FullView(), eng.K(), m, idx, dist)
+			got, err := det.Scores(context.Background(), ds.FullView())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := cold.Scores(context.Background(), ds.FullView())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,77 +109,29 @@ func windowScorerCase(t *testing.T, name string, ws WindowScorer, full interface
 			}
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("eval %d: score[%d] = %v (%x), want %v (%x); rescored %d/%d",
-						evals, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]), rescored, len(window))
+					t.Fatalf("eval %d: score[%d] = %v (%x), want %v (%x)",
+						evals, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 				}
-			}
-			if rescored < len(window) {
-				reuses++
 			}
 			evals++
 		}
 		if evals < 10 {
 			t.Fatalf("only %d evaluations", evals)
 		}
-		if reuses == 0 {
-			t.Error("incremental path never reused a memoised score")
+		if ps := plane.Stats(); ps.Computations != 0 || ps.Hits != evals {
+			t.Fatalf("plane computed %d neighbourhoods and hit %d of %d evaluations; want 0 and all", ps.Computations, ps.Hits, evals)
 		}
 	})
 }
 
-// TestScoresWindowBitIdentical pins every WindowScorer's incremental output
-// to the full Scores recompute, bitwise, over random and duplicate-heavy
-// streams (duplicates exercise LOF's maxDensity clamp and FastABOD's -Inf
-// sentinel path — the global substitution must stay global).
+// TestScoresWindowBitIdentical pins the monitor's incremental scoring path
+// — Scores over the engine's published neighbourhood — to a cold Scores,
+// bitwise, over random and duplicate-heavy streams (duplicates exercise
+// LOF's maxDensity clamp and FastABOD's -Inf sentinel path).
 func TestScoresWindowBitIdentical(t *testing.T) {
 	for _, shape := range []string{"random", "duplicates"} {
-		windowScorerCase(t, "LOF", &LOF{K: 5}, &LOF{K: 5}, shape)
-		windowScorerCase(t, "KNNDist", &KNNDist{K: 5}, &KNNDist{K: 5}, shape)
-		windowScorerCase(t, "FastABOD", &FastABOD{K: 5}, &FastABOD{K: 5}, shape)
-	}
-}
-
-// TestScoresWindowMemoInvalidation pins the degrade path: a memo sized for
-// a different window triggers a full rescore instead of an index fault.
-func TestScoresWindowMemoInvalidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	mk := func(n int) [][]float64 {
-		pts := make([][]float64, n)
-		for i := range pts {
-			p := make([]float64, 3)
-			for j := range p {
-				p[j] = rng.NormFloat64()
-			}
-			pts[i] = p
-		}
-		return pts
-	}
-	score := func(pts [][]float64, memo *WindowMemo) ([]float64, int) {
-		l := &LOF{K: 4}
-		idx, dist, m, err := neighbors.AllKNNFlat(context.Background(), neighbors.NewIndex(pts), l.WindowK(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirty := make([]bool, len(pts)) // all clean: only memo validity forces work
-		return l.ScoresWindow(pts, idx, dist, m, m, dirty, memo)
-	}
-	memo := &WindowMemo{}
-	a := mk(20)
-	got, rescored := score(a, memo)
-	if rescored != 20 {
-		t.Fatalf("first call rescored %d, want all 20", rescored)
-	}
-	got2, rescored2 := score(a, memo)
-	if rescored2 != 0 {
-		t.Fatalf("clean repeat rescored %d, want 0", rescored2)
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(got2[i]) {
-			t.Fatalf("clean repeat changed score %d", i)
-		}
-	}
-	b := mk(31)
-	if _, rescored = score(b, memo); rescored != 31 {
-		t.Fatalf("resized window rescored %d, want all 31", rescored)
+		windowScorerCase(t, "LOF", func() windowDetector { return &LOF{K: 5} }, shape)
+		windowScorerCase(t, "KNNDist", func() windowDetector { return &KNNDist{K: 5} }, shape)
+		windowScorerCase(t, "FastABOD", func() windowDetector { return &FastABOD{K: 5} }, shape)
 	}
 }

@@ -47,6 +47,10 @@ import (
 // Distances are computed by the same kernels in the same accumulation
 // order on every path, and (x−y)² is bit-symmetric in IEEE arithmetic, so
 // an arrival's scan and a survivor's merge agree on the shared pair.
+//
+// The monitor publishes that export into the plane (Plane.Publish) under
+// the window dataset's key, so the detector's ordinary Scores finds its
+// neighbourhood there and every point is scored from it afresh.
 
 // DefaultWindowSlack is the reservoir slack applied when a consumer passes
 // a negative slack to NewWindowEngine. Expected expiries per reservoir per
@@ -79,9 +83,6 @@ type WindowStats struct {
 	// entries and were rebuilt by a full scan — the expensive event the
 	// slack exists to avoid. RepairFraction is their ratio.
 	SurvivorLists, Rescans int
-	// DirtyMarks counts k-prefix changes recorded (arrival slots included):
-	// the upper bound on what a dirty-aware scorer must re-score.
-	DirtyMarks int
 }
 
 // RepairFraction reports the fraction of survivor reservoirs that needed a
@@ -96,8 +97,8 @@ func (s WindowStats) RepairFraction() float64 {
 }
 
 func (s WindowStats) String() string {
-	return fmt.Sprintf("batches %d, arrivals %d, survivor lists %d, rescans %d (repair fraction %.3f), dirty marks %d, quant rejected %d of %d",
-		s.Batches, s.Arrivals, s.SurvivorLists, s.Rescans, s.RepairFraction(), s.DirtyMarks, s.QuantRejected, s.QuantCandidates)
+	return fmt.Sprintf("batches %d, arrivals %d, survivor lists %d, rescans %d (repair fraction %.3f), quant rejected %d of %d",
+		s.Batches, s.Arrivals, s.SurvivorLists, s.Rescans, s.RepairFraction(), s.QuantRejected, s.QuantCandidates)
 }
 
 // WindowEngine maintains per-slot neighbour reservoirs under sliding-window
@@ -109,7 +110,6 @@ type WindowEngine struct {
 	d                 int // fixed by the first arrival
 	points            [][]float64
 	lists             [][]neighbor // per-slot reservoirs; ids are slots
-	dirty             []bool       // k-prefix changed since the last TakeDirty
 	stats             WindowStats
 
 	// Per-batch scratch, reused across Apply calls so steady-state strides
@@ -139,12 +139,10 @@ type WindowEngine struct {
 	arrCodes []uint8
 }
 
-// windowScratch is the per-worker repair scratch: the saved old k-prefix
-// used for dirty detection, the code-bound cells of fresh scans and merges,
-// and the worker's code-bound counters (flushed into WindowStats once per
-// batch).
+// windowScratch is the per-worker repair scratch: the code-bound cells of
+// fresh scans and merges, and the worker's code-bound counters (flushed
+// into WindowStats once per batch).
 type windowScratch struct {
-	prefix      []neighbor
 	qcand, qrej int64
 	tiles       tileScratch
 	arrBound    []int64 // the merge's per-arrival code bounds
@@ -200,7 +198,6 @@ func (e *WindowEngine) Apply(ctx context.Context, batch []WindowArrival) error {
 		case a.Slot == len(e.points):
 			e.points = append(e.points, a.Point)
 			e.lists = append(e.lists, nil) // an arrival: scanSlot builds it
-			e.dirty = append(e.dirty, false)
 		case a.Slot >= 0 && a.Slot < len(e.points):
 			e.points[a.Slot] = a.Point
 		default:
@@ -255,27 +252,20 @@ func (e *WindowEngine) Apply(ctx context.Context, batch []WindowArrival) error {
 	}
 	e.scratch = e.scratch[:shards]
 	rescans := make([]int, shards)
-	dirtyMarks := make([]int, shards)
 
 	err := parallel.ForEachShard(ctx, e.workers, n, func(shard, i int) {
 		sc := &e.scratch[shard]
 		if e.newSlot[i] {
 			// Arrival: one fresh scan builds the reservoir.
 			e.lists[i] = e.scanSlot(i, sc, e.lists[i])
-			e.dirty[i] = true
-			dirtyMarks[shard]++
 			return
 		}
 		if e.repairSlot(i, nBefore, survivorOthers, sc) {
 			rescans[shard]++
 		}
-		if e.dirty[i] {
-			dirtyMarks[shard]++
-		}
 	})
 	for s := 0; s < shards; s++ {
 		e.stats.Rescans += rescans[s]
-		e.stats.DirtyMarks += dirtyMarks[s]
 		sc := &e.scratch[s]
 		e.stats.QuantCandidates += sc.qcand
 		e.stats.QuantRejected += sc.qrej
@@ -300,19 +290,6 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 	// complete ⇔ the reservoir held EVERY other pre-batch point, in which
 	// case nothing it ever reports can be outranked by an untracked one.
 	complete := len(list) == nBefore-1
-
-	// Save the old k-prefix — (slot, d2) pairs, not just slots: a replaced
-	// slot can re-enter the prefix at its old position with a new distance,
-	// which is a change a slot-only compare would miss.
-	kOld := len(list)
-	if kOld > e.k {
-		kOld = e.k
-	}
-	if cap(sc.prefix) < e.k {
-		sc.prefix = make([]neighbor, e.k)
-	}
-	prefix := sc.prefix[:kOld]
-	copy(prefix, list[:kOld])
 
 	// 1) Drop entries whose slot was re-occupied. What survives is exactly
 	// the nearest surviving old points among the tracked ones: anything
@@ -407,22 +384,6 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 		rescanned = true
 	}
 	e.lists[i] = list
-
-	// Dirty iff the exported k-prefix changed.
-	kNew := len(list)
-	if kNew > e.k {
-		kNew = e.k
-	}
-	if kNew != kOld {
-		e.dirty[i] = true
-		return rescanned
-	}
-	for t := 0; t < kNew; t++ {
-		if list[t] != prefix[t] {
-			e.dirty[i] = true
-			return rescanned
-		}
-	}
 	return rescanned
 }
 
@@ -501,18 +462,6 @@ func (e *WindowEngine) rebuildCodes() {
 		}
 	}
 	e.qp = qp
-}
-
-// TakeDirty returns which slots' exported k-prefixes changed since the last
-// TakeDirty (arrival slots always count) and resets the marks. The returned
-// slice is valid until the next Apply.
-func (e *WindowEngine) TakeDirty() []bool {
-	out := make([]bool, len(e.dirty))
-	copy(out, e.dirty)
-	for i := range e.dirty {
-		e.dirty[i] = false
-	}
-	return out
 }
 
 // Neighborhood exports the maintained structure in the plane's flat layout:

@@ -45,6 +45,24 @@ func planeTestbed(t testing.TB) (*dataset.Dataset, *dataset.GroundTruth) {
 	return ds, gt
 }
 
+// mixedTestbed plants a 2d and a 3d subspace, so a grid over dims {2, 3}
+// has points to explain in every cell, 3d summary cells (LookOut, HiCS_FX)
+// included; planeTestbed plants only 2d subspaces.
+func mixedTestbed(t testing.TB) (*dataset.Dataset, *dataset.GroundTruth) {
+	ds, gt, err := synth.GenerateSubspaceOutliers(synth.SubspaceConfig{
+		Name:                "grid-hics",
+		TotalDims:           6,
+		SubspaceDims:        []int{2, 3},
+		N:                   160,
+		OutliersPerSubspace: 3,
+		Seed:                12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, gt
+}
+
 func planeGridOptions() Options {
 	return Options{BeamWidth: 8, RefOutPoolSize: 20, RefOutWidth: 8, LookOutBudget: 6, HiCSCutoff: 20, HiCSIterations: 10, TopK: 8}
 }
@@ -54,9 +72,36 @@ func planeGridOptions() Options {
 // cost-aware scheduling on or off, at any worker count, with a shared
 // neighbourhood plane, per-detector private planes, or no plane at all.
 // Scheduling only reorders dispatch, and the plane only changes WHERE
-// neighbourhoods are computed — never their values.
+// neighbourhoods are computed — never their values. It runs on both
+// testbeds: on mixedTestbed every (explainer, dim) cell of the reference
+// evaluates points, so the 3d summary cells' determinism is checked too.
 func TestGridSchedulerInvariance(t *testing.T) {
-	ds, gt := planeTestbed(t)
+	t.Run("plane", func(t *testing.T) {
+		ds, gt := planeTestbed(t)
+		checkGridSchedulerInvariance(t, ds, gt)
+	})
+	t.Run("mixed", func(t *testing.T) {
+		ds, gt := mixedTestbed(t)
+		want := checkGridSchedulerInvariance(t, ds, gt)
+		evaluated := map[string]int{}
+		for _, r := range want {
+			evaluated[fmt.Sprintf("%s/%dd", r.Explainer, r.TargetDim)] += r.PointsEvaluated
+		}
+		if len(evaluated) != 8 {
+			t.Fatalf("reference grid has %d (explainer, dim) cells, want 8", len(evaluated))
+		}
+		for cell, n := range evaluated {
+			if n == 0 {
+				t.Errorf("%s: no points evaluated in the reference run", cell)
+			}
+		}
+	})
+}
+
+// checkGridSchedulerInvariance runs the invariance sweep on one testbed
+// and returns the reference results.
+func checkGridSchedulerInvariance(t *testing.T, ds *dataset.Dataset, gt *dataset.GroundTruth) []Result {
+	t.Helper()
 	opts := planeGridOptions()
 	run := func(plane bool, noSched bool, workers int) []Result {
 		var p *neighbors.Plane
@@ -89,6 +134,7 @@ func TestGridSchedulerInvariance(t *testing.T) {
 			}
 		}
 	}
+	return want
 }
 
 // TestGridPlaneDedupFactor asserts the plane actually pays for itself on
@@ -147,19 +193,9 @@ func TestGridSpecPlaneWiring(t *testing.T) {
 // own search. TestGridSchedulerInvariance cannot show this: its reference
 // grid shares the search too.
 func TestGridHiCSMatchesStandalone(t *testing.T) {
-	// Unlike planeTestbed, plant a 3d subspace too, so the 3d HiCS_FX
-	// cells have points to explain and run their search.
-	ds, gt, err := synth.GenerateSubspaceOutliers(synth.SubspaceConfig{
-		Name:                "grid-hics",
-		TotalDims:           6,
-		SubspaceDims:        []int{2, 3},
-		N:                   160,
-		OutliersPerSubspace: 3,
-		Seed:                12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// mixedTestbed's 3d subspace gives the 3d HiCS_FX cells points to
+	// explain, so they run their search.
+	ds, gt := mixedTestbed(t)
 	opts := planeGridOptions()
 	dims := []int{2, 3}
 	res, err := RunGrid(context.Background(), GridSpec{

@@ -48,7 +48,7 @@ type planeDetector interface {
 	SetNeighbors(*neighbors.Plane)
 }
 
-// oneHopArm drives a detector with 1-hop dirty propagation (FastABOD,
+// oneHopArm drives a plane-reading detector other than LOF (FastABOD,
 // kNN-dist) at flagging threshold z; newDet must return a fresh detector
 // per monitor.
 func oneHopArm(name string, workers, stride int, z float64, newDet func() planeDetector) parityArm {
@@ -381,8 +381,9 @@ func TestStreamRepairFractionReference(t *testing.T) {
 
 // TestMonitorIncrementalSoak extends the soak satellite: ≥ 50 full ring
 // wraparounds on the incremental path, pinning bounded memory (plane
-// entries, flagged set, pending arrivals) and a single engine build for the
-// whole stream.
+// entries, flagged set, pending arrivals), a single engine build for the
+// whole stream, and that the detector's every kNN query is answered from
+// the engine's published neighbourhood — the plane never computes one.
 func TestMonitorIncrementalSoak(t *testing.T) {
 	const (
 		windowSize  = 40
@@ -444,8 +445,61 @@ func TestMonitorIncrementalSoak(t *testing.T) {
 	if st.Publishes != st.Evaluations {
 		t.Errorf("publishes %d != evaluations %d", st.Publishes, st.Evaluations)
 	}
-	if ps := plane.Stats(); ps.Evictions != 0 {
+	ps := plane.Stats()
+	if ps.Evictions != 0 {
 		t.Errorf("plane fell back to LRU eviction (%d)", ps.Evictions)
 	}
+	if ps.Computations != 0 || ps.Hits != st.Evaluations {
+		t.Errorf("plane computed %d neighbourhoods and hit %d times over %d evaluations; want 0 and one hit each",
+			ps.Computations, ps.Hits, st.Evaluations)
+	}
 	t.Logf("incremental soak: %s; plane %s", st, plane.Stats())
+}
+
+// TestMonitorsSharingScoreMemo: two incremental monitors scoring different
+// streams through one detector.Cached raise exactly the alerts a monitor
+// with a detector of its own raises. Window names repeat across monitors
+// ("window-N"), so scoring windows through the shared memo would serve
+// one monitor the other's scores.
+func TestMonitorsSharingScoreMemo(t *testing.T) {
+	mk := func(det core.Detector, plane *neighbors.Plane) *Monitor {
+		return mustMonitor(Config{WindowSize: 40, Stride: 10, ZThreshold: Threshold(2), Detector: det, Plane: plane})
+	}
+	lofOn := func(plane *neighbors.Plane) *detector.LOF {
+		l := &detector.LOF{K: 5}
+		l.SetNeighbors(plane)
+		return l
+	}
+	plane, refPlane := neighbors.NewPlane(0), neighbors.NewPlane(0)
+	shared := detector.NewCached(lofOn(plane))
+	a, b, ref := mk(shared, plane), mk(shared, plane), mk(lofOn(refPlane), refPlane)
+	ra, rb := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
+	var got, want []string
+	for i := 0; i < 200; i++ {
+		pb := inlier(rb)
+		if i%17 == 5 {
+			pb = anomaly(rb)
+		}
+		if _, err := a.Push(context.Background(), inlier(ra)); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			m   *Monitor
+			out *[]string
+		}{{b, &got}, {ref, &want}} {
+			alerts, err := c.m.Push(context.Background(), pb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, al := range alerts {
+				*c.out = append(*c.out, alertKey(al))
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("reference monitor raised no alerts")
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("monitor sharing a score memo diverged:\n%v\nwant\n%v", got, want)
+	}
 }

@@ -102,9 +102,12 @@ type Config struct {
 	// dead windows until LRU pressure; the monitor instead calls
 	// Plane.Forget for each expired window. Nil means the process-wide
 	// neighbors.Shared() plane — the one the detector constructors wire in
-	// by default. Forgetting a window from a plane the detector never
-	// queried is a harmless no-op, so a mismatched Plane degrades to the
-	// old LRU-only behaviour rather than corrupting anything.
+	// by default. The incremental engine publishes each window's
+	// neighbourhood here, so it pays off only when the detector queries
+	// this plane: then every window's kNN phase is a plane hit costing no
+	// computation (TestMonitorIncrementalSoak pins that). A detector on
+	// another plane, or none, recomputes each window cold — same scores,
+	// engine work wasted.
 	Plane *neighbors.Plane
 	// Tombstones, when set, receives a forget record for every expired
 	// window dataset — the hook that lets a durable deployment log the
@@ -114,10 +117,10 @@ type Config struct {
 	// store is typically already shut down at that point).
 	Tombstones Tombstones
 	// NoIncremental disables the incremental neighbourhood engine: every
-	// evaluation rebuilds the window's kNN structure and re-scores every
-	// point cold, the pre-engine behaviour. Alerts are bit-identical either
-	// way (the engine's contract); the knob exists for A/B benchmarking and
-	// as an escape hatch.
+	// evaluation's detector computes the window's kNN structure cold, the
+	// pre-engine behaviour. Alerts are bit-identical either way (the
+	// engine's contract); the knob exists for A/B benchmarking and as an
+	// escape hatch.
 	NoIncremental bool
 	// Slack is the incremental engine's per-point reservoir headroom: each
 	// maintained neighbour list holds k+slack entries so that expiries can
@@ -207,15 +210,14 @@ type Monitor struct {
 	evals   int
 	closed  bool
 
-	// Incremental engine state. ws is the detector's window-scoring face
-	// (nil when the detector has none, or Config.NoIncremental is set);
-	// pending accumulates the arrivals since the last engine application,
+	// Incremental engine state. ws is the kNN detector the engine serves
+	// (nil when there is none, or Config.NoIncremental is set); pending
+	// accumulates the arrivals since the last engine application,
 	// deduplicated by slot so a stride that laps the window delivers only
 	// each slot's final occupant.
-	ws      detector.WindowScorer
+	ws      windowDetector
 	eng     *neighbors.WindowEngine
 	winK    int // depth the live engine maintains
-	memo    *detector.WindowMemo
 	pending []neighbors.WindowArrival
 
 	// Fast-Flush memo: the previous successful evaluation's scores (a
@@ -251,20 +253,24 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 	return m, nil
 }
 
-// windowScorerOf resolves the detector's incremental scoring face, reaching
-// through a detector.Cached wrapper: window datasets carry fresh
-// process-unique names, so the score memo never hits on them, and the
-// incremental path's own reuse subsumes it.
-func windowScorerOf(d core.Detector) detector.WindowScorer {
-	if ws, ok := d.(detector.WindowScorer); ok {
-		return ws
-	}
+// windowDetector is a kNN detector whose window neighbourhood the engine
+// maintains.
+type windowDetector interface {
+	core.Detector
+	detector.WindowScorer
+}
+
+// windowScorerOf resolves the kNN detector the engine serves, reaching
+// through a detector.Cached wrapper. The monitor scores the inner detector
+// directly: a window's scores are never asked for twice, and window names
+// repeat across monitors, so two monitors sharing one score memo would
+// read each other's windows.
+func windowScorerOf(d core.Detector) windowDetector {
 	if c, ok := d.(*detector.Cached); ok {
-		if ws, ok := c.Inner().(detector.WindowScorer); ok {
-			return ws
-		}
+		d = c.Inner()
 	}
-	return nil
+	ws, _ := d.(windowDetector)
+	return ws
 }
 
 // Evaluations returns how many window evaluations have run.
@@ -465,59 +471,47 @@ func (m *Monitor) evaluate(ctx context.Context) ([]Alert, error) {
 	return m.flag(ctx, ds, scores)
 }
 
-// score produces the window's detector scores, through the incremental
-// engine when the detector supports it and cold otherwise. Z-
-// standardisation and flagging always run over the full window either way,
-// so alert semantics do not depend on the path taken.
+// score produces the window's detector scores with one Scores call over
+// the full window. With the engine live the window's neighbourhood is
+// published first, so that call's kNN phase is a plane hit; otherwise the
+// detector computes it cold. The scores are identical either way.
 func (m *Monitor) score(ctx context.Context, ds *dataset.Dataset) ([]float64, error) {
-	n := len(m.window)
+	det := m.cfg.Detector
 	if m.ws != nil {
-		scores, ok, err := m.scoreIncremental(ctx, ds)
-		if err != nil {
+		if err := m.publish(ctx, ds); err != nil {
 			return nil, err
 		}
-		if ok {
-			return scores, nil
-		}
+		det = m.ws
 	}
-	m.pending = m.pending[:0]
-	scores, err := m.cfg.Detector.Scores(ctx, ds.FullView())
+	scores, err := det.Scores(ctx, ds.FullView())
 	if err == nil {
-		m.stats.Scored += n
-		m.stats.Rescored += n
+		m.stats.Scored += len(scores)
+		m.stats.Rescored += len(scores)
 	}
 	return scores, err
 }
 
-// scoreIncremental advances the window engine by the pending arrivals,
-// publishes the maintained neighbourhood to the plane under the fresh
-// window dataset's key (so explainers and co-resident consumers reuse it
-// instead of recomputing), and re-scores only the dirty slots. ok=false
-// (without error) means the degenerate fallback: score cold.
-func (m *Monitor) scoreIncremental(ctx context.Context, ds *dataset.Dataset) ([]float64, bool, error) {
+// publish advances the window engine by the pending arrivals and installs
+// the maintained neighbourhood into the plane under the fresh window
+// dataset's key, where the detector, the explainers and any co-resident
+// consumer find it instead of recomputing.
+func (m *Monitor) publish(ctx context.Context, ds *dataset.Dataset) error {
 	if err := m.ensureEngine(ctx); err != nil {
-		return nil, false, err
+		return err
 	}
 	if len(m.pending) > 0 {
 		if err := m.eng.Apply(ctx, m.pending); err != nil {
 			// The engine is undefined after a failed Apply; discard it so
 			// the next evaluation rebuilds cold.
 			m.dropEngine()
-			return nil, false, err
+			return err
 		}
 		m.pending = m.pending[:0]
 	}
-	idx, dist, mk, stride := m.eng.Neighborhood()
-	if mk < 1 {
-		return nil, false, nil
-	}
-	dirty := m.eng.TakeDirty()
+	idx, dist, mk, _ := m.eng.Neighborhood()
 	m.cfg.Plane.Publish(ds.FullView(), m.eng.K(), mk, idx, dist)
 	m.stats.Publishes++
-	scores, rescored := m.ws.ScoresWindow(m.window, idx, dist, mk, stride, dirty, m.memo)
-	m.stats.Scored += len(scores)
-	m.stats.Rescored += rescored
-	return scores, true, nil
+	return nil
 }
 
 // ensureEngine makes the window engine live at the right depth, seeding it
@@ -548,21 +542,19 @@ func (m *Monitor) ensureEngine(ctx context.Context) error {
 	}
 	m.eng = eng
 	m.winK = winK
-	m.memo = &detector.WindowMemo{}
 	m.pending = m.pending[:0]
 	m.stats.EngineRebuilds++
 	return nil
 }
 
-// dropEngine discards the live engine (folding its counters into the
-// monitor's running stats) and the scoring memo that depended on it.
+// dropEngine discards the live engine, folding its counters into the
+// monitor's running stats.
 func (m *Monitor) dropEngine() {
 	if m.eng != nil {
 		m.foldEngineStats(m.eng.Stats())
 		m.eng = nil
 	}
 	m.winK = 0
-	m.memo = nil
 }
 
 func (m *Monitor) foldEngineStats(ws neighbors.WindowStats) {
@@ -617,8 +609,8 @@ func (m *Monitor) featureNames() []string {
 }
 
 // StreamStats is a point-in-time snapshot of a Monitor's activity: how much
-// of the incremental machinery actually engaged, and how much work it saved.
-// anexbench -stats prints it after the stream benchmark arm.
+// of the incremental machinery engaged, and how often its reservoirs needed
+// a rescan. anexbench -stats prints it after the stream benchmark arm.
 type StreamStats struct {
 	// Evaluations counts window evaluations (fast Flush re-serves
 	// included); FastFlushes of those re-served the previous evaluation's
@@ -634,9 +626,10 @@ type StreamStats struct {
 	// those needed a full rescan — the expensive event the reservoir slack
 	// exists to avoid.
 	Arrivals, SurvivorLists, KListRepairs int
-	// Scored counts points scored across all evaluations; Rescored how
-	// many of them were actually recomputed (the rest re-served memoised
-	// values bit-identically).
+	// Scored counts points scored across all evaluations (fast Flushes
+	// excluded). Rescored always equals Scored — every evaluation scores
+	// each point afresh — and stays only because perfbench still reads
+	// it; it goes with the next change to the benchmark.
 	Scored, Rescored int
 	// Publishes counts maintained neighbourhoods installed into the plane
 	// for explainer/consumer reuse.
@@ -654,21 +647,12 @@ func (s StreamStats) RepairFraction() float64 {
 	return float64(s.KListRepairs) / float64(s.SurvivorLists)
 }
 
-// DirtyRescoreFraction reports the fraction of scored points that were
-// actually recomputed: Rescored ÷ Scored, 1 when nothing was scored yet.
-func (s StreamStats) DirtyRescoreFraction() float64 {
-	if s.Scored == 0 {
-		return 1
-	}
-	return float64(s.Rescored) / float64(s.Scored)
-}
-
 func (s StreamStats) String() string {
 	return fmt.Sprintf(
-		"evaluations %d (fast flushes %d), incremental %v (rebuilds %d), arrivals %d, survivor lists %d, k-list repairs %d (repair fraction %.3f), rescored %d/%d (dirty rescore fraction %.3f), publishes %d",
+		"evaluations %d (fast flushes %d), incremental %v (rebuilds %d), arrivals %d, survivor lists %d, k-list repairs %d (repair fraction %.3f), scored %d, publishes %d",
 		s.Evaluations, s.FastFlushes, s.Incremental, s.EngineRebuilds,
 		s.Arrivals, s.SurvivorLists, s.KListRepairs, s.RepairFraction(),
-		s.Rescored, s.Scored, s.DirtyRescoreFraction(), s.Publishes)
+		s.Scored, s.Publishes)
 }
 
 // Stats returns the monitor's activity counters, including the live
