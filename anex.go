@@ -411,9 +411,10 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]PipelineResult, error) {
 // NeighborhoodPlane is the shared kNN cache behind the library's
 // kNN-based detectors: one computation per (dataset, subspace) at the
 // maximum registered neighbourhood size, prefix-sliced for every consumer,
-// byte-budgeted with LRU eviction. Detectors constructed by this library
-// share one process-wide plane by default; GridSpec.Plane injects a
-// private one.
+// byte-budgeted with LRU eviction. NewLOF, NewFastABOD and NewKNNDist give
+// each detector a plane of its own; SetNeighbors shares one plane between
+// detectors. RunGrid wires one plane into all its factory-built detectors:
+// GridSpec.Plane, or a private plane when that is nil.
 type NeighborhoodPlane = neighbors.Plane
 
 // NeighborhoodPlaneStats is a snapshot of a plane's activity (queries,
@@ -425,10 +426,6 @@ type NeighborhoodPlaneStats = neighbors.PlaneStats
 func NewNeighborhoodPlane(maxBytes int64) *NeighborhoodPlane {
 	return neighbors.NewPlane(maxBytes)
 }
-
-// SharedNeighborhoodPlane returns the process-wide default plane that
-// detector constructors wire in.
-func SharedNeighborhoodPlane() *NeighborhoodPlane { return neighbors.Shared() }
 
 // Explanation as a service (the anexd server's core, usable in-process).
 type (

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"anex/internal/detector"
-	"anex/internal/neighbors"
 	"anex/internal/stream"
 )
 
@@ -46,15 +45,13 @@ func runStream(ctx context.Context, seed int64, window, stride, dim, points, sla
 		st      stream.StreamStats
 	}
 	arm := func(noInc bool) (armResult, error) {
-		plane := neighbors.NewPlane(0)
-		det := &detector.LOF{K: 15, Workers: workers}
-		det.SetNeighbors(plane)
+		det := detector.NewLOF(15)
+		det.Workers = workers
 		cfg := stream.Config{
 			WindowSize:    window,
 			Stride:        stride,
 			ZThreshold:    stream.Threshold(3),
 			Detector:      det,
-			Plane:         plane,
 			NoIncremental: noInc,
 			Workers:       workers,
 		}

@@ -97,13 +97,6 @@ func run(ctx context.Context, dataPath, gtPath, dimsArg string, seed int64, work
 	fmt.Printf("%s: %d points × %d features, %d outliers; dims %v\n\n",
 		ds.Name(), ds.N(), ds.D(), gt.NumOutliers(), dims)
 
-	// A custom budget needs a private plane; otherwise the grid keeps the
-	// process-wide shared one the detector constructors wired in.
-	var plane *anex.NeighborhoodPlane
-	if planeMB > 0 {
-		plane = anex.NewNeighborhoodPlane(int64(planeMB) << 20)
-	}
-
 	start := time.Now()
 	results, jerr := anex.RunGrid(ctx, anex.GridSpec{
 		Dataset:     ds,
@@ -112,7 +105,7 @@ func run(ctx context.Context, dataPath, gtPath, dimsArg string, seed int64, work
 		Seed:        seed,
 		Options:     anex.PipelineOptions{TopK: topK, CacheBytes: int64(cacheMB) << 20},
 		Cached:      true,
-		Plane:       plane,
+		Plane:       anex.NewNeighborhoodPlane(int64(planeMB) << 20),
 		NoSched:     noSched,
 		Workers:     workers,
 		Journal:     journal,

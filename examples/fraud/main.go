@@ -60,14 +60,20 @@ func main() {
 	}
 
 	// Reproduce the paper's comparison in miniature: MAP of each
-	// detector × point-explainer pipeline at 2d.
+	// detector × point-explainer pipeline at 2d. LOF and FastABOD share one
+	// neighbourhood plane, so each subspace's kNN is computed once for
+	// both of them.
 	fmt.Println("\nMAP at 2d per pipeline (cf. the paper's Figure 9 f–h):")
+	plane := anex.NewNeighborhoodPlane(0)
+	knnLOF, knnABOD := anex.NewLOF(15), anex.NewFastABOD(10)
+	knnLOF.SetNeighbors(plane)
+	knnABOD.SetNeighbors(plane)
 	detectors := []struct {
 		name string
 		det  anex.Detector
 	}{
-		{"LOF", anex.NewLOF(15)},
-		{"FastABOD", anex.NewFastABOD(10)},
+		{"LOF", knnLOF},
+		{"FastABOD", knnABOD},
 		{"iForest", anex.NewIsolationForest(5)},
 	}
 	for _, d := range detectors {

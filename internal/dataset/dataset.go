@@ -80,15 +80,15 @@ func (ds *Dataset) Name() string { return ds.name }
 
 // ID returns the dataset's process-unique identity. Two datasets built in
 // the same process never share an ID even when their names collide, which
-// is what makes process-wide caches (the shared neighbourhood plane) safe
-// to key by dataset rather than by name.
+// is what makes caches that outlive one dataset (a neighbourhood plane, a
+// score memo) safe to key by dataset rather than by name.
 func (ds *Dataset) ID() uint64 { return ds.id }
 
-// SourceKey identifies the dataset in process-wide caches (the
-// neighbourhood plane, the delta engine): the name plus the process-unique
-// ID, the same key every View of this dataset reports. Holders of short-
-// lived datasets (the stream monitor's windows) use it to release cache
-// entries when a dataset dies.
+// SourceKey identifies the dataset in every cache keyed by dataset (a
+// neighbourhood plane and its delta engine, a score memo): the name plus
+// the process-unique ID, the same key every View of this dataset reports.
+// Holders of short-lived datasets (the stream monitor's windows) use it to
+// release cache entries when a dataset dies.
 func (ds *Dataset) SourceKey() string {
 	return ds.name + "#" + strconv.FormatUint(ds.id, 10)
 }
@@ -129,7 +129,7 @@ func (ds *Dataset) Row(i int, dst []float64) []float64 {
 // Construction is O(k): it clones the subspace and defers the O(n·k)
 // row-major gather until Points or Point is first touched. This is what
 // makes the cache-first scoring path allocation-free — a memoised detector
-// can answer from the view's key (dataset name + subspace) without the
+// can answer from the view's key (source key + subspace) without the
 // projection ever being materialised. Views are safe for concurrent use;
 // the first accessor performs the gather exactly once.
 func (ds *Dataset) View(s subspace.Subspace) *View {
@@ -226,9 +226,9 @@ func (v *View) NumFeatures() int { return len(v.dataset.cols) }
 func (v *View) SourceColumn(f int) []float64 { return v.dataset.cols[f] }
 
 // SourceKey identifies the underlying dataset for cross-view caching. It
-// embeds the dataset's process-unique ID, so caches shared across the whole
-// process (the neighbourhood plane, the delta engine) never alias two
-// datasets that happen to carry the same name.
+// embeds the dataset's process-unique ID, so a cache that serves many
+// datasets (a neighbourhood plane, a score memo) never aliases two datasets
+// that happen to carry the same name.
 func (v *View) SourceKey() string { return v.dataset.SourceKey() }
 
 // SubspaceKey returns the canonical key of the view's subspace.

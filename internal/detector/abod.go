@@ -28,16 +28,16 @@ type FastABOD struct {
 	// phases; values ≤ 1 (including the zero value) keep scoring serial.
 	// Results are identical at any worker count.
 	Workers int
-	// Neighbors, when non-nil, answers the kNN phase through the shared
+	// Neighbors, when non-nil, answers the kNN phase through a
 	// neighbourhood plane (prefix-sliced to this detector's k); results
 	// are bit-identical either way.
 	Neighbors *neighbors.Plane
 }
 
 // NewFastABOD returns a Fast ABOD detector with neighbourhood size k
-// (0 → default 10) wired to the process-wide shared neighbourhood plane.
+// (0 → default 10) and a neighbourhood plane of its own.
 func NewFastABOD(k int) *FastABOD {
-	a := &FastABOD{K: k, Neighbors: neighbors.Shared()}
+	a := &FastABOD{K: k, Neighbors: neighbors.NewPlane(0)}
 	a.Neighbors.RegisterK(a.k())
 	return a
 }

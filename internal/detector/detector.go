@@ -67,10 +67,11 @@ type scoreEntry struct {
 	mean, variance float64
 }
 
-// NewCached wraps d with a score memo keyed by (dataset name, subspace);
-// datasets scored through one cache must therefore carry distinct names.
-// The memo holds at most DefaultCacheBytes of scores; use NewCachedBudget
-// to tune the bound.
+// NewCached wraps d with a score memo keyed by (dataset source key,
+// subspace). The source key carries the dataset's process-unique ID, so
+// two datasets that share a name never read each other's scores. The memo
+// holds at most DefaultCacheBytes of scores; use NewCachedBudget to tune
+// the bound.
 func NewCached(d core.Detector) *Cached {
 	return NewCachedBudget(d, DefaultCacheBytes)
 }
@@ -117,7 +118,7 @@ func (c *Cached) ScoresWithStats(ctx context.Context, v *dataset.View) (scores [
 }
 
 func (c *Cached) get(ctx context.Context, v *dataset.View) (scoreEntry, error) {
-	key := v.Dataset().Name() + "|" + v.Subspace().Key()
+	key := v.SourceKey() + "|" + v.SubspaceKey()
 	return c.memo.Get(ctx, key, nil, func(ctx context.Context) (scoreEntry, error) {
 		if err := failpoint.Eval(SiteMemoPublish); err != nil {
 			return scoreEntry{}, err
@@ -163,18 +164,17 @@ func (c *Cached) CacheStats() CacheStats {
 	}
 }
 
-// Forget drops every memoised score vector belonging to the named dataset.
-// Memo keys embed the dataset NAME (not the process-unique ID), so owners
-// of short-lived datasets with generated unique names — the stream
-// monitor's windows — call Forget when a dataset dies to release its
-// entries eagerly instead of waiting for LRU pressure. Computations in
+// Forget drops every memoised score vector of the dataset identified by
+// sourceKey (dataset.Dataset.SourceKey). Owners of short-lived datasets —
+// the stream monitor's windows — call it when a dataset dies to release
+// its entries eagerly instead of waiting for LRU pressure. Computations in
 // flight publish after Forget returns and die with the next Forget (or
 // under the byte budget).
-func (c *Cached) Forget(datasetName string) {
-	if datasetName == "" {
+func (c *Cached) Forget(sourceKey string) {
+	if sourceKey == "" {
 		return
 	}
-	c.memo.Forget(datasetName + "|")
+	c.memo.Forget(sourceKey + "|")
 }
 
 var _ core.Detector = (*Cached)(nil)

@@ -21,7 +21,7 @@ type KNNDist struct {
 	// ≤ 1 (including the zero value) keep scoring serial. Results are
 	// identical at any worker count.
 	Workers int
-	// Neighbors, when non-nil, answers the kNN phase through the shared
+	// Neighbors, when non-nil, answers the kNN phase through a
 	// neighbourhood plane (prefix-sliced to this detector's k); results
 	// are bit-identical either way.
 	Neighbors *neighbors.Plane
@@ -30,10 +30,10 @@ type KNNDist struct {
 // DefaultKNNDistK is the default neighbourhood size.
 const DefaultKNNDistK = 10
 
-// NewKNNDist returns a mean-kNN-distance detector (0 → k=10) wired to the
-// process-wide shared neighbourhood plane.
+// NewKNNDist returns a mean-kNN-distance detector (0 → k=10) with a
+// neighbourhood plane of its own.
 func NewKNNDist(k int) *KNNDist {
-	d := &KNNDist{K: k, Neighbors: neighbors.Shared()}
+	d := &KNNDist{K: k, Neighbors: neighbors.NewPlane(0)}
 	d.Neighbors.RegisterK(d.k())
 	return d
 }

@@ -21,7 +21,7 @@ type LOF struct {
 	// (including the zero value) keep scoring serial. Results are identical
 	// at any worker count.
 	Workers int
-	// Neighbors, when non-nil, answers the kNN phase through the shared
+	// Neighbors, when non-nil, answers the kNN phase through a
 	// neighbourhood plane: one computation at the plane's kmax per
 	// (dataset, subspace), prefix-sliced to this detector's k and shared
 	// with every other detector on the same plane. Results are
@@ -30,16 +30,17 @@ type LOF struct {
 }
 
 // NewLOF returns a LOF detector with neighbourhood size k (0 → default 15)
-// wired to the process-wide shared neighbourhood plane.
+// and a neighbourhood plane of its own. Use SetNeighbors to share one plane
+// between detectors.
 func NewLOF(k int) *LOF {
-	l := &LOF{K: k, Neighbors: neighbors.Shared()}
+	l := &LOF{K: k, Neighbors: neighbors.NewPlane(0)}
 	l.Neighbors.RegisterK(l.k())
 	return l
 }
 
 // SetNeighbors injects the neighbourhood plane (nil disables sharing) and
-// registers this detector's k with it — the hook GridSpec.Plane uses to
-// wire one plane across all cells.
+// registers this detector's k with it — the hook a grid, a session or an
+// anexd engine uses to wire its one plane into every kNN detector it runs.
 func (l *LOF) SetNeighbors(p *neighbors.Plane) {
 	l.Neighbors = p
 	p.RegisterK(l.k())

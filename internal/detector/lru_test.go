@@ -66,7 +66,7 @@ func lruTestbed(t *testing.T, fit int) (*dataset.Dataset, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := memo.Charge(ds.Name()+"|"+subspace.New(0).Key(), int64(ds.N())*8)
+	one := memo.Charge(ds.SourceKey()+"|"+subspace.New(0).Key(), int64(ds.N())*8)
 	return ds, int64(fit) * one
 }
 

@@ -57,7 +57,8 @@ func windowScorerCase(t *testing.T, name string, newDet func() windowDetector, s
 		plane := neighbors.NewPlane(0)
 		det, cold := newDet(), newDet() // cold has no plane: a private index
 		det.SetNeighbors(plane)
-		eng := neighbors.NewWindowEngine(det.WindowK(), 4, 2)
+		k, _ := det.WindowK()
+		eng := neighbors.NewWindowEngine(k, 4, 2)
 		window := make([][]float64, 0, W)
 		next := 0
 		var batch []neighbors.WindowArrival

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"anex/internal/core"
 	"anex/internal/detector"
 	"anex/internal/pipeline"
 	"anex/internal/summarize"
@@ -40,8 +41,15 @@ func (s *Session) Ablations(ctx context.Context) *Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
+	// Every arm gets a fresh score memo over an LOF on the session's plane.
+	eng := s.Cfg.engine()
+	lof := func() core.Detector {
+		l := detector.NewLOF(detector.DefaultLOFK)
+		eng.WirePlane(l)
+		return eng.NewScoreMemo(l)
+	}
 	lofDet := func() pipeline.NamedDetector {
-		return pipeline.NamedDetector{Name: "LOF", Detector: detector.NewCached(detector.NewLOF(detector.DefaultLOFK))}
+		return pipeline.NamedDetector{Name: "LOF", Detector: lof()}
 	}
 
 	// 1. Z-score vs raw subspace scoring, in the regime where it matters:
@@ -93,7 +101,7 @@ func (s *Session) Ablations(ctx context.Context) *Table {
 	lastDim := hicsDim[len(hicsDim)-1]
 	for _, byMean := range []bool{false, true} {
 		h := &summarize.HiCS{
-			Detector:        detector.NewCached(detector.NewLOF(detector.DefaultLOFK)),
+			Detector:        lof(),
 			CandidateCutoff: opts.HiCSCutoff,
 			MCIterations:    opts.HiCSIterations,
 			FixedDim:        true,
@@ -116,7 +124,7 @@ func (s *Session) Ablations(ctx context.Context) *Table {
 		iforest := &detector.IsolationForest{
 			Trees: 50, Subsample: 128, Repetitions: reps, Seed: s.Cfg.Seed,
 		}
-		d := pipeline.NamedDetector{Name: "iForest", Detector: detector.NewCached(iforest)}
+		d := pipeline.NamedDetector{Name: "iForest", Detector: eng.NewScoreMemo(iforest)}
 		pp := pipeline.PointPipelines(d, s.Cfg.Seed, opts)[0]
 		addPoint("iforest averaging", fmt.Sprintf("reps=%d", reps), 2, pipeline.RunPointExplanation(ctx, ds, gt, pp, 2))
 	}

@@ -15,6 +15,10 @@ import (
 func tinySession(t *testing.T) *Session {
 	t.Helper()
 	cfg := Config{Scale: synth.ScaleSmall, Seed: 7}
+	// Derive the real-world ground truth on the session engine's plane, as
+	// NewSession does, so the experiments reuse its neighbourhoods.
+	gtLOF := detector.NewLOF(detector.DefaultLOFK)
+	cfg.engine().WirePlane(gtLOF)
 	tb := &Testbed{}
 	for i, c := range []synth.SubspaceConfig{
 		{Name: "tiny-8d", TotalDims: 8, SubspaceDims: []int{2, 3}, N: 150, OutliersPerSubspace: 3, Seed: 1},
@@ -28,7 +32,7 @@ func tinySession(t *testing.T) *Session {
 	}
 	rw, err := synth.BuildRealWorld(context.Background(),
 		synth.FullSpaceConfig{Name: "tiny-real", N: 100, D: 7, NumOutliers: 8, Seed: 3},
-		[]int{2, 3}, detector.NewLOF(detector.DefaultLOFK))
+		[]int{2, 3}, gtLOF)
 	if err != nil {
 		t.Fatal(err)
 	}

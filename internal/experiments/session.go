@@ -59,11 +59,24 @@ type Config struct {
 	// experiments, LRU-bounded; zero selects neighbors.DefaultPlaneBytes.
 	PlaneBytes int64
 
-	// engine is the session's explanation core — the same server.Engine
-	// that backs anexd — created by NewSession. It owns the session-wide
-	// shared neighbourhood plane and builds every score memo, so the batch
+	// eng is the session's explanation core — the same server.Engine that
+	// backs anexd — built on first use by engine. It owns the session's
+	// one neighbourhood plane and builds every score memo, so the batch
 	// harness and the long-lived service exercise one code path.
-	engine *server.Engine
+	eng *server.Engine
+}
+
+// engine returns the session's engine, building it on first use, so a
+// Session assembled around a hand-built Testbed gets one too.
+func (c *Config) engine() *server.Engine {
+	if c.eng == nil {
+		c.eng = server.NewEngine(server.EngineConfig{
+			Workers:    c.Workers,
+			CacheBytes: c.CacheBytes,
+			PlaneBytes: c.PlaneBytes,
+		})
+	}
+	return c.eng
 }
 
 func (c *Config) wantDetector(name string) bool {
@@ -147,13 +160,13 @@ func (c *Config) options() pipeline.Options {
 
 // detectors builds the three detectors, sized to the scale. Effectiveness
 // experiments share score caches; timing experiments must not. Every kNN
-// detector is wired to the session's shared neighbourhood plane, so the
+// detector is wired to the session's neighbourhood plane, so the
 // per-(dataset, subspace) structures survive the per-dataset cache resets
 // and are shared across detectors and experiments.
 func (c *Config) detectors(cached bool) []pipeline.NamedDetector {
 	var dets []pipeline.NamedDetector
 	if c.Scale == synth.ScalePaper {
-		dets = pipeline.NewDetectors(c.Seed, false)
+		dets = pipeline.NewDetectors(c.Seed)
 	} else {
 		dets = []pipeline.NamedDetector{
 			{Name: "LOF", Detector: detector.NewLOF(detector.DefaultLOFK)},
@@ -163,20 +176,11 @@ func (c *Config) detectors(cached bool) []pipeline.NamedDetector {
 			}},
 		}
 	}
-	if c.engine != nil {
-		for _, d := range dets {
-			c.engine.WirePlane(d.Detector)
-		}
+	eng := c.engine()
+	for i := range dets {
+		eng.WirePlane(dets[i].Detector)
 		if cached {
-			for i := range dets {
-				dets[i].Detector = c.engine.NewScoreMemo(dets[i].Detector)
-			}
-		}
-		return dets
-	}
-	if cached {
-		for i := range dets {
-			dets[i].Detector = detector.NewCachedBudget(dets[i].Detector, c.CacheBytes)
+			dets[i].Detector = eng.NewScoreMemo(dets[i].Detector)
 		}
 	}
 	return dets
@@ -212,11 +216,6 @@ type Session struct {
 // testbed generation (the ground-truth derivation runs full detector
 // sweeps) with ctx's error.
 func NewSession(ctx context.Context, cfg Config) (*Session, error) {
-	cfg.engine = server.NewEngine(server.EngineConfig{
-		Workers:    cfg.Workers,
-		CacheBytes: cfg.CacheBytes,
-		PlaneBytes: cfg.PlaneBytes,
-	})
 	tb := &Testbed{}
 	for _, c := range synth.SyntheticConfigs(cfg.Scale, cfg.Seed) {
 		if !cfg.wantDataset(c.Name) {
@@ -230,12 +229,14 @@ func NewSession(ctx context.Context, cfg Config) (*Session, error) {
 		tb.Synthetic = append(tb.Synthetic, td)
 	}
 	gtDims := synth.GroundTruthDims(cfg.Scale)
+	gtLOF := detector.NewLOF(detector.DefaultLOFK)
+	cfg.engine().WirePlane(gtLOF)
 	for _, c := range synth.RealWorldConfigs(cfg.Scale, cfg.Seed) {
 		if !cfg.wantDataset(c.Name) {
 			continue
 		}
 		cfg.logf("generating %s (%d×%d) and deriving ground truth over dims %v", c.Name, c.N, c.D, gtDims)
-		td, err := synth.BuildRealWorld(ctx, c, gtDims, detector.NewLOF(detector.DefaultLOFK))
+		td, err := synth.BuildRealWorld(ctx, c, gtDims, gtLOF)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
@@ -327,12 +328,8 @@ func (s *Session) SummaryResults(ctx context.Context) []pipeline.Result {
 // plane: hits, computations, the dedup factor, residency, and the embedded
 // delta engine's counters — anexbench's -stats dump.
 func (s *Session) PlaneStats() neighbors.PlaneStats {
-	return s.Cfg.engine.PlaneStats()
+	return s.Cfg.engine().PlaneStats()
 }
-
-// Engine exposes the session's explanation core (for serving a generated
-// testbed, or inspecting its caches).
-func (s *Session) Engine() *server.Engine { return s.Cfg.engine }
 
 // skipped marks an infeasible cell; MAP < 0 renders as "-".
 func skipped(dataset, det, expl string, dim int) pipeline.Result {

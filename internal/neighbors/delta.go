@@ -47,11 +47,12 @@ const (
 	minDeltaPoints = 64
 
 	// maxDeltaSources bounds the per-dataset pinned structures (sorted
-	// dimension orders, full-space seeds) an engine retains. A per-detector
-	// engine only ever sees a handful of datasets, but the process-wide
-	// shared plane funnels EVERY dataset in the process through one engine,
-	// so the coldest source is dropped once the cap is reached — its
-	// structures are rebuilt on demand if that dataset returns.
+	// dimension orders, full-space seeds) an engine retains. A grid's plane
+	// only ever sees a handful of datasets, but a long-lived plane (an
+	// experiment session's, anexd's) funnels every dataset it serves
+	// through one engine, so the coldest source is dropped once the cap is
+	// reached — its structures are rebuilt on demand if that dataset
+	// returns.
 	maxDeltaSources = 32
 )
 

@@ -9,17 +9,20 @@ import (
 	"anex/internal/memo"
 )
 
-// The shared neighbourhood plane deduplicates kNN work ACROSS detectors.
-// The paper's grids pair three kNN-based detectors (LOF k=15, FastABOD
-// k=10, kNN-dist k=10) with four explainers over the same datasets, and
-// every one of those pipelines queries identical subspace views — so the
-// same neighbourhood structure used to be computed up to three times per
-// grid (once per private engine) and once more per uncached view re-visit.
-// The plane computes each view's structure exactly once, process-wide:
+// The neighbourhood plane deduplicates kNN work ACROSS detectors. The
+// paper's grids pair three kNN-based detectors (LOF k=15, FastABOD k=10,
+// kNN-dist k=10) with four explainers over the same datasets, and every
+// one of those pipelines queries identical subspace views — so the same
+// neighbourhood structure used to be computed up to three times per grid
+// (once per private engine) and once more per uncached view re-visit. The
+// plane computes each view's structure exactly once for all detectors
+// wired to it. Every plane has one owner that builds it and passes it in:
+// a detector constructor (a plane of its own), a grid, an experiment
+// session or an anexd engine. A stream monitor works on its detector's.
 //
-//   - Queries are keyed by (dataset ID, subspace key): dataset IDs are
-//     process-unique (dataset.Dataset.ID), so one plane can serve every
-//     grid, session, and test in the process without name collisions.
+//   - Queries are keyed by (dataset source key, subspace key): dataset IDs
+//     are process-unique (dataset.Dataset.ID), so one plane can serve any
+//     number of datasets without name collisions.
 //   - The one computation runs at k = kmax, the maximum neighbourhood size
 //     across registered consumers (15 with the paper's detectors). Cheaper
 //     k are answered by PREFIX SLICING: every path builds its lists with
@@ -38,10 +41,10 @@ import (
 // means full-space and large views are cached across detectors too, a path
 // the per-detector engines never covered.
 
-// DefaultPlaneBytes bounds the shared plane's resident neighbourhood
-// entries. A grid cell's 2d sweep over a 100-feature dataset holds
-// C(100,2) = 4950 views; at n = 1000, kmax = 15 each entry costs ~180 KB,
-// so the default admits roughly 1.5 such sweeps before LRU eviction.
+// DefaultPlaneBytes bounds a plane's resident neighbourhood entries. A
+// grid cell's 2d sweep over a 100-feature dataset holds C(100,2) = 4950
+// views; at n = 1000, kmax = 15 each entry costs ~180 KB, so the default
+// admits roughly 1.5 such sweeps before LRU eviction.
 const DefaultPlaneBytes = 256 << 20
 
 // SitePlanePublish is the failpoint site guarding plane publication: an
@@ -50,10 +53,9 @@ const DefaultPlaneBytes = 256 << 20
 // path (and, per its singleflight contract, the next query retries).
 const SitePlanePublish = "plane.publish"
 
-// Plane is the process-wide shared neighbourhood cache. The zero value is
-// not usable; construct with NewPlane or use the package-wide Shared
-// instance. A nil *Plane is a valid "disabled" plane: AllKNN reports
-// ok=false and callers fall back to their private path.
+// Plane is a shared neighbourhood cache. The zero value is not usable;
+// construct with NewPlane. A nil *Plane is a valid "disabled" plane:
+// AllKNN reports ok=false and callers fall back to their private path.
 type Plane struct {
 	cache *memo.Cache[planeEntry]
 	delta *deltaEngine
@@ -147,25 +149,11 @@ func NewPlane(maxBytes int64) *Plane {
 	return p
 }
 
-var (
-	sharedPlaneOnce sync.Once
-	sharedPlane     *Plane
-)
-
-// Shared returns the process-wide default plane, built lazily with the
-// default budget. The detector constructors wire it in by default, so
-// every detector in a process shares one neighbourhood cache unless
-// explicitly given its own (or nil, for the private fallback path).
-func Shared() *Plane {
-	sharedPlaneOnce.Do(func() { sharedPlane = NewPlane(0) })
-	return sharedPlane
-}
-
 // RegisterK declares a consumer's neighbourhood size. kmax only ever
 // grows; all subsequent computations run at the new maximum, and resident
 // entries computed at a smaller k are transparently recomputed on next
 // access (counted as Upgrades). Registering before the first query — the
-// detector constructors and grid wiring do — avoids those recomputes
+// detector constructors and SetNeighbors do — avoids those recomputes
 // entirely. Safe on a nil plane.
 func (p *Plane) RegisterK(k int) {
 	if p != nil {
@@ -269,7 +257,7 @@ func planeKey(src ColumnSource) string {
 }
 
 // AllKNN answers the all-points k-nearest-neighbour query for the view
-// from the shared cache, computing it once (at kmax) on first access. The
+// from the plane's cache, computing it once (at kmax) on first access. The
 // returned arrays are row-major with row stride `stride` and m =
 // min(k, n−1) valid neighbours per row: point i's neighbours are
 // idx[i*stride : i*stride+m] with Euclidean distances in the matching dist

@@ -15,22 +15,16 @@ type NamedDetector struct {
 
 // NewDetectors builds the paper's three detectors with the Section 3.1
 // hyper-parameters: LOF (k=15), Fast ABOD (k=10) and Isolation Forest
-// (100 trees, ψ=256, 10 averaged repetitions). With cached set, each
-// detector is wrapped in a subspace-keyed score memo, which is sound for
-// effectiveness experiments (scores are deterministic per subspace) but
-// must be off when measuring per-pipeline runtime.
-func NewDetectors(seed int64, cached bool) []NamedDetector {
-	dets := []NamedDetector{
+// (100 trees, ψ=256, 10 averaged repetitions). Wrap them in
+// detector.NewCached for effectiveness experiments (scores are
+// deterministic per subspace); leave them bare when measuring per-pipeline
+// runtime.
+func NewDetectors(seed int64) []NamedDetector {
+	return []NamedDetector{
 		{Name: "LOF", Detector: detector.NewLOF(detector.DefaultLOFK)},
 		{Name: "FastABOD", Detector: detector.NewFastABOD(detector.DefaultABODK)},
 		{Name: "iForest", Detector: detector.NewIsolationForest(seed)},
 	}
-	if cached {
-		for i := range dets {
-			dets[i].Detector = detector.NewCached(dets[i].Detector)
-		}
-	}
-	return dets
 }
 
 // Options tunes the explainer hyper-parameters away from the paper's

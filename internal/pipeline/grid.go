@@ -19,7 +19,7 @@ import (
 // explanation dimensionalities.
 //
 // Work shared between cells is paid for by whichever cell gets there
-// first. Neighbourhoods come from the shared plane (see Plane), and the
+// first. Neighbourhoods come from the grid's one plane (see Plane), and the
 // factory-built HiCS cells of one dimensionality share one contrast
 // search: the first HiCS_FX cell of a dimension carries the search in its
 // Duration and SearchTime, and the other detectors' HiCS_FX cells report
@@ -42,15 +42,15 @@ type GridSpec struct {
 	// custom detectors or reduced hyper-parameters); nil selects them.
 	// The Cached flag is not applied to overridden detectors — wrap them
 	// with detector.NewCached as needed. The Plane field is likewise not
-	// applied to overridden detectors: inject one via SetNeighbors before
-	// handing them over.
+	// applied to overridden detectors: they keep the planes they were
+	// built with, so inject one via SetNeighbors before handing them over.
 	Detectors []NamedDetector
-	// Plane, when non-nil, is the shared neighbourhood cache wired into
-	// every factory-built kNN detector (via SetNeighbors), giving the grid
-	// its own isolated cache; nil keeps the constructors' default, the
-	// process-wide neighbors.Shared() plane. Either way all cells of the
-	// grid share ONE plane, so each (subspace, dataset) neighbourhood is
-	// computed once per grid, not once per detector per cell.
+	// Plane is the neighbourhood cache wired into every factory-built kNN
+	// detector (via SetNeighbors); nil gives the grid a private plane of
+	// its own. Either way all cells of the grid share ONE plane, so each
+	// (subspace, dataset) neighbourhood is computed once per grid, not
+	// once per detector per cell. Pass a plane to read its Stats, or to
+	// share it with work outside the grid.
 	Plane *neighbors.Plane
 	// NoSched disables cost-aware dispatch: cells are handed to workers in
 	// their deterministic (dimension, detector, explainer) order instead of
@@ -253,7 +253,7 @@ func countCells(spec GridSpec) int {
 	}
 	dets := spec.Detectors
 	if dets == nil {
-		dets = NewDetectors(spec.Seed, spec.Cached)
+		dets = NewDetectors(spec.Seed)
 	}
 	n := 0
 	for range spec.Dims {
@@ -307,14 +307,16 @@ func buildCells(spec GridSpec, inner int) []gridCell {
 	// Options.CacheBytes budget).
 	dets := spec.Detectors
 	if dets == nil {
-		dets = NewDetectors(spec.Seed, false)
-		if spec.Plane != nil {
-			// Inject before the cache wrap: the setter lives on the
-			// underlying kNN detectors.
-			for _, d := range dets {
-				if ns, ok := d.Detector.(neighborsSetter); ok {
-					ns.SetNeighbors(spec.Plane)
-				}
+		dets = NewDetectors(spec.Seed)
+		plane := spec.Plane
+		if plane == nil {
+			plane = neighbors.NewPlane(0)
+		}
+		// Inject before the cache wrap: the setter lives on the underlying
+		// kNN detectors.
+		for _, d := range dets {
+			if ns, ok := d.Detector.(neighborsSetter); ok {
+				ns.SetNeighbors(plane)
 			}
 		}
 		if spec.Cached {

@@ -126,7 +126,7 @@ func TestRunSummarizationHiCS(t *testing.T) {
 }
 
 func TestNewDetectors(t *testing.T) {
-	dets := NewDetectors(1, false)
+	dets := NewDetectors(1)
 	if len(dets) != 3 {
 		t.Fatalf("%d detectors", len(dets))
 	}
@@ -142,16 +142,15 @@ func TestNewDetectors(t *testing.T) {
 			t.Errorf("missing detector %s", want)
 		}
 	}
-	cached := NewDetectors(1, true)
-	for _, d := range cached {
-		if _, ok := d.Detector.(*detector.Cached); !ok {
-			t.Errorf("detector %s not cached", d.Name)
+	for _, d := range dets {
+		if c := detector.NewCached(d.Detector); c.Name() != d.Detector.Name() {
+			t.Errorf("cached %s reports name %q", d.Name, c.Name())
 		}
 	}
 }
 
 func TestPipelineFactories(t *testing.T) {
-	det := NewDetectors(1, false)[0]
+	det := NewDetectors(1)[0]
 	pps := PointPipelines(det, 1, Options{TopK: 10})
 	if len(pps) != 2 {
 		t.Fatalf("%d point pipelines", len(pps))
@@ -177,7 +176,7 @@ func TestTwelvePipelinesOfFigure7(t *testing.T) {
 	// The paper's Figure 7: 3 detectors × (2 point explainers + 2
 	// summarizers) = 12 pipelines.
 	count := 0
-	for _, d := range NewDetectors(1, true) {
+	for _, d := range NewDetectors(1) {
 		count += len(PointPipelines(d, 1, Options{}))
 		count += len(SummaryPipelines(d, 1, Options{}))
 	}

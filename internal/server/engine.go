@@ -63,9 +63,8 @@ type tenant struct {
 	memos map[string]*detector.Cached // per (detector, seed) score memo
 }
 
-// NewEngine builds an engine with a private neighbourhood plane (so two
-// engines — or an engine and the process-wide default plane — never share
-// residency budgets).
+// NewEngine builds an engine with a private neighbourhood plane, so two
+// engines never share a residency budget.
 func NewEngine(cfg EngineConfig) *Engine {
 	return &Engine{
 		workers:    parallel.Resolve(cfg.Workers),
@@ -86,8 +85,7 @@ func (e *Engine) PlaneStats() neighbors.PlaneStats { return e.plane.Stats() }
 
 // WirePlane wires the engine's plane into a detector that supports one
 // (the kNN family exposes SetNeighbors); other detectors pass through
-// untouched. The hook the experiments session uses to rebase its detectors
-// onto the engine's plane.
+// untouched. The experiments session wires its detectors through it too.
 func (e *Engine) WirePlane(d core.Detector) {
 	if ns, ok := d.(interface{ SetNeighbors(*neighbors.Plane) }); ok {
 		ns.SetNeighbors(e.plane)

@@ -24,9 +24,9 @@ const AlgoNames = "beam, refout, lookout or hics"
 // NewDetectorByName builds the named detector with the library defaults:
 // LOF (k=15), Fast ABOD (k=10) or Isolation Forest (seeded). workers
 // bounds the detector's inner scoring loops; results are identical at any
-// count. The detector is returned unwired — callers wire a neighbourhood
-// plane (Engine does; the library constructors default to the process-wide
-// shared one) and wrap a score memo as they see fit.
+// count. The detector is returned with no plane — callers wire a
+// neighbourhood plane (Engine wires its own) and wrap a score memo as they
+// see fit.
 func NewDetectorByName(name string, seed int64, workers int) (core.Detector, error) {
 	switch name {
 	case "lof":

@@ -456,50 +456,126 @@ func TestMonitorIncrementalSoak(t *testing.T) {
 	t.Logf("incremental soak: %s; plane %s", st, plane.Stats())
 }
 
-// TestMonitorsSharingScoreMemo: two incremental monitors scoring different
-// streams through one detector.Cached raise exactly the alerts a monitor
-// with a detector of its own raises. Window names repeat across monitors
-// ("window-N"), so scoring windows through the shared memo would serve
-// one monitor the other's scores.
+// TestMonitorsSharingScoreMemo: two monitors scoring different streams
+// through one detector.Cached raise exactly the alerts a monitor with a
+// detector of its own raises, on the engine path and on the cold path.
+// Window names repeat across monitors ("window-N"), so a memo keyed by
+// dataset name would serve one monitor the other's scores, and each
+// monitor's release would forget the other's entries.
 func TestMonitorsSharingScoreMemo(t *testing.T) {
-	mk := func(det core.Detector, plane *neighbors.Plane) *Monitor {
-		return mustMonitor(Config{WindowSize: 40, Stride: 10, ZThreshold: Threshold(2), Detector: det, Plane: plane})
+	for _, noInc := range []bool{false, true} {
+		t.Run(fmt.Sprintf("NoIncremental=%v", noInc), func(t *testing.T) {
+			mk := func(det core.Detector) *Monitor {
+				return mustMonitor(Config{WindowSize: 40, Stride: 10, ZThreshold: Threshold(2), Detector: det, NoIncremental: noInc})
+			}
+			shared := detector.NewCached(detector.NewLOF(5))
+			a, b, ref := mk(shared), mk(shared), mk(detector.NewLOF(5))
+			ra, rb := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
+			var got, want []string
+			for i := 0; i < 200; i++ {
+				pb := inlier(rb)
+				if i%17 == 5 {
+					pb = anomaly(rb)
+				}
+				if _, err := a.Push(context.Background(), inlier(ra)); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					m   *Monitor
+					out *[]string
+				}{{b, &got}, {ref, &want}} {
+					alerts, err := c.m.Push(context.Background(), pb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, al := range alerts {
+						*c.out = append(*c.out, alertKey(al))
+					}
+				}
+			}
+			if len(want) == 0 {
+				t.Fatal("reference monitor raised no alerts")
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("monitor sharing a score memo diverged:\n%v\nwant\n%v", got, want)
+			}
+			if inc := b.Stats().Incremental; inc == noInc {
+				t.Fatalf("Stats().Incremental = %v with NoIncremental %v", inc, noInc)
+			}
+		})
 	}
-	lofOn := func(plane *neighbors.Plane) *detector.LOF {
-		l := &detector.LOF{K: 5}
-		l.SetNeighbors(plane)
-		return l
-	}
-	plane, refPlane := neighbors.NewPlane(0), neighbors.NewPlane(0)
-	shared := detector.NewCached(lofOn(plane))
-	a, b, ref := mk(shared, plane), mk(shared, plane), mk(lofOn(refPlane), refPlane)
-	ra, rb := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
-	var got, want []string
+}
+
+// TestMonitorUsesDetectorPlane: a monitor left to find its plane reads it
+// from its detector. A NewLOF detector brings a plane of its own, so the
+// engine publishes there and the detector never computes a neighbourhood;
+// a plane the detector does not read is refused.
+func TestMonitorUsesDetectorPlane(t *testing.T) {
+	det := detector.NewLOF(5)
+	m := mustMonitor(Config{WindowSize: 40, Stride: 10, ZThreshold: Threshold(4), Detector: det})
+	defer m.Close()
+	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
-		pb := inlier(rb)
-		if i%17 == 5 {
-			pb = anomaly(rb)
-		}
-		if _, err := a.Push(context.Background(), inlier(ra)); err != nil {
+		if _, err := m.Push(context.Background(), inlier(rng)); err != nil {
 			t.Fatal(err)
+		}
+	}
+	st, ps := m.Stats(), det.Neighbors.Stats()
+	if !st.Incremental || st.Evaluations == 0 {
+		t.Fatalf("monitor did not run the engine: %s", st)
+	}
+	if ps.Computations != 0 || ps.Hits != st.Evaluations {
+		t.Fatalf("detector's plane computed %d neighbourhoods and hit %d times over %d evaluations; want 0 and one hit each",
+			ps.Computations, ps.Hits, st.Evaluations)
+	}
+	for _, d := range []core.Detector{det, detector.NewCached(det), &detector.LOF{K: 5}, detector.NewIsolationForest(1)} {
+		if _, err := NewMonitor(Config{WindowSize: 40, Detector: d, Plane: neighbors.NewPlane(0)}); err == nil {
+			t.Errorf("%T: a plane the detector does not read was accepted", d)
+		}
+	}
+	if _, err := NewMonitor(Config{WindowSize: 40, Detector: detector.NewCached(det), Plane: det.Neighbors}); err != nil {
+		t.Errorf("the detector's own plane was refused: %v", err)
+	}
+}
+
+// TestMonitorPlanelessDetectorRunsCold: a zero-value LOF has no plane, so
+// there is nowhere to publish the engine's neighbourhood. The monitor
+// scores every window cold and raises the alerts the engine arm raises.
+func TestMonitorPlanelessDetectorRunsCold(t *testing.T) {
+	cold := mustMonitor(Config{WindowSize: 48, Stride: 12, ZThreshold: Threshold(2.5), Detector: &detector.LOF{K: 5}})
+	inc := mustMonitor(Config{WindowSize: 48, Stride: 12, ZThreshold: Threshold(2.5), Detector: detector.NewLOF(5)})
+	defer cold.Close()
+	defer inc.Close()
+	rng := rand.New(rand.NewSource(21))
+	var coldAlerts, incAlerts []string
+	for i := 0; i < 300; i++ {
+		p := inlier(rng)
+		if i%53 == 17 {
+			p = anomaly(rng)
 		}
 		for _, c := range []struct {
 			m   *Monitor
 			out *[]string
-		}{{b, &got}, {ref, &want}} {
-			alerts, err := c.m.Push(context.Background(), pb)
+		}{{cold, &coldAlerts}, {inc, &incAlerts}} {
+			alerts, err := c.m.Push(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, al := range alerts {
-				*c.out = append(*c.out, alertKey(al))
+			for _, a := range alerts {
+				*c.out = append(*c.out, alertKey(a))
 			}
 		}
 	}
-	if len(want) == 0 {
-		t.Fatal("reference monitor raised no alerts")
+	if st := cold.Stats(); st.Incremental || st.Publishes != 0 {
+		t.Fatalf("plane-less monitor ran the engine: %s", st)
 	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("monitor sharing a score memo diverged:\n%v\nwant\n%v", got, want)
+	if !inc.Stats().Incremental {
+		t.Fatal("engine arm never engaged the engine")
+	}
+	if len(incAlerts) == 0 {
+		t.Fatal("no alerts to compare")
+	}
+	if strings.Join(coldAlerts, "\n") != strings.Join(incAlerts, "\n") {
+		t.Fatalf("alert streams diverged\ncold:\n%s\nengine:\n%s", strings.Join(coldAlerts, "\n"), strings.Join(incAlerts, "\n"))
 	}
 }

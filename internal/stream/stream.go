@@ -7,10 +7,11 @@
 // point-explanation algorithm before emitting it as an alert.
 //
 // Monitors are built for unbounded streams: per-evaluation state (the
-// flagged-sequence dedup set, the window datasets' entries in the shared
-// neighbourhood plane and in a memoising detector's score cache) is
-// released as soon as it can no longer influence an alert, so a monitor's
-// memory footprint is a function of the window size, not of stream length.
+// flagged-sequence dedup set, the window datasets' entries in the
+// detector's neighbourhood plane and in a memoising detector's score
+// cache) is released as soon as it can no longer influence an alert, so a
+// monitor's memory footprint is a function of the window size, not of
+// stream length.
 package stream
 
 import (
@@ -96,18 +97,15 @@ type Config struct {
 	// FeatureNames, when set, names the stream's features in the window
 	// datasets handed to the explainer.
 	FeatureNames []string
-	// Plane is the neighbourhood plane the monitor's detector queries.
-	// Every evaluation builds a fresh window dataset with a process-unique
-	// identity, so without release the plane would accumulate entries for
-	// dead windows until LRU pressure; the monitor instead calls
-	// Plane.Forget for each expired window. Nil means the process-wide
-	// neighbors.Shared() plane — the one the detector constructors wire in
-	// by default. The incremental engine publishes each window's
-	// neighbourhood here, so it pays off only when the detector queries
-	// this plane: then every window's kNN phase is a plane hit costing no
-	// computation (TestMonitorIncrementalSoak pins that). A detector on
-	// another plane, or none, recomputes each window cold — same scores,
-	// engine work wasted.
+	// Plane must be nil or the plane of the monitor's kNN detector (reached
+	// through a detector.Cached wrapper); NewMonitor rejects any other
+	// plane, since nothing would ever read it. The monitor works on the
+	// detector's plane: the incremental engine publishes each window's
+	// neighbourhood there, so every window's kNN phase is a plane hit
+	// costing no computation (TestMonitorIncrementalSoak pins that), and
+	// each expired window is forgotten from it. A detector without a plane
+	// (a zero-value LOF, iForest) is scored cold every evaluation. The
+	// field stays only because the benchmark harness sets it.
 	Plane *neighbors.Plane
 	// Tombstones, when set, receives a forget record for every expired
 	// window dataset — the hook that lets a durable deployment log the
@@ -146,8 +144,8 @@ type Tombstones interface {
 
 // SetDefaults resolves every unset knob to its documented default in
 // place: Stride 0 → WindowSize/4 (at least 1), ZThreshold nil →
-// DefaultZThreshold, TargetDim 0 → DefaultTargetDim, Plane nil →
-// neighbors.Shared(). NewMonitor applies it to its private copy of the
+// DefaultZThreshold, TargetDim 0 → DefaultTargetDim, Plane nil → the
+// detector's plane. NewMonitor applies it to its private copy of the
 // configuration; callers only need it to inspect resolved values.
 func (c *Config) SetDefaults() {
 	if c.Stride == 0 {
@@ -163,7 +161,7 @@ func (c *Config) SetDefaults() {
 		c.TargetDim = DefaultTargetDim
 	}
 	if c.Plane == nil {
-		c.Plane = neighbors.Shared()
+		_, c.Plane = windowScorerOf(c.Detector)
 	}
 }
 
@@ -180,13 +178,17 @@ func (c *Config) validate() error {
 	if c.Slack != nil && *c.Slack < 0 {
 		return fmt.Errorf("stream: negative slack")
 	}
+	if _, p := windowScorerOf(c.Detector); c.Plane != p {
+		return fmt.Errorf("stream: Plane is not the detector's neighbourhood plane")
+	}
 	return nil
 }
 
 // cacheForgetter is the optional release hook of score-memoising detectors
-// (detector.Cached): dropping every memo entry of one named dataset.
+// (detector.Cached): dropping every memo entry of one dataset, by source
+// key.
 type cacheForgetter interface {
-	Forget(datasetName string)
+	Forget(sourceKey string)
 }
 
 // Monitor is a sliding-window outlier detection + explanation pipeline.
@@ -211,10 +213,10 @@ type Monitor struct {
 	closed  bool
 
 	// Incremental engine state. ws is the kNN detector the engine serves
-	// (nil when there is none, or Config.NoIncremental is set); pending
-	// accumulates the arrivals since the last engine application,
-	// deduplicated by slot so a stride that laps the window delivers only
-	// each slot's final occupant.
+	// (nil when there is none, it has no plane, or Config.NoIncremental is
+	// set); pending accumulates the arrivals since the last engine
+	// application, deduplicated by slot so a stride that laps the window
+	// delivers only each slot's final occupant.
 	ws      windowDetector
 	eng     *neighbors.WindowEngine
 	winK    int // depth the live engine maintains
@@ -247,8 +249,8 @@ func NewMonitor(cfg Config) (*Monitor, error) {
 		flagged:   make(map[int]bool),
 		lastTotal: -1,
 	}
-	if !cfg.NoIncremental {
-		m.ws = windowScorerOf(cfg.Detector)
+	if !cfg.NoIncremental && cfg.Plane != nil {
+		m.ws, _ = windowScorerOf(cfg.Detector)
 	}
 	return m, nil
 }
@@ -261,16 +263,20 @@ type windowDetector interface {
 }
 
 // windowScorerOf resolves the kNN detector the engine serves, reaching
-// through a detector.Cached wrapper. The monitor scores the inner detector
-// directly: a window's scores are never asked for twice, and window names
-// repeat across monitors, so two monitors sharing one score memo would
-// read each other's windows.
-func windowScorerOf(d core.Detector) windowDetector {
+// through a detector.Cached wrapper, and the plane it reads; both are nil
+// for a detector that is not one. With the engine live the monitor scores
+// the inner detector directly: a window's scores are never asked for
+// twice, so memoising them would only hold memory until release.
+func windowScorerOf(d core.Detector) (windowDetector, *neighbors.Plane) {
 	if c, ok := d.(*detector.Cached); ok {
 		d = c.Inner()
 	}
-	ws, _ := d.(windowDetector)
-	return ws
+	ws, ok := d.(windowDetector)
+	if !ok {
+		return nil, nil
+	}
+	_, plane := ws.WindowK()
+	return ws, plane
 }
 
 // Evaluations returns how many window evaluations have run.
@@ -403,7 +409,7 @@ func (m *Monitor) Close() {
 	m.pending = nil
 }
 
-// release forgets one dead window dataset from the neighbourhood plane and
+// release forgets one dead window dataset from the detector's plane and
 // from the detector's score memo (when the detector keeps one), then logs
 // the death to the configured tombstone sink. Cache release runs even when
 // the tombstone append fails — a failed log must not pin memory.
@@ -413,7 +419,7 @@ func (m *Monitor) release(ds *dataset.Dataset) error {
 	}
 	m.cfg.Plane.Forget(ds.SourceKey())
 	if f, ok := m.cfg.Detector.(cacheForgetter); ok {
-		f.Forget(ds.Name())
+		f.Forget(ds.SourceKey())
 	}
 	if m.cfg.Tombstones != nil {
 		if err := m.cfg.Tombstones.AppendForget(ds.Name()); err != nil {
@@ -518,7 +524,7 @@ func (m *Monitor) publish(ctx context.Context, ds *dataset.Dataset) error {
 // from the full current window (one cold build) on first use or when the
 // required depth grew — the plane's kmax can rise as consumers register.
 func (m *Monitor) ensureEngine(ctx context.Context) error {
-	winK := m.ws.WindowK()
+	winK, _ := m.ws.WindowK()
 	if pk := m.cfg.Plane.KMax(); pk > winK {
 		// Maintain at the plane's depth so the published entry satisfies
 		// every co-resident consumer without an upgrade recompute.
