@@ -5,8 +5,9 @@
 // prints MAP, mean recall and runtime per pipeline — the tool for deciding
 // which detector/explainer combination fits a new dataset. Cells share
 // work (neighbourhoods, HiCS's detector-free contrast search), so a cell's
-// runtime is its share of the grid: the first HiCS_FX cell of a dimension
-// carries the search, the other detectors' HiCS_FX cells their ranking.
+// runtime is its share of the grid: the first HiCS_FX cell to start
+// carries the search (to the largest -dims value), the other HiCS_FX cells
+// their ranking.
 //
 // Interrupting a run (SIGINT/SIGTERM) stops scheduling new cells, prints
 // the cells that finished, and — with -journal — leaves a checkpoint file

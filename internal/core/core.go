@@ -7,9 +7,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"anex/internal/dataset"
 	"anex/internal/subspace"
@@ -81,13 +82,20 @@ func (s ScoredSubspace) String() string {
 }
 
 // SortByScore orders the list by descending score; ties break on the
-// canonical subspace key so results are deterministic.
+// canonical subspace key (compared as strings) so results are
+// deterministic. The comparator is negative exactly when a precedes b, and
+// the stable sort consults nothing else, so NaN scores and exact
+// duplicates keep the order a stable sort by that relation gives them.
 func SortByScore(list []ScoredSubspace) {
-	sort.SliceStable(list, func(i, j int) bool {
-		if list[i].Score != list[j].Score {
-			return list[i].Score > list[j].Score
+	slices.SortStableFunc(list, func(a, b ScoredSubspace) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
 		}
-		return list[i].Subspace.Key() < list[j].Subspace.Key()
+		var ka, kb [64]byte
+		return bytes.Compare(a.Subspace.AppendKey(ka[:0]), b.Subspace.AppendKey(kb[:0]))
 	})
 }
 

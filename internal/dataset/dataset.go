@@ -17,12 +17,13 @@ import (
 // Data is stored column-major, which makes subspace projection — the hot
 // operation of every explanation algorithm — a simple gather of k columns.
 type Dataset struct {
-	name     string
-	id       uint64      // process-unique identity (see ID)
-	features []string    // feature names, len d
-	cols     [][]float64 // cols[f][i] = value of feature f at point i
-	n        int
-	gathers  atomic.Int64 // view materialisations performed (see Gathers)
+	name      string
+	id        uint64      // process-unique identity (see ID)
+	sourceKey string      // name#id, built once (see SourceKey)
+	features  []string    // feature names, len d
+	cols      [][]float64 // cols[f][i] = value of feature f at point i
+	n         int
+	gathers   atomic.Int64 // view materialisations performed (see Gathers)
 }
 
 // nextDatasetID hands out process-unique dataset identities.
@@ -50,7 +51,11 @@ func New(name string, cols [][]float64, features []string) (*Dataset, error) {
 	if len(features) != len(cols) {
 		return nil, fmt.Errorf("dataset %q: %d feature names for %d columns", name, len(features), len(cols))
 	}
-	return &Dataset{name: name, id: nextDatasetID.Add(1), features: features, cols: cols, n: n}, nil
+	id := nextDatasetID.Add(1)
+	return &Dataset{
+		name: name, id: id, sourceKey: name + "#" + strconv.FormatUint(id, 10),
+		features: features, cols: cols, n: n,
+	}, nil
 }
 
 // FromRows builds a dataset from row-major data, copying it into
@@ -89,9 +94,7 @@ func (ds *Dataset) ID() uint64 { return ds.id }
 // the process-unique ID, the same key every View of this dataset reports.
 // Holders of short-lived datasets (the stream monitor's windows) use it to
 // release cache entries when a dataset dies.
-func (ds *Dataset) SourceKey() string {
-	return ds.name + "#" + strconv.FormatUint(ds.id, 10)
-}
+func (ds *Dataset) SourceKey() string { return ds.sourceKey }
 
 // N returns the number of points.
 func (ds *Dataset) N() int { return ds.n }
@@ -231,5 +234,14 @@ func (v *View) SourceColumn(f int) []float64 { return v.dataset.cols[f] }
 // that happen to carry the same name.
 func (v *View) SourceKey() string { return v.dataset.SourceKey() }
 
-// SubspaceKey returns the canonical key of the view's subspace.
-func (v *View) SubspaceKey() string { return v.sub.Key() }
+// CacheKey identifies the view in every cache keyed by (dataset, subspace)
+// — a score memo, a neighbourhood plane: the source key, "|", and the
+// subspace's Key. It is built with one allocation, since a warm memo
+// lookup pays for nothing else. Caches drop a dataset's entries by the
+// prefix SourceKey() + "|".
+func (v *View) CacheKey() string {
+	var buf [128]byte
+	b := append(buf[:0], v.dataset.sourceKey...)
+	b = append(b, '|')
+	return string(v.sub.AppendKey(b))
+}

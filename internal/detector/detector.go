@@ -118,8 +118,7 @@ func (c *Cached) ScoresWithStats(ctx context.Context, v *dataset.View) (scores [
 }
 
 func (c *Cached) get(ctx context.Context, v *dataset.View) (scoreEntry, error) {
-	key := v.SourceKey() + "|" + v.SubspaceKey()
-	return c.memo.Get(ctx, key, nil, func(ctx context.Context) (scoreEntry, error) {
+	return c.memo.Get(ctx, v.CacheKey(), nil, func(ctx context.Context) (scoreEntry, error) {
 		if err := failpoint.Eval(SiteMemoPublish); err != nil {
 			return scoreEntry{}, err
 		}

@@ -342,6 +342,27 @@ func TestCachedDetector(t *testing.T) {
 	}
 }
 
+// TestCachedWarmHitAllocs pins the warm memo hit to one allocation: the
+// (dataset, subspace) key string. The dataset's source key is built once,
+// and the subspace key is appended into the same buffer.
+func TestCachedWarmHitAllocs(t *testing.T) {
+	ds := clusterWithOutlier(t, 50, 10, 11)
+	c := NewCached(NewLOF(5))
+	v := ds.View(subspace.New(0, 1))
+	ctx := context.Background()
+	if _, _, _, err := c.ScoresWithStats(ctx, v); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := c.ScoresWithStats(ctx, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("warm ScoresWithStats hit: %v allocs, want 1", allocs)
+	}
+}
+
 func TestDetectorsImplementInterface(t *testing.T) {
 	var _ core.Detector = NewLOF(15)
 	var _ core.Detector = NewFastABOD(10)

@@ -105,8 +105,9 @@ func (f *IsolationForest) Scores(ctx context.Context, v *dataset.View) ([]float6
 		// repetition order as the serial loop — bit-identical output.
 		err := parallel.ForEach(ctx, f.Workers, n, func(i int) {
 			var sum float64
+			x := b.rows[i]
 			for _, t := range forest {
-				sum += t.pathLength(v.Point(i))
+				sum += t.pathLength(x)
 			}
 			e := sum / float64(len(forest))
 			scores[i] += math.Pow(2, -e/c)
@@ -137,12 +138,17 @@ type iTree struct {
 }
 
 type iNode struct {
-	// Interior: feature ≥ 0, split value, children indexes.
-	// Leaf: feature == -1, size = number of training points in the leaf.
-	feature     int
+	// Interior: feature ≥ 0 splits at split into children left and right.
+	// Leaf: feature == -1, and split holds the leaf's finished path term
+	// depth + c(size) (see leaf), so a traversal does no arithmetic there.
 	split       float64
-	left, right int
-	size        int
+	feature     int32
+	left, right int32
+}
+
+// leaf returns the leaf node at the given depth over size training points.
+func leaf(depth, size int) iNode {
+	return iNode{feature: -1, split: float64(depth) + averagePathLength(float64(size))}
 }
 
 // forestBuilder owns the flat buffers a forest build works in: one node
@@ -157,7 +163,10 @@ type iNode struct {
 // partition is stable on both sides, and leaf conditions are unchanged, so
 // the produced forests — and therefore the scores — are bit-identical.
 type forestBuilder struct {
-	v           *dataset.View
+	v *dataset.View
+	// rows are the view's points, fetched once for the build and the
+	// traversals.
+	rows        [][]float64
 	trees       int
 	psi         int
 	heightLimit int
@@ -182,6 +191,7 @@ func newForestBuilder(v *dataset.View, trees, psi int) *forestBuilder {
 	}
 	return &forestBuilder{
 		v:           v,
+		rows:        v.Points(),
 		trees:       trees,
 		psi:         psi,
 		heightLimit: heightLimit,
@@ -220,25 +230,27 @@ func (b *forestBuilder) buildForest(rng *rand.Rand) []iTree {
 // relative to base (the owning tree's first arena slot). idx is partitioned
 // in place; recursion happens only after the spill buffer has been copied
 // back, so one shared spill serves the whole build.
-func (b *forestBuilder) node(idx []int, depth, base int, rng *rand.Rand) int {
+func (b *forestBuilder) node(idx []int, depth, base int, rng *rand.Rand) int32 {
 	v := b.v
-	nodeID := len(b.arena) - base
+	nodeID := int32(len(b.arena) - base)
 	b.arena = append(b.arena, iNode{})
-	if depth >= b.heightLimit || len(idx) <= 1 || allIdentical(v, idx) {
-		b.arena[base+nodeID] = iNode{feature: -1, size: len(idx)}
+	if depth >= b.heightLimit || len(idx) <= 1 || allIdentical(b.rows, idx) {
+		b.arena[base+int(nodeID)] = leaf(depth, len(idx))
 		return nodeID
 	}
 	dim := v.Dim()
 	// Pick a feature with a non-degenerate range; give up after a few
 	// attempts (points can coincide on random features).
 	var feature int
+	var col []float64
 	var lo, hi float64
 	found := false
 	for attempt := 0; attempt < 8 && !found; attempt++ {
 		feature = rng.Intn(dim)
+		col = v.Column(feature)
 		lo, hi = math.Inf(1), math.Inf(-1)
 		for _, i := range idx {
-			val := v.Point(i)[feature]
+			val := col[i]
 			if val < lo {
 				lo = val
 			}
@@ -249,7 +261,7 @@ func (b *forestBuilder) node(idx []int, depth, base int, rng *rand.Rand) int {
 		found = hi > lo
 	}
 	if !found {
-		b.arena[base+nodeID] = iNode{feature: -1, size: len(idx)}
+		b.arena[base+int(nodeID)] = leaf(depth, len(idx))
 		return nodeID
 	}
 	split := lo + rng.Float64()*(hi-lo)
@@ -259,7 +271,7 @@ func (b *forestBuilder) node(idx []int, depth, base int, rng *rand.Rand) int {
 	spill := b.spill[:0]
 	w := 0
 	for _, i := range idx {
-		if v.Point(i)[feature] < split {
+		if col[i] < split {
 			idx[w] = i
 			w++
 		} else {
@@ -269,22 +281,22 @@ func (b *forestBuilder) node(idx []int, depth, base int, rng *rand.Rand) int {
 	copy(idx[w:], spill)
 	b.spill = spill
 	if w == 0 || w == len(idx) {
-		b.arena[base+nodeID] = iNode{feature: -1, size: len(idx)}
+		b.arena[base+int(nodeID)] = leaf(depth, len(idx))
 		return nodeID
 	}
 	l := b.node(idx[:w], depth+1, base, rng)
 	r := b.node(idx[w:], depth+1, base, rng)
-	b.arena[base+nodeID] = iNode{feature: feature, split: split, left: l, right: r}
+	b.arena[base+int(nodeID)] = iNode{feature: int32(feature), split: split, left: l, right: r}
 	return nodeID
 }
 
-func allIdentical(v *dataset.View, idx []int) bool {
+func allIdentical(rows [][]float64, idx []int) bool {
 	if len(idx) < 2 {
 		return true
 	}
-	first := v.Point(idx[0])
+	first := rows[idx[0]]
 	for _, i := range idx[1:] {
-		p := v.Point(i)
+		p := rows[i]
 		for d := range p {
 			if p[d] != first[d] {
 				return false
@@ -295,21 +307,19 @@ func allIdentical(v *dataset.View, idx []int) bool {
 }
 
 // pathLength returns h(x): the depth at which x lands in a leaf plus the
-// c(size) adjustment for unbuilt subtrees.
+// c(size) adjustment for unbuilt subtrees, both stored in the leaf.
 func (t *iTree) pathLength(x []float64) float64 {
-	nodeID := 0
-	depth := 0
+	var nodeID int32
 	for {
-		node := t.nodes[nodeID]
+		node := &t.nodes[nodeID]
 		if node.feature == -1 {
-			return float64(depth) + averagePathLength(float64(node.size))
+			return node.split
 		}
 		if x[node.feature] < node.split {
 			nodeID = node.left
 		} else {
 			nodeID = node.right
 		}
-		depth++
 	}
 }
 

@@ -3,9 +3,11 @@ package detector
 // The arena-based forest builder replaced a per-node-allocating recursion
 // under a bit-identicality contract: same RNG draw sites, same stable
 // partition, same leaf conditions, same scores. This file keeps the
-// replaced recursion verbatim as an executable reference and pins the
-// contract across subsample clamping, small ψ, 1d views, and multiple
-// repetitions (the RNG stream spans repetitions, so any drift compounds).
+// replaced recursion as an executable reference, with its own node layout
+// and traversal (leaves store their size; the walk adds depth + c(size)
+// at the leaf), and pins the contract across subsample clamping, small ψ,
+// 1d views, and multiple repetitions (the RNG stream spans repetitions, so
+// any drift compounds).
 
 import (
 	"context"
@@ -16,13 +18,46 @@ import (
 	"anex/internal/dataset"
 )
 
-func oldBuildForest(v *dataset.View, trees, psi int, rng *rand.Rand) []*iTree {
+// refNode is the reference tree's node. Interior: feature ≥ 0, split
+// value, children indexes. Leaf: feature == -1, size = number of training
+// points in the leaf.
+type refNode struct {
+	feature     int
+	split       float64
+	left, right int
+	size        int
+}
+
+type refTree struct {
+	nodes []refNode
+}
+
+// pathLength returns h(x): the depth at which x lands in a leaf plus the
+// c(size) adjustment for unbuilt subtrees.
+func (t *refTree) pathLength(x []float64) float64 {
+	nodeID := 0
+	depth := 0
+	for {
+		node := t.nodes[nodeID]
+		if node.feature == -1 {
+			return float64(depth) + averagePathLength(float64(node.size))
+		}
+		if x[node.feature] < node.split {
+			nodeID = node.left
+		} else {
+			nodeID = node.right
+		}
+		depth++
+	}
+}
+
+func oldBuildForest(v *dataset.View, trees, psi int, rng *rand.Rand) []*refTree {
 	n := v.N()
 	heightLimit := int(math.Ceil(math.Log2(float64(psi))))
 	if heightLimit < 1 {
 		heightLimit = 1
 	}
-	forest := make([]*iTree, trees)
+	forest := make([]*refTree, trees)
 	sample := make([]int, n)
 	for i := range sample {
 		sample[i] = i
@@ -32,18 +67,18 @@ func oldBuildForest(v *dataset.View, trees, psi int, rng *rand.Rand) []*iTree {
 			j := i + rng.Intn(n-i)
 			sample[i], sample[j] = sample[j], sample[i]
 		}
-		tree := &iTree{}
+		tree := &refTree{}
 		oldBuild(tree, v, append([]int(nil), sample[:psi]...), 0, heightLimit, rng)
 		forest[t] = tree
 	}
 	return forest
 }
 
-func oldBuild(t *iTree, v *dataset.View, idx []int, depth, limit int, rng *rand.Rand) int {
+func oldBuild(t *refTree, v *dataset.View, idx []int, depth, limit int, rng *rand.Rand) int {
 	nodeID := len(t.nodes)
-	t.nodes = append(t.nodes, iNode{})
-	if depth >= limit || len(idx) <= 1 || allIdentical(v, idx) {
-		t.nodes[nodeID] = iNode{feature: -1, size: len(idx)}
+	t.nodes = append(t.nodes, refNode{})
+	if depth >= limit || len(idx) <= 1 || allIdentical(v.Points(), idx) {
+		t.nodes[nodeID] = refNode{feature: -1, size: len(idx)}
 		return nodeID
 	}
 	dim := v.Dim()
@@ -65,7 +100,7 @@ func oldBuild(t *iTree, v *dataset.View, idx []int, depth, limit int, rng *rand.
 		found = hi > lo
 	}
 	if !found {
-		t.nodes[nodeID] = iNode{feature: -1, size: len(idx)}
+		t.nodes[nodeID] = refNode{feature: -1, size: len(idx)}
 		return nodeID
 	}
 	split := lo + rng.Float64()*(hi-lo)
@@ -78,12 +113,12 @@ func oldBuild(t *iTree, v *dataset.View, idx []int, depth, limit int, rng *rand.
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		t.nodes[nodeID] = iNode{feature: -1, size: len(idx)}
+		t.nodes[nodeID] = refNode{feature: -1, size: len(idx)}
 		return nodeID
 	}
 	l := oldBuild(t, v, left, depth+1, limit, rng)
 	r := oldBuild(t, v, right, depth+1, limit, rng)
-	t.nodes[nodeID] = iNode{feature: feature, split: split, left: l, right: r}
+	t.nodes[nodeID] = refNode{feature: feature, split: split, left: l, right: r}
 	return nodeID
 }
 

@@ -146,12 +146,17 @@ func (b *Beam) ExplainPoint(ctx context.Context, ds *dataset.Dataset, p, targetD
 // stageCandidates enumerates every subspace of exactly dim features over a
 // d-feature dataset, in the enumerator's deterministic order. It is the
 // candidate universe of one exhaustive sweep — what Beam's stage 1 scores
-// (dim 2). dim values outside [1, d] yield an empty list.
+// (dim 2). dim values outside [1, d] yield an empty list. The candidates
+// are carved, capacity-capped, from one backing array.
 func stageCandidates(d, dim int) []subspace.Subspace {
-	var out []subspace.Subspace
+	n := int(subspace.Count(d, dim))
+	out := make([]subspace.Subspace, 0, n)
+	flat := make([]int, 0, n*dim)
 	enum := subspace.NewEnumerator(d, dim)
 	for s := enum.Next(); s != nil; s = enum.Next() {
-		out = append(out, s.Clone())
+		lo := len(flat)
+		flat = append(flat, s...)
+		out = append(out, subspace.Subspace(flat[lo:len(flat):len(flat)]))
 	}
 	return out
 }

@@ -198,4 +198,4 @@ func (v benchView) Feature(j int) int            { return v.feats[j] }
 func (v benchView) NumFeatures() int             { return len(v.src) }
 func (v benchView) SourceColumn(f int) []float64 { return v.src[f] }
 func (v benchView) SourceKey() string            { return "bench" }
-func (v benchView) SubspaceKey() string          { return fmt.Sprint(v.feats) }
+func (v benchView) CacheKey() string             { return "bench|" + fmt.Sprint(v.feats) }

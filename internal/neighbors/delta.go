@@ -77,8 +77,9 @@ type ColumnSource interface {
 	// SourceKey identifies the underlying dataset; sources scored through
 	// one engine must carry distinct keys.
 	SourceKey() string
-	// SubspaceKey canonically identifies the view's subspace.
-	SubspaceKey() string
+	// CacheKey identifies the view: SourceKey, "|", and a canonical key
+	// of the view's subspace.
+	CacheKey() string
 }
 
 // DeltaStats is a point-in-time snapshot of the engine's activity.

@@ -247,13 +247,8 @@ func (p *Plane) Publish(src ColumnSource, k, m int, idx []int32, dist []float64)
 	}
 	p.publishes++
 	p.mu.Unlock()
-	p.cache.Put(planeKey(src), planeEntry{k: k, m: m, idx: idx, dist: dist},
+	p.cache.Put(src.CacheKey(), planeEntry{k: k, m: m, idx: idx, dist: dist},
 		func(en planeEntry) bool { return en.k >= k })
-}
-
-// planeKey is the cache key of src's view: (dataset, subspace).
-func planeKey(src ColumnSource) string {
-	return src.SourceKey() + "|" + src.SubspaceKey()
 }
 
 // AllKNN answers the all-points k-nearest-neighbour query for the view
@@ -282,7 +277,7 @@ func (p *Plane) AllKNN(ctx context.Context, src ColumnSource, k, workers int) (i
 	// at it. An entry shallower than this request (resident, or a leader's
 	// that started before a deeper consumer registered) is rebuilt.
 	kq := p.registerK(k)
-	en, err := p.cache.Get(ctx, planeKey(src),
+	en, err := p.cache.Get(ctx, src.CacheKey(),
 		func(en planeEntry) bool { return en.k >= k || en.m >= n-1 },
 		func(ctx context.Context) (planeEntry, error) { return p.compute(ctx, src, kq, workers) })
 	if err != nil {

@@ -279,5 +279,5 @@ func (s *windowTestSource) Feature(j int) int            { return j }
 func (s *windowTestSource) NumFeatures() int             { return len(s.cols) }
 func (s *windowTestSource) SourceColumn(f int) []float64 { return s.cols[f] }
 func (s *windowTestSource) SourceKey() string            { return s.name }
-func (s *windowTestSource) SubspaceKey() string          { return "full" }
+func (s *windowTestSource) CacheKey() string             { return s.name + "|full" }
 func (s *windowTestSource) Points() [][]float64          { return s.points }

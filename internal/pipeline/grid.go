@@ -20,10 +20,10 @@ import (
 //
 // Work shared between cells is paid for by whichever cell gets there
 // first. Neighbourhoods come from the grid's one plane (see Plane), and the
-// factory-built HiCS cells of one dimensionality share one contrast
-// search: the first HiCS_FX cell of a dimension carries the search in its
-// Duration and SearchTime, and the other detectors' HiCS_FX cells report
-// their ranking (plus any wait on a search in flight). Per-cell runtimes
+// factory-built HiCS cells share one contrast search, run to the grid's
+// largest dimensionality: the first HiCS_FX cell to start carries the
+// search in its Duration and SearchTime, and the other HiCS_FX cells report
+// their ranking (plus any wait on the search in flight). Per-cell runtimes
 // therefore split a grid's cost rather than reproduce a standalone run's.
 type GridSpec struct {
 	// Dataset and GroundTruth define the workload.
@@ -332,10 +332,15 @@ func buildCells(spec GridSpec, inner int) []gridCell {
 	if opts.Workers <= 0 {
 		opts.Workers = inner
 	}
-	// HiCS's contrast search ignores the detector, so the grid's HiCS cells
-	// of one dimensionality share one search instead of running it once
-	// per detector.
-	opts.hicsSearches = summarize.NewSearchCache()
+	// HiCS's contrast search ignores the detector, and a search to the
+	// grid's largest dimensionality passes through every smaller one, so
+	// all the grid's HiCS cells share one search instead of running it once
+	// per (detector, dimensionality).
+	maxDim := 0
+	for _, dim := range spec.Dims {
+		maxDim = max(maxDim, dim)
+	}
+	opts.hicsSearches = summarize.NewSearchCache(maxDim)
 	for _, dim := range spec.Dims {
 		for _, d := range dets {
 			for _, pp := range PointPipelines(d, spec.Seed, opts) {

@@ -173,17 +173,21 @@ func (s Subspace) Overlaps(other Subspace) bool {
 // Key returns a compact canonical string usable as a map key,
 // e.g. "1,4,9". The empty subspace has key "".
 func (s Subspace) Key() string {
-	if len(s) == 0 {
-		return ""
-	}
-	var b strings.Builder
+	var buf [64]byte
+	return string(s.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the subspace's Key to dst and returns the extended
+// buffer, so a caller composing a longer key (a dataset's source key, a
+// separator and the subspace) builds it with a single allocation.
+func (s Subspace) AppendKey(dst []byte) []byte {
 	for i, f := range s {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.Itoa(f))
+		dst = strconv.AppendInt(dst, int64(f), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // String renders the subspace in the paper's notation, e.g. "{F1, F4, F9}".

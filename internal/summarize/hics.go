@@ -61,39 +61,52 @@ type HiCS struct {
 	// Searches, when non-nil, shares Summarize's contrast search with
 	// every other HiCS holding the same cache: the search ignores the
 	// detector, so HiCS instances that differ only in Detector, TopK or
-	// RankByMean run it once per (dataset, target dimensionality). The
-	// first Summarize of a key pays for the search; the others wait for it
-	// or read it back, so their wall time covers ranking only. Nil runs
-	// the search on every call.
+	// RankByMean run it once per dataset, and one run serves every target
+	// dimensionality up to its depth. The first Summarize of a key pays for
+	// the search; the others wait for it or read it back, so their wall
+	// time covers ranking only. Nil runs the search on every call.
 	Searches *SearchCache
 }
 
 // SearchCache holds finished HiCS contrast searches (see HiCS.Searches),
-// keyed by the dataset's identity and every parameter the search reads.
-// Concurrent Summarize calls with one key run a single search; a caller
-// whose context is cancelled mid-search leaves no entry, and callers
-// waiting on it run the search themselves. Safe for concurrent use.
+// keyed by the dataset's identity and every parameter the search reads
+// except the target dimensionality. A search to dimensionality D yields
+// the result at every target dim ≤ D along the way — the run to dim k is
+// exactly the first k−1 stages of the run to D, with the same random draws
+// — so the cache runs each search once, to the deepest dimensionality its
+// callers will ask for, and serves each dim from that run. Concurrent
+// Summarize calls with one key run a single search; a caller whose context
+// is cancelled mid-search leaves no entry, and callers waiting on it run
+// the search themselves. Safe for concurrent use.
 type SearchCache struct {
-	memo *memo.Cache[[]core.ScoredSubspace]
+	memo   *memo.Cache[[][]core.ScoredSubspace]
+	maxDim int
 }
 
 // searchCacheBytes bounds a SearchCache. One entry is a cutoff-long list
-// of small subspaces — tens of KiB at the paper's settings — so the bound
-// only matters to a cache shared far beyond one grid.
+// of small subspaces per dimensionality — tens of KiB at the paper's
+// settings — so the bound only matters to a cache shared far beyond one
+// grid.
 const searchCacheBytes = 64 << 20
 
-// NewSearchCache returns an empty search cache.
-func NewSearchCache() *SearchCache {
+// NewSearchCache returns an empty search cache whose searches run to
+// maxDim, the largest target dimensionality its callers will ask for. A
+// caller asking for more than a resident search holds re-runs the search
+// to its own dimensionality and replaces the entry.
+func NewSearchCache(maxDim int) *SearchCache {
 	// An element is a 24-byte subspace header, an 8-byte score and 8 bytes
 	// per feature.
-	size := func(list []core.ScoredSubspace) int64 {
-		b := int64(len(list)) * 32
-		for _, s := range list {
-			b += int64(len(s.Subspace)) * 8
+	size := func(byDim [][]core.ScoredSubspace) int64 {
+		var b int64
+		for _, list := range byDim {
+			b += int64(len(list)) * 32
+			for _, s := range list {
+				b += int64(len(s.Subspace)) * 8
+			}
 		}
 		return b
 	}
-	return &SearchCache{memo: memo.New(searchCacheBytes, size)}
+	return &SearchCache{memo: memo.New(searchCacheBytes, size), maxDim: maxDim}
 }
 
 // NewHiCS returns a HiCS summariser with the paper's settings.
@@ -172,11 +185,16 @@ func (h *HiCS) search(ctx context.Context, ds *dataset.Dataset, targetDim int) (
 	if h.Searches == nil {
 		return h.SearchContrastSubspaces(ctx, ds, targetDim)
 	}
-	key := fmt.Sprintf("%s|seed=%d|cutoff=%d|alpha=%v|mc=%d|test=%d|fixed=%t|dim=%d",
-		ds.SourceKey(), h.Seed, h.cutoff(), h.alpha(), h.mcIterations(), h.Test, h.FixedDim, targetDim)
-	return h.Searches.memo.Get(ctx, key, nil, func(ctx context.Context) ([]core.ScoredSubspace, error) {
-		return h.SearchContrastSubspaces(ctx, ds, targetDim)
+	key := fmt.Sprintf("%s|seed=%d|cutoff=%d|alpha=%v|mc=%d|test=%d|fixed=%t",
+		ds.SourceKey(), h.Seed, h.cutoff(), h.alpha(), h.mcIterations(), h.Test, h.FixedDim)
+	deep := func(byDim [][]core.ScoredSubspace) bool { return len(byDim) >= targetDim-1 }
+	byDim, err := h.Searches.memo.Get(ctx, key, deep, func(ctx context.Context) ([][]core.ScoredSubspace, error) {
+		return h.searchByDim(ctx, ds, max(targetDim, h.Searches.maxDim))
 	})
+	if err != nil {
+		return nil, err
+	}
+	return byDim[targetDim-2], nil
 }
 
 // SearchContrastSubspaces runs the detector-independent part of HiCS: the
@@ -186,6 +204,18 @@ func (h *HiCS) search(ctx context.Context, ds *dataset.Dataset, targetDim int) (
 // observes ctx between contrast computations, so cancellation aborts with
 // ctx's error.
 func (h *HiCS) SearchContrastSubspaces(ctx context.Context, ds *dataset.Dataset, maxDim int) ([]core.ScoredSubspace, error) {
+	byDim, err := h.searchByDim(ctx, ds, maxDim)
+	if err != nil {
+		return nil, err
+	}
+	return byDim[len(byDim)-1], nil
+}
+
+// searchByDim runs the contrast search up to maxDim and returns its result
+// at every target dimensionality on the way: byDim[k-2] is what a search
+// to dim k returns. The lists are capacity-capped, so appending to one
+// never writes into another.
+func (h *HiCS) searchByDim(ctx context.Context, ds *dataset.Dataset, maxDim int) ([][]core.ScoredSubspace, error) {
 	rng := rand.New(rand.NewSource(h.Seed))
 	est := newContrastEstimator(ds, h.alpha(), h.mcIterations(), h.Test, rng)
 	cutoff := h.cutoff()
@@ -210,6 +240,7 @@ func (h *HiCS) SearchContrastSubspaces(ctx context.Context, ds *dataset.Dataset,
 
 	global := make([]core.ScoredSubspace, len(stage))
 	copy(global, stage)
+	byDim := [][]core.ScoredSubspace{global}
 
 	// Later stages: extend the high-contrast candidates by one feature.
 	for dim := 3; dim <= maxDim; dim++ {
@@ -239,6 +270,7 @@ func (h *HiCS) SearchContrastSubspaces(ctx context.Context, ds *dataset.Dataset,
 		core.SortByScore(next)
 		stage = core.TopK(next, cutoff)
 		if h.FixedDim {
+			byDim = append(byDim, stage[:len(stage):len(stage)])
 			continue
 		}
 		// Keller et al.'s redundancy pruning: drop a subspace when a kept
@@ -246,12 +278,9 @@ func (h *HiCS) SearchContrastSubspaces(ctx context.Context, ds *dataset.Dataset,
 		global = pruneDominated(append(global, stage...))
 		core.SortByScore(global)
 		global = core.TopK(global, cutoff)
+		byDim = append(byDim, global[:len(global):len(global)])
 	}
-
-	if h.FixedDim {
-		return stage, nil
-	}
-	return global, nil
+	return byDim, nil
 }
 
 // pruneDominated removes subspaces dominated by a superset with higher

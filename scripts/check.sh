@@ -52,6 +52,9 @@ go test -run '^$' -bench 'BenchmarkRunGrid/workers=4' -benchtime=1x ./internal/p
 # Same smoke for the delta engine's scan layer (the grid's hottest
 # neighbourhood path): one seeded 3d and one seeded 7d view per iteration.
 go test -run '^$' -bench 'BenchmarkDeltaScan$' -benchtime=1x ./internal/neighbors
+# And for an anexd explain request's search layer: Beam on a warm score
+# memo (candidates, memo keys, Z-scores, ranking); no ceiling.
+go test -run '^$' -bench 'BenchmarkBeamWarm$' -benchtime=1x ./internal/explain
 
 # Figure-9 Beam/LOF perf gate: fail if the acceptance metric regresses >10%
 # versus the committed same-host baseline (results/BENCH_11.json, recorded
