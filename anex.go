@@ -222,10 +222,6 @@ func NewStreamMonitor(cfg StreamConfig) (*StreamMonitor, error) { return stream.
 // distinguishing a deliberate zero threshold from "unset, use the default".
 func StreamThreshold(z float64) *float64 { return stream.Threshold(z) }
 
-// StreamSlack returns a pointer to s for StreamConfig.Slack,
-// distinguishing a deliberate zero slack from "unset, use the default".
-func StreamSlack(s int) *int { return stream.Slack(s) }
-
 // CachedDetector wraps a detector with a per-subspace score memo, sound
 // whenever the detector is deterministic per subspace (all three built-in
 // detectors are). The cache is safe for concurrent use and deduplicates

@@ -61,7 +61,6 @@ func main() {
 		streamStride = flag.Int("stream-stride", 64, "stream experiment: points between evaluations")
 		streamDim    = flag.Int("stream-dim", 20, "stream experiment: feature count of the synthetic stream")
 		streamPoints = flag.Int("stream-points", 0, "stream experiment: total points to push (0 = window + 50 strides)")
-		streamSlack  = flag.Int("stream-slack", -1, "stream experiment: engine reservoir slack (-1 = default)")
 	)
 	flag.Parse()
 
@@ -77,9 +76,9 @@ func main() {
 	}
 
 	if strings.EqualFold(*exp, "stream") {
-		err = runStream(ctx, *seed, *streamWindow, *streamStride, *streamDim, *streamPoints, *streamSlack, *workers, *stats)
+		err = runStream(ctx, os.Stdout, os.Stderr, *seed, *streamWindow, *streamStride, *streamDim, *streamPoints, *workers, *stats)
 	} else {
-		err = run(ctx, *scaleFlag, *seed, *exp, *csvDir, *quiet, *only, *mdPath, *journal, *detectors, *metric, *workers, *cacheMB, *planeMB, *stats)
+		err = run(ctx, os.Stdout, os.Stderr, *scaleFlag, *seed, *exp, *csvDir, *quiet, *only, *mdPath, *journal, *detectors, *metric, *workers, *cacheMB, *planeMB, *stats)
 	}
 	// An interrupted run still yields a usable CPU profile.
 	stopProfiles()
@@ -129,12 +128,14 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	}, nil
 }
 
-func run(ctx context.Context, scaleFlag string, seed int64, exp, csvDir string, quiet bool, only, mdPath, journalPath, detectors, metric string, workers, cacheMB, planeMB int, stats bool) error {
+// run renders the selected experiments' tables to out; progress, file
+// notes and statistics go to errOut.
+func run(ctx context.Context, out, errOut io.Writer, scaleFlag string, seed int64, exp, csvDir string, quiet bool, only, mdPath, journalPath, detectors, metric string, workers, cacheMB, planeMB int, stats bool) error {
 	scale, err := synth.ParseScale(scaleFlag)
 	if err != nil {
 		return err
 	}
-	var progress io.Writer = os.Stderr
+	progress := errOut
 	if quiet {
 		progress = nil
 	}
@@ -162,7 +163,7 @@ func run(ctx context.Context, scaleFlag string, seed int64, exp, csvDir string, 
 		}
 		defer journal.Close()
 		if n := journal.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "resuming: %d cells journalled in %s\n", n, journalPath)
+			fmt.Fprintf(errOut, "resuming: %d cells journalled in %s\n", n, journalPath)
 		}
 	}
 	session, err := experiments.NewSession(ctx, experiments.Config{
@@ -215,8 +216,8 @@ func run(ctx context.Context, scaleFlag string, seed int64, exp, csvDir string, 
 		}
 		matched = true
 		table := g.build(ctx)
-		fmt.Println()
-		if err := table.Render(os.Stdout); err != nil {
+		fmt.Fprintln(out)
+		if err := table.Render(out); err != nil {
 			return err
 		}
 		if md != nil {
@@ -240,7 +241,7 @@ func run(ctx context.Context, scaleFlag string, seed int64, exp, csvDir string, 
 			if err := f.Close(); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			fmt.Fprintf(errOut, "wrote %s\n", path)
 		}
 		// An interrupt mid-experiment leaves the remaining tables full of
 		// cancelled cells; render what we have and stop cleanly.
@@ -253,12 +254,12 @@ func run(ctx context.Context, scaleFlag string, seed int64, exp, csvDir string, 
 	}
 	if stats {
 		ps := session.PlaneStats()
-		fmt.Fprintf(os.Stderr, "neighbourhood plane: %s\n", ps)
+		fmt.Fprintf(errOut, "neighbourhood plane: %s\n", ps)
 		if pt := ps.Prune; pt.Indexes > 0 {
-			fmt.Fprintf(os.Stderr, "quant prefilter: %d coded indexes (%d code bytes), scanned %d of %d candidates (scan fraction %.3f), rejected %d of %d bound-tested (survivor fraction %.3f)\n",
+			fmt.Fprintf(errOut, "quant prefilter: %d coded indexes (%d code bytes), scanned %d of %d candidates (scan fraction %.3f), rejected %d of %d bound-tested (survivor fraction %.3f)\n",
 				pt.Indexes, pt.CodeBytes, pt.Scanned, pt.Candidates, pt.ScanFraction(), pt.QuantRejected, pt.QuantCandidates, pt.SurvivorFraction())
 		} else {
-			fmt.Fprintln(os.Stderr, "quant prefilter: no wide views coded")
+			fmt.Fprintln(errOut, "quant prefilter: no wide views coded")
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,13 +11,13 @@ import (
 )
 
 func TestRunUnknownScale(t *testing.T) {
-	if err := run(context.Background(), "huge", 1, "table1", "", true, "", "", "", "", "map", 1, 0, 0, false); err == nil {
+	if err := run(context.Background(), io.Discard, io.Discard, "huge", 1, "table1", "", true, "", "", "", "", "map", 1, 0, 0, false); err == nil {
 		t.Error("unknown scale should fail")
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run(context.Background(), "small", 1, "figure99", "", true, "", "", "", "", "map", 1, 0, 0, false); err == nil {
+	if err := run(context.Background(), io.Discard, io.Discard, "small", 1, "figure99", "", true, "", "", "", "", "map", 1, 0, 0, false); err == nil {
 		t.Error("unknown experiment should fail")
 	}
 }
@@ -25,22 +27,11 @@ func TestRunTable1AndCSV(t *testing.T) {
 		t.Skip("generates the small-scale testbed")
 	}
 	dir := t.TempDir()
-	// Capture stdout.
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, io.Discard, "small", 1, "table1", dir, true, "", "", "", "", "map", 1, 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	runErr := run(context.Background(), "small", 1, "table1", dir, true, "", "", "", "", "map", 1, 0, 0, false)
-	w.Close()
-	os.Stdout = old
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	out := make([]byte, 1<<16)
-	n, _ := r.Read(out)
-	text := string(out[:n])
+	text := out.String()
 	if !strings.Contains(text, "Table 1") || !strings.Contains(text, "hics-8d") {
 		t.Errorf("unexpected output:\n%s", text)
 	}
@@ -53,7 +44,7 @@ func TestRunTable1AndCSV(t *testing.T) {
 		t.Errorf("CSV malformed: %s", data)
 	}
 	// figure8 shares the session-generation path.
-	if err := run(context.Background(), "small", 1, "figure8", "", true, "", "", "", "", "map", 1, 0, 0, false); err != nil {
+	if err := run(context.Background(), io.Discard, io.Discard, "small", 1, "figure8", "", true, "", "", "", "", "map", 1, 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,25 +55,15 @@ func TestRunDatasetFilter(t *testing.T) {
 	}
 	// A single-dataset filter skips generating the rest (in particular
 	// the real-like ground-truth derivation).
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, io.Discard, "small", 1, "table1", "", true, "hics-8d", "", "", "", "map", 1, 0, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	runErr := run(context.Background(), "small", 1, "table1", "", true, "hics-8d", "", "", "", "map", 1, 0, 0, false)
-	w.Close()
-	os.Stdout = old
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	buf := make([]byte, 1<<16)
-	n, _ := r.Read(buf)
-	text := string(buf[:n])
+	text := out.String()
 	if !strings.Contains(text, "hics-8d") || strings.Contains(text, "hics-12d") {
 		t.Errorf("filter not applied:\n%s", text)
 	}
-	if err := run(context.Background(), "small", 1, "table1", "", true, "no-such-dataset", "", "", "", "map", 1, 0, 0, false); err == nil {
+	if err := run(context.Background(), io.Discard, io.Discard, "small", 1, "table1", "", true, "no-such-dataset", "", "", "", "map", 1, 0, 0, false); err == nil {
 		t.Error("unmatched filter should fail")
 	}
 }
@@ -93,17 +74,8 @@ func TestRunMarkdownReport(t *testing.T) {
 	}
 	dir := t.TempDir()
 	mdPath := filepath.Join(dir, "report.md")
-	old := os.Stdout
-	_, w, err := os.Pipe()
-	if err != nil {
+	if err := run(context.Background(), io.Discard, io.Discard, "small", 1, "table1", "", true, "hics-8d", mdPath, "", "", "map", 1, 0, 0, false); err != nil {
 		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := run(context.Background(), "small", 1, "table1", "", true, "hics-8d", mdPath, "", "", "map", 1, 0, 0, false)
-	w.Close()
-	os.Stdout = old
-	if runErr != nil {
-		t.Fatal(runErr)
 	}
 	data, err := os.ReadFile(mdPath)
 	if err != nil {

@@ -3,9 +3,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
-	"os"
 	"time"
 
 	"anex/internal/detector"
@@ -18,7 +18,7 @@ import (
 // repo's check.sh gates at ≤ 0.6 via the stream benchmark pair), and fails
 // if the two alert streams are not identical — the incremental engine's
 // bit-identicality contract, enforced on every benchmark run.
-func runStream(ctx context.Context, seed int64, window, stride, dim, points, slack, workers int, stats bool) error {
+func runStream(ctx context.Context, out, errOut io.Writer, seed int64, window, stride, dim, points, workers int, stats bool) error {
 	if window < stream.MinWindowSize {
 		return fmt.Errorf("stream window %d too small (need ≥ %d)", window, stream.MinWindowSize)
 	}
@@ -47,18 +47,14 @@ func runStream(ctx context.Context, seed int64, window, stride, dim, points, sla
 	arm := func(noInc bool) (armResult, error) {
 		det := detector.NewLOF(15)
 		det.Workers = workers
-		cfg := stream.Config{
+		m, err := stream.NewMonitor(stream.Config{
 			WindowSize:    window,
 			Stride:        stride,
 			ZThreshold:    stream.Threshold(3),
 			Detector:      det,
 			NoIncremental: noInc,
 			Workers:       workers,
-		}
-		if slack >= 0 {
-			cfg.Slack = stream.Slack(slack)
-		}
-		m, err := stream.NewMonitor(cfg)
+		})
 		if err != nil {
 			return armResult{}, err
 		}
@@ -103,14 +99,14 @@ func runStream(ctx context.Context, seed int64, window, stride, dim, points, sla
 	if rebuild.elapsed > 0 {
 		ratio = float64(inc.elapsed) / float64(rebuild.elapsed)
 	}
-	fmt.Printf("stream workload: %d points, window %d, stride %d, %dd, LOF k=15, workers %d\n",
+	fmt.Fprintf(out, "stream workload: %d points, window %d, stride %d, %dd, LOF k=15, workers %d\n",
 		points, window, stride, dim, workers)
-	fmt.Printf("  rebuild:     %10v  (%d evaluations)\n", rebuild.elapsed, rebuild.evals)
-	fmt.Printf("  incremental: %10v  (%d evaluations, %d alerts, identical to rebuild)\n",
+	fmt.Fprintf(out, "  rebuild:     %10v  (%d evaluations)\n", rebuild.elapsed, rebuild.evals)
+	fmt.Fprintf(out, "  incremental: %10v  (%d evaluations, %d alerts, identical to rebuild)\n",
 		inc.elapsed, inc.evals, len(inc.alerts))
-	fmt.Printf("  ratio: %.3f (lower is better; <1 means the incremental engine wins)\n", ratio)
+	fmt.Fprintf(out, "  ratio: %.3f (lower is better; <1 means the incremental engine wins)\n", ratio)
 	if stats {
-		fmt.Fprintf(os.Stderr, "stream stats: %s\n", inc.st)
+		fmt.Fprintf(errOut, "stream stats: %s\n", inc.st)
 	}
 	return nil
 }

@@ -116,11 +116,15 @@ type options struct {
 }
 
 func run(ctx context.Context, opts options) error {
+	// One fault set for the whole process lifetime: the durable store
+	// evaluates it through its options, every request handler and the
+	// computations it starts through the request context.
+	var faults *failpoint.Set
 	if opts.failpoints != "" {
-		if err := failpoint.Enable(opts.failpoints); err != nil {
+		var err error
+		if faults, err = failpoint.Parse(opts.failpoints); err != nil {
 			return err
 		}
-		defer failpoint.Disable()
 		fmt.Fprintf(os.Stderr, "anexd: FAULT INJECTION ARMED: %s\n", opts.failpoints)
 	}
 	eng := server.NewEngine(server.EngineConfig{
@@ -130,7 +134,7 @@ func run(ctx context.Context, opts options) error {
 	})
 	var store *durable.Store
 	if opts.dataDir != "" {
-		st, recovered, err := durable.Open(opts.dataDir)
+		st, recovered, err := durable.OpenWith(opts.dataDir, durable.Options{Faults: faults})
 		if err != nil {
 			return fmt.Errorf("data dir %s: %w", opts.dataDir, err)
 		}
@@ -166,6 +170,9 @@ func run(ctx context.Context, opts options) error {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
+		BaseContext: func(net.Listener) context.Context {
+			return failpoint.With(context.Background(), faults)
+		},
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

@@ -17,13 +17,14 @@
 //
 //	anexeval -data d.csv -gt d.groundtruth.json [-dims 2,3] [-seed N]
 //	         [-workers N] [-topk 30] [-cache-mb 256] [-plane-mb 256]
-//	         [-no-sched] [-journal run.journal] [-cell-timeout 5m]
+//	         [-journal run.journal] [-cell-timeout 5m]
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -43,18 +44,19 @@ func main() {
 		topK        = flag.Int("topk", 0, "result-list bound per explainer (0 = paper default 100)")
 		cacheMB     = flag.Int("cache-mb", 0, "byte budget (MiB) of each detector's shared score memo; LRU-evicts past it (0 = default 256)")
 		planeMB     = flag.Int("plane-mb", 0, "byte budget (MiB) of the grid's shared neighbourhood plane (0 = default 256)")
-		noSched     = flag.Bool("no-sched", false, "disable cost-aware cell scheduling; cells dispatch in deterministic order (results are identical either way)")
 		journalPath = flag.String("journal", "", "checkpoint completed cells to this file and resume from it")
 		cellTimeout = flag.Duration("cell-timeout", 0, "per-cell deadline (0 = none); timed-out cells report an error, the rest of the grid completes")
 	)
 	flag.Parse()
 
 	clix.Main("anexeval", func(ctx context.Context) error {
-		return run(ctx, *dataPath, *gtPath, *dims, *seed, *workers, *topK, *cacheMB, *planeMB, *noSched, *journalPath, *cellTimeout)
+		return run(ctx, os.Stdout, os.Stderr, *dataPath, *gtPath, *dims, *seed, *workers, *topK, *cacheMB, *planeMB, *journalPath, *cellTimeout)
 	})
 }
 
-func run(ctx context.Context, dataPath, gtPath, dimsArg string, seed int64, workers, topK, cacheMB, planeMB int, noSched bool, journalPath string, cellTimeout time.Duration) error {
+// run evaluates the grid, writing the result table to out and resume
+// notes to errOut.
+func run(ctx context.Context, out, errOut io.Writer, dataPath, gtPath, dimsArg string, seed int64, workers, topK, cacheMB, planeMB int, journalPath string, cellTimeout time.Duration) error {
 	if dataPath == "" || gtPath == "" {
 		return fmt.Errorf("both -data and -gt are required")
 	}
@@ -91,11 +93,11 @@ func run(ctx context.Context, dataPath, gtPath, dimsArg string, seed int64, work
 		}
 		defer journal.Close()
 		if n := journal.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "resuming: %d cells journalled in %s\n", n, journalPath)
+			fmt.Fprintf(errOut, "resuming: %d cells journalled in %s\n", n, journalPath)
 		}
 	}
 
-	fmt.Printf("%s: %d points × %d features, %d outliers; dims %v\n\n",
+	fmt.Fprintf(out, "%s: %d points × %d features, %d outliers; dims %v\n\n",
 		ds.Name(), ds.N(), ds.D(), gt.NumOutliers(), dims)
 
 	start := time.Now()
@@ -107,35 +109,34 @@ func run(ctx context.Context, dataPath, gtPath, dimsArg string, seed int64, work
 		Options:     anex.PipelineOptions{TopK: topK, CacheBytes: int64(cacheMB) << 20},
 		Cached:      true,
 		Plane:       anex.NewNeighborhoodPlane(int64(planeMB) << 20),
-		NoSched:     noSched,
 		Workers:     workers,
 		Journal:     journal,
 		CellTimeout: cellTimeout,
 	})
-	fmt.Printf("%-4s %-10s %-9s %8s %8s %12s %12s %12s\n", "dim", "explainer", "detector", "MAP", "recall", "runtime", "scoring", "search")
-	fmt.Println(strings.Repeat("-", 82))
+	fmt.Fprintf(out, "%-4s %-10s %-9s %8s %8s %12s %12s %12s\n", "dim", "explainer", "detector", "MAP", "recall", "runtime", "scoring", "search")
+	fmt.Fprintln(out, strings.Repeat("-", 82))
 	completed := 0
 	for _, r := range results {
 		if r.Err != nil {
-			fmt.Printf("%-4d %-10s %-9s %8s %8s %12s %12s %12s  (%v)\n", r.TargetDim, r.Explainer, r.Detector, "err", "err", "-", "-", "-", r.Err)
+			fmt.Fprintf(out, "%-4d %-10s %-9s %8s %8s %12s %12s %12s  (%v)\n", r.TargetDim, r.Explainer, r.Detector, "err", "err", "-", "-", "-", r.Err)
 			continue
 		}
 		completed++
 		if r.PointsEvaluated == 0 {
-			fmt.Printf("%-4d %-10s %-9s %8s %8s %12s %12s %12s\n", r.TargetDim, r.Explainer, r.Detector, "-", "-", "-", "-", "-")
+			fmt.Fprintf(out, "%-4d %-10s %-9s %8s %8s %12s %12s %12s\n", r.TargetDim, r.Explainer, r.Detector, "-", "-", "-", "-", "-")
 			continue
 		}
-		fmt.Printf("%-4d %-10s %-9s %8.3f %8.3f %12s %12s %12s\n",
+		fmt.Fprintf(out, "%-4d %-10s %-9s %8.3f %8.3f %12s %12s %12s\n",
 			r.TargetDim, r.Explainer, r.Detector, r.MAP, r.MeanRecall,
 			r.Duration.Round(time.Millisecond), r.ScoringTime.Round(time.Millisecond), r.SearchTime.Round(time.Millisecond))
 	}
-	fmt.Printf("\ntotal %s over %d pipeline cells (%d completed)\n", time.Since(start).Round(time.Millisecond), len(results), completed)
+	fmt.Fprintf(out, "\ntotal %s over %d pipeline cells (%d completed)\n", time.Since(start).Round(time.Millisecond), len(results), completed)
 	if jerr != nil {
 		return fmt.Errorf("journal: %w", jerr)
 	}
 	if err := ctx.Err(); err != nil {
 		if journalPath != "" {
-			fmt.Fprintf(os.Stderr, "interrupted: re-run the same command to resume from %s\n", journalPath)
+			fmt.Fprintf(errOut, "interrupted: re-run the same command to resume from %s\n", journalPath)
 		}
 		return err
 	}

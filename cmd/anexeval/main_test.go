@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,30 +41,13 @@ func writeTestbed(t *testing.T) (dataPath, gtPath string) {
 	return dataPath, gtPath
 }
 
-func captureStdout(t *testing.T, fn func() error) (string, error) {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := fn()
-	w.Close()
-	os.Stdout = old
-	buf := make([]byte, 1<<17)
-	n, _ := r.Read(buf)
-	return string(buf[:n]), runErr
-}
-
 func TestRunEvaluatesGrid(t *testing.T) {
 	dataPath, gtPath := writeTestbed(t)
-	out, err := captureStdout(t, func() error {
-		return run(context.Background(), dataPath, gtPath, "2", 1, 1, 10, 0, 0, false, "", 0)
-	})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := run(context.Background(), &buf, io.Discard, dataPath, gtPath, "2", 1, 1, 10, 0, 0, "", 0); err != nil {
 		t.Fatal(err)
 	}
+	out := buf.String()
 	for _, want := range []string{"Beam_FX", "RefOut", "LookOut", "HiCS_FX", "LOF", "iForest", "12 pipeline cells"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -83,22 +68,17 @@ func TestRunEvaluatesGrid(t *testing.T) {
 
 func TestRunArgumentValidation(t *testing.T) {
 	dataPath, gtPath := writeTestbed(t)
-	cases := []struct {
-		name string
-		fn   func() error
-	}{
-		{"missing data", func() error { return run(context.Background(), "", gtPath, "2", 1, 1, 0, 0, 0, false, "", 0) }},
-		{"missing gt", func() error { return run(context.Background(), dataPath, "", "2", 1, 1, 0, 0, 0, false, "", 0) }},
-		{"bad dim", func() error { return run(context.Background(), dataPath, gtPath, "1", 1, 1, 0, 0, 0, false, "", 0) }},
-		{"dim too high", func() error { return run(context.Background(), dataPath, gtPath, "99", 1, 1, 0, 0, 0, false, "", 0) }},
-		{"nonsense dim", func() error { return run(context.Background(), dataPath, gtPath, "x", 1, 1, 0, 0, 0, false, "", 0) }},
-		{"missing file", func() error { return run(context.Background(), "/nope.csv", gtPath, "2", 1, 1, 0, 0, 0, false, "", 0) }},
-		{"missing gt file", func() error {
-			return run(context.Background(), dataPath, "/nope.json", "2", 1, 1, 0, 0, 0, false, "", 0)
-		}},
+	cases := []struct{ name, data, gt, dims string }{
+		{"missing data", "", gtPath, "2"},
+		{"missing gt", dataPath, "", "2"},
+		{"bad dim", dataPath, gtPath, "1"},
+		{"dim too high", dataPath, gtPath, "99"},
+		{"nonsense dim", dataPath, gtPath, "x"},
+		{"missing file", "/nope.csv", gtPath, "2"},
+		{"missing gt file", dataPath, "/nope.json", "2"},
 	}
 	for _, c := range cases {
-		if _, err := captureStdout(t, c.fn); err == nil {
+		if err := run(context.Background(), io.Discard, io.Discard, c.data, c.gt, c.dims, 1, 1, 0, 0, 0, "", 0); err == nil {
 			t.Errorf("%s should fail", c.name)
 		}
 	}
@@ -108,32 +88,19 @@ func TestRunJournalResume(t *testing.T) {
 	dataPath, gtPath := writeTestbed(t)
 	journalPath := filepath.Join(t.TempDir(), "eval.journal")
 	// The resume note goes to stderr; capture both streams.
-	captureBoth := func(fn func() error) (stdout, stderr string, err error) {
-		oldErr := os.Stderr
-		re, we, perr := os.Pipe()
-		if perr != nil {
-			t.Fatal(perr)
-		}
-		os.Stderr = we
-		stdout, err = captureStdout(t, fn)
-		we.Close()
-		os.Stderr = oldErr
-		buf := make([]byte, 1<<16)
-		n, _ := re.Read(buf)
-		return stdout, string(buf[:n]), err
+	runBoth := func() (stdout, stderr string, err error) {
+		var out, errOut bytes.Buffer
+		err = run(context.Background(), &out, &errOut, dataPath, gtPath, "2", 1, 1, 10, 0, 0, journalPath, 0)
+		return out.String(), errOut.String(), err
 	}
-	first, firstErr, err := captureBoth(func() error {
-		return run(context.Background(), dataPath, gtPath, "2", 1, 1, 10, 0, 0, false, journalPath, 0)
-	})
+	first, firstErr, err := runBoth()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(firstErr, "resuming:") {
 		t.Errorf("fresh journal claimed a resume:\n%s", firstErr)
 	}
-	second, secondErr, err := captureBoth(func() error {
-		return run(context.Background(), dataPath, gtPath, "2", 1, 1, 10, 0, 0, false, journalPath, 0)
-	})
+	second, secondErr, err := runBoth()
 	if err != nil {
 		t.Fatal(err)
 	}

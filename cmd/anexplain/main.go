@@ -23,6 +23,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -48,11 +49,12 @@ func main() {
 	flag.Parse()
 
 	clix.Main("anexplain", func(ctx context.Context) error {
-		return run(ctx, *dataPath, *points, *algo, *detName, *dim, *top, *seed, *plot, *workers)
+		return run(ctx, os.Stdout, *dataPath, *points, *algo, *detName, *dim, *top, *seed, *plot, *workers)
 	})
 }
 
-func run(ctx context.Context, dataPath, pointsArg, algo, detName string, dim, top int, seed int64, plotTop bool, workers int) error {
+// run explains the points and writes the ranked lists (and plots) to out.
+func run(ctx context.Context, out io.Writer, dataPath, pointsArg, algo, detName string, dim, top int, seed int64, plotTop bool, workers int) error {
 	if dataPath == "" {
 		return fmt.Errorf("missing -data")
 	}
@@ -89,18 +91,18 @@ func run(ctx context.Context, dataPath, pointsArg, algo, detName string, dim, to
 	if err != nil {
 		return err
 	}
-	return printResponse(eng, resp, points, top, plotTop)
+	return printResponse(out, eng, resp, points, top, plotTop)
 }
 
 // printResponse renders an engine response in the CLI's text format; the
 // anexd parity test pins this output against a live server's answer.
-func printResponse(eng *server.Engine, resp *server.ExplainResponse, points []int, top int, plotTop bool) error {
+func printResponse(out io.Writer, eng *server.Engine, resp *server.ExplainResponse, points []int, top int, plotTop bool) error {
 	printList := func(list []server.ScoredSubspaceJSON) {
 		if len(list) > top {
 			list = list[:top]
 		}
 		for rank, s := range list {
-			fmt.Printf("  %2d. {%s}  score %.4f\n", rank+1, strings.Join(s.Names, ", "), s.Score)
+			fmt.Fprintf(out, "  %2d. {%s}  score %.4f\n", rank+1, strings.Join(s.Names, ", "), s.Score)
 		}
 	}
 
@@ -112,21 +114,21 @@ func printResponse(eng *server.Engine, resp *server.ExplainResponse, points []in
 		if !ok {
 			return fmt.Errorf("dataset %q vanished from the engine", resp.Dataset)
 		}
-		return anex.PlotSubspace(os.Stdout, ds, subspace.Subspace(list[0].Features), anex.PlotOptions{
+		return anex.PlotSubspace(out, ds, subspace.Subspace(list[0].Features), anex.PlotOptions{
 			Highlight: highlight,
 			Title:     title,
 		})
 	}
 
 	for _, pe := range resp.Points {
-		fmt.Printf("point %d — %dd subspaces ranked by %s with %s:\n", pe.Point, resp.Dim, resp.AlgoName, resp.DetectorName)
+		fmt.Fprintf(out, "point %d — %dd subspaces ranked by %s with %s:\n", pe.Point, resp.Dim, resp.AlgoName, resp.DetectorName)
 		printList(pe.Subspaces)
 		if err := maybePlot(pe.Subspaces, []int{pe.Point}, fmt.Sprintf("point %d in its top subspace", pe.Point)); err != nil {
 			return err
 		}
 	}
 	if resp.Summary != nil {
-		fmt.Printf("summary for points %v — %dd subspaces ranked by %s with %s:\n", points, resp.Dim, resp.AlgoName, resp.DetectorName)
+		fmt.Fprintf(out, "summary for points %v — %dd subspaces ranked by %s with %s:\n", points, resp.Dim, resp.AlgoName, resp.DetectorName)
 		printList(resp.Summary)
 		if err := maybePlot(resp.Summary, points, "points of interest in the top summary subspace"); err != nil {
 			return err

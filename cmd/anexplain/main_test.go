@@ -1,9 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -42,27 +42,16 @@ func writeTestCSV(t *testing.T) string {
 	return path
 }
 
-func captureStdout(t *testing.T, fn func() error) (string, error) {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := fn()
-	w.Close()
-	os.Stdout = old
-	buf := make([]byte, 1<<16)
-	n, _ := r.Read(buf)
-	return string(buf[:n]), runErr
+// runOut runs the CLI and returns what it wrote.
+func runOut(path, points, algo, det string, top int, plot bool) (string, error) {
+	var buf bytes.Buffer
+	err := run(context.Background(), &buf, path, points, algo, det, 2, top, 1, plot, 1)
+	return buf.String(), err
 }
 
 func TestRunBeamExplainsPlantedPair(t *testing.T) {
 	path := writeTestCSV(t)
-	out, err := captureStdout(t, func() error {
-		return run(context.Background(), path, "0", "beam", "lof", 2, 3, 1, false, 1)
-	})
+	out, err := runOut(path, "0", "beam", "lof", 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +63,7 @@ func TestRunBeamExplainsPlantedPair(t *testing.T) {
 func TestRunSummaryAlgorithms(t *testing.T) {
 	path := writeTestCSV(t)
 	for _, algo := range []string{"lookout", "hics"} {
-		out, err := captureStdout(t, func() error {
-			return run(context.Background(), path, "0", algo, "lof", 2, 3, 1, false, 1)
-		})
+		out, err := runOut(path, "0", algo, "lof", 3, false)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -89,9 +76,7 @@ func TestRunSummaryAlgorithms(t *testing.T) {
 func TestRunAllDetectors(t *testing.T) {
 	path := writeTestCSV(t)
 	for _, det := range []string{"lof", "abod", "iforest"} {
-		if _, err := captureStdout(t, func() error {
-			return run(context.Background(), path, "0", "refout", det, 2, 2, 1, false, 1)
-		}); err != nil {
+		if _, err := runOut(path, "0", "refout", det, 2, false); err != nil {
 			t.Fatalf("%s: %v", det, err)
 		}
 	}
@@ -99,21 +84,16 @@ func TestRunAllDetectors(t *testing.T) {
 
 func TestRunArgumentErrors(t *testing.T) {
 	path := writeTestCSV(t)
-	cases := []struct {
-		name string
-		fn   func() error
-	}{
-		{"missing data", func() error { return run(context.Background(), "", "0", "beam", "lof", 2, 3, 1, false, 1) }},
-		{"missing points", func() error { return run(context.Background(), path, "", "beam", "lof", 2, 3, 1, false, 1) }},
-		{"bad point", func() error { return run(context.Background(), path, "x", "beam", "lof", 2, 3, 1, false, 1) }},
-		{"bad algo", func() error { return run(context.Background(), path, "0", "nope", "lof", 2, 3, 1, false, 1) }},
-		{"bad detector", func() error { return run(context.Background(), path, "0", "beam", "nope", 2, 3, 1, false, 1) }},
-		{"missing file", func() error {
-			return run(context.Background(), "/nonexistent.csv", "0", "beam", "lof", 2, 3, 1, false, 1)
-		}},
+	cases := []struct{ name, path, points, algo, det string }{
+		{"missing data", "", "0", "beam", "lof"},
+		{"missing points", path, "", "beam", "lof"},
+		{"bad point", path, "x", "beam", "lof"},
+		{"bad algo", path, "0", "nope", "lof"},
+		{"bad detector", path, "0", "beam", "nope"},
+		{"missing file", "/nonexistent.csv", "0", "beam", "lof"},
 	}
 	for _, c := range cases {
-		if _, err := captureStdout(t, c.fn); err == nil {
+		if _, err := runOut(c.path, c.points, c.algo, c.det, 3, false); err == nil {
 			t.Errorf("%s should fail", c.name)
 		}
 	}
@@ -121,9 +101,7 @@ func TestRunArgumentErrors(t *testing.T) {
 
 func TestRunWithPlot(t *testing.T) {
 	path := writeTestCSV(t)
-	out, err := captureStdout(t, func() error {
-		return run(context.Background(), path, "0", "beam", "lof", 2, 3, 1, true, 1)
-	})
+	out, err := runOut(path, "0", "beam", "lof", 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}

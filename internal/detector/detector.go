@@ -29,10 +29,11 @@ import (
 // get big.
 const DefaultCacheBytes = 256 << 20 // 256 MiB
 
-// SiteMemoPublish is the failpoint site guarding score-memo publication:
-// an armed error action makes the singleflight leader fail before any
-// detector work, releasing its waiters with the injected error through
-// the same path a real scoring failure takes.
+// SiteMemoPublish is the failpoint site guarding score-memo publication,
+// read from the leader's context (failpoint.From): an armed error action
+// makes the singleflight leader fail before any detector work, releasing
+// its waiters with the injected error through the same path a real
+// scoring failure takes.
 const SiteMemoPublish = "memo.publish"
 
 // Cached wraps a detector with a subspace-keyed memo. Pipelines score the
@@ -119,7 +120,7 @@ func (c *Cached) ScoresWithStats(ctx context.Context, v *dataset.View) (scores [
 
 func (c *Cached) get(ctx context.Context, v *dataset.View) (scoreEntry, error) {
 	return c.memo.Get(ctx, v.CacheKey(), nil, func(ctx context.Context) (scoreEntry, error) {
-		if err := failpoint.Eval(SiteMemoPublish); err != nil {
+		if err := failpoint.From(ctx).Eval(SiteMemoPublish); err != nil {
 			return scoreEntry{}, err
 		}
 		scores, err := c.inner.Scores(ctx, v)

@@ -75,20 +75,22 @@ func modelsEqual(a, b map[string]int) bool {
 // acknowledged-prefix state or that state plus the in-doubt record —
 // never a torn, reordered, or resurrected one.
 func TestCrashSchedule(t *testing.T) {
-	defer failpoint.Disable()
+	t.Parallel()
 	for _, site := range Sites() {
 		for hit := 1; hit <= len(crashScript); hit++ {
 			t.Run(fmt.Sprintf("%s@%d", site, hit), func(t *testing.T) {
+				t.Parallel()
+				faults, err := failpoint.Parse(fmt.Sprintf("%s=error@%d", site, hit))
+				if err != nil {
+					t.Fatal(err)
+				}
 				dir := t.TempDir()
-				s, recovered, err := OpenWith(dir, Options{CompactEvery: 3})
+				s, recovered, err := OpenWith(dir, Options{CompactEvery: 3, Faults: faults})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(recovered) != 0 {
 					t.Fatalf("fresh dir recovered %d records", len(recovered))
-				}
-				if err := failpoint.Enable(fmt.Sprintf("%s=error@%d", site, hit)); err != nil {
-					t.Fatal(err)
 				}
 
 				acked := make(map[string]int) // state of every acknowledged op
@@ -107,8 +109,7 @@ func TestCrashSchedule(t *testing.T) {
 					}
 					applyModel(acked, op)
 				}
-				siteHits := failpoint.Hits(site)
-				failpoint.Disable()
+				siteHits := faults.Hits(site)
 				s.abandon() // kill -9: no Close, no flush, fds dropped
 
 				if inDoubt == nil && siteHits < hit {
@@ -156,6 +157,7 @@ func assertRecovery(t *testing.T, dir string, acked map[string]int, inDoubt *cra
 // TestCrashDuringRecovery pins that a fault during recovery itself loses
 // nothing: Open fails cleanly, and the next Open recovers the full state.
 func TestCrashDuringRecovery(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	s, _, err := Open(dir)
 	if err != nil {
@@ -165,14 +167,13 @@ func TestCrashDuringRecovery(t *testing.T) {
 	reg(t, s, "b", 2)
 	s.Close()
 
-	if err := failpoint.Enable(SiteOpen + "=error"); err != nil {
+	faults, err := failpoint.Parse(SiteOpen + "=error")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir); err == nil {
-		failpoint.Disable()
+	if _, _, err := OpenWith(dir, Options{Faults: faults}); err == nil {
 		t.Fatal("Open under injected recovery fault succeeded, want error")
 	}
-	failpoint.Disable()
 
 	s2, recovered, err := Open(dir)
 	if err != nil {

@@ -48,9 +48,9 @@ const (
 	DefaultCompactEvery = 256
 )
 
-// The store's failpoint sites, in write-path order. The crash-schedule
-// test walks an injected fault through every one of them and asserts
-// recovery lands on a consistent state.
+// The store's failpoint sites, in write-path order, evaluated against
+// Options.Faults. The crash-schedule test walks an injected fault through
+// every one of them and asserts recovery lands on a consistent state.
 const (
 	// SiteOpen fails recovery itself (before any state is read).
 	SiteOpen = "durable.open"
@@ -84,6 +84,9 @@ type Options struct {
 	// CompactEvery triggers snapshot compaction after that many WAL
 	// appends (0 → DefaultCompactEvery).
 	CompactEvery int
+	// Faults arms the store's failpoint sites for crash drills and fault
+	// tests; nil (the default) arms none.
+	Faults *failpoint.Set
 }
 
 // Stats snapshots a store's activity.
@@ -111,6 +114,7 @@ type Stats struct {
 type Store struct {
 	dir          string
 	compactEvery int
+	faults       *failpoint.Set
 
 	mu         sync.Mutex
 	lock       *os.File
@@ -134,7 +138,7 @@ func Open(dir string) (*Store, []Record, error) {
 
 // OpenWith is Open with explicit options.
 func OpenWith(dir string, opts Options) (*Store, []Record, error) {
-	if err := failpoint.Eval(SiteOpen); err != nil {
+	if err := opts.Faults.Eval(SiteOpen); err != nil {
 		return nil, nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -147,6 +151,7 @@ func OpenWith(dir string, opts Options) (*Store, []Record, error) {
 	s := &Store{
 		dir:          dir,
 		compactEvery: opts.CompactEvery,
+		faults:       opts.Faults,
 		lock:         lock,
 		live:         make(map[string]Record),
 	}
@@ -285,10 +290,10 @@ func (s *Store) append(rec Record) error {
 	if err != nil {
 		return err // unencodable record: caller bug, store still healthy
 	}
-	if err := failpoint.Eval(SiteWALAppend); err != nil {
+	if err := s.faults.Eval(SiteWALAppend); err != nil {
 		return s.fail(err)
 	}
-	if err := failpoint.Eval(SiteWALTorn); err != nil {
+	if err := s.faults.Eval(SiteWALTorn); err != nil {
 		// Simulate a crash mid-append: half the frame reaches the disk.
 		if n, werr := s.wal.Write(frame[:len(frame)/2]); werr == nil {
 			s.walBytes += int64(n)
@@ -301,7 +306,7 @@ func (s *Store) append(rec Record) error {
 	if err != nil {
 		return s.fail(fmt.Errorf("wal write: %w", err))
 	}
-	if err := failpoint.Eval(SiteWALSync); err != nil {
+	if err := s.faults.Eval(SiteWALSync); err != nil {
 		return s.fail(err)
 	}
 	if err := s.wal.Sync(); err != nil {
@@ -350,7 +355,7 @@ func (s *Store) Compact() error {
 // compactLocked writes the live state to snapshot.tmp, fsyncs, renames it
 // over the snapshot, fsyncs the directory, then resets the WAL.
 func (s *Store) compactLocked() error {
-	if err := failpoint.Eval(SiteSnapWrite); err != nil {
+	if err := s.faults.Eval(SiteSnapWrite); err != nil {
 		return err
 	}
 	var buf []byte
@@ -369,7 +374,7 @@ func (s *Store) compactLocked() error {
 		tmp.Close()
 		return fmt.Errorf("snapshot write: %w", err)
 	}
-	if err := failpoint.Eval(SiteSnapSync); err != nil {
+	if err := s.faults.Eval(SiteSnapSync); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -380,7 +385,7 @@ func (s *Store) compactLocked() error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("snapshot close: %w", err)
 	}
-	if err := failpoint.Eval(SiteSnapRename); err != nil {
+	if err := s.faults.Eval(SiteSnapRename); err != nil {
 		return err
 	}
 	if err := os.Rename(tmpPath, filepath.Join(s.dir, snapName)); err != nil {
@@ -392,7 +397,7 @@ func (s *Store) compactLocked() error {
 	// The snapshot now owns the full state; the WAL can restart empty. A
 	// crash before this truncation replays the old WAL over the snapshot,
 	// which is convergent (last op per name wins either way).
-	if err := failpoint.Eval(SiteWALReset); err != nil {
+	if err := s.faults.Eval(SiteWALReset); err != nil {
 		return err
 	}
 	if err := s.wal.Truncate(0); err != nil {

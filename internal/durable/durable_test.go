@@ -268,17 +268,18 @@ func TestLockRefusesSecondOpener(t *testing.T) {
 }
 
 func TestFailStopAfterInjectedFault(t *testing.T) {
+	t.Parallel()
+	faults, err := failpoint.Parse(SiteWALSync + "=error@2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	s, _, err := Open(dir)
+	s, _, err := OpenWith(dir, Options{Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	reg(t, s, "a", 1)
-	if err := failpoint.Enable(SiteWALSync + "=error@1"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable()
+	reg(t, s, "a", 1) // the set's first WAL sync: the fault fires on the second
 	err = s.AppendRegister("b", true, csvPayload(2))
 	if !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("append under fault = %v, want ErrInjected", err)

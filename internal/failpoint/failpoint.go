@@ -1,16 +1,21 @@
-// Package failpoint is a deterministic fault-injection registry for crash
-// and degradation testing. Code under test declares named sites with
-// Eval("site"); tests (or an operator chasing a bug, via the anexd
-// -failpoints flag / ANEX_FAILPOINTS env var) arm actions against those
-// sites — return an error, panic, or delay — optionally only on the Nth
-// hit, which is what lets a crash-schedule test walk a fault through
-// every write of a scripted history.
+// Package failpoint is deterministic fault injection for crash and
+// degradation testing. Code under test declares named sites with
+// set.Eval("site"); a test (or an operator chasing a bug, via anexd's
+// -failpoints flag / ANEXD_FAILPOINTS env var) parses a spec into a Set
+// that arms actions against those sites — return an error, panic, or
+// delay — optionally only on the Nth hit, which is what lets a
+// crash-schedule test walk a fault through every write of a scripted
+// history.
 //
-// The registry is disarmed by default and costs one atomic load per Eval
-// call in that state — no map lookup, no lock, no allocation — so
-// production code can leave its sites compiled in.
+// A Set is a value, not process state: it travels with the work it
+// faults, on the context.Context of a request or computation (With, From)
+// or in the configuration of a store that takes no context. Two tests
+// with two sets never see each other's faults, so fault tests run in
+// parallel. A nil Set is disarmed: Eval returns nil without a lock or an
+// allocation, so production code leaves its sites compiled in and pays
+// one context lookup per site it reaches.
 //
-// Spec grammar (Enable):
+// Spec grammar (Parse):
 //
 //	spec    := site "=" action *( ";" site "=" action )
 //	action  := ( "error" | "panic" | "delay:" duration ) [ "@" hit ]
@@ -19,18 +24,16 @@
 // "panic" panics with the site name; "delay:50ms" sleeps then returns
 // nil. A trailing "@N" fires the action only on the site's Nth hit
 // (1-based) and disarms it afterwards; without it the action fires on
-// every hit. Hits are counted per armed site from the moment Enable
-// arms it.
+// every hit. Each Set counts its own hits per site, from zero at Parse.
 package failpoint
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -58,61 +61,46 @@ type action struct {
 	kind  Kind
 	delay time.Duration
 	onHit int // fire only on the Nth hit (1-based); 0 = every hit
-	hits  int // Eval calls observed since arming
+	hits  int // Eval calls observed since Parse
 	fired bool
 }
 
-var (
-	// armed is the fast-path gate: false means Eval returns nil after one
-	// atomic load, with no site bookkeeping at all.
-	armed atomic.Bool
-
+// Set is one parsed spec: its armed sites and their hit counters. Safe
+// for concurrent use; the nil Set arms nothing.
+type Set struct {
 	mu    sync.Mutex
 	sites map[string]*action
-)
+}
 
-// Enable parses spec and arms its sites, replacing any previously armed
-// set. An empty spec is an error (use Disable to disarm).
-func Enable(spec string) error {
-	parsed, err := parse(spec)
-	if err != nil {
-		return err
+type ctxKey struct{}
+
+// With returns ctx carrying s, so every site reached under the returned
+// context evaluates s. A nil s returns ctx unchanged.
+func With(ctx context.Context, s *Set) context.Context {
+	if s == nil {
+		return ctx
 	}
-	mu.Lock()
-	sites = parsed
-	mu.Unlock()
-	armed.Store(true)
-	return nil
+	return context.WithValue(ctx, ctxKey{}, s)
 }
 
-// Disable disarms every site and restores the zero-overhead fast path.
-// Hit counters are discarded with the armed set.
-func Disable() {
-	armed.Store(false)
-	mu.Lock()
-	sites = nil
-	mu.Unlock()
+// From returns the Set ctx carries, or nil when it carries none.
+func From(ctx context.Context) *Set {
+	s, _ := ctx.Value(ctxKey{}).(*Set)
+	return s
 }
 
-// Enabled reports whether any sites are armed.
-func Enabled() bool { return armed.Load() }
-
-// Eval is the hook compiled into code under test: a no-op returning nil
-// while the registry is disarmed, otherwise the armed action for site (if
-// any) runs. Each call against an armed site increments its hit counter
-// whether or not the action fires.
-func Eval(site string) error {
-	if !armed.Load() {
+// Eval is the hook compiled into code under test: nil on a nil Set or an
+// unarmed site, otherwise the site's armed action runs. Each call against
+// an armed site increments its hit counter whether or not the action
+// fires.
+func (s *Set) Eval(site string) error {
+	if s == nil {
 		return nil
 	}
-	return evalSlow(site)
-}
-
-func evalSlow(site string) error {
-	mu.Lock()
-	a, ok := sites[site]
+	s.mu.Lock()
+	a, ok := s.sites[site]
 	if !ok {
-		mu.Unlock()
+		s.mu.Unlock()
 		return nil
 	}
 	a.hits++
@@ -121,7 +109,7 @@ func evalSlow(site string) error {
 		a.fired = true // one-shot: "@N" actions disarm after firing
 	}
 	kind, delay := a.kind, a.delay
-	mu.Unlock()
+	s.mu.Unlock()
 	if !fire {
 		return nil
 	}
@@ -137,29 +125,22 @@ func evalSlow(site string) error {
 }
 
 // Hits returns how many Eval calls the armed site has observed. Zero for
-// unarmed or unknown sites.
-func Hits(site string) int {
-	mu.Lock()
-	defer mu.Unlock()
-	if a, ok := sites[site]; ok {
+// unarmed or unknown sites and on a nil Set.
+func (s *Set) Hits(site string) int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if a, ok := s.sites[site]; ok {
 		return a.hits
 	}
 	return 0
 }
 
-// Armed returns the armed site names, sorted.
-func Armed() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make([]string, 0, len(sites))
-	for s := range sites {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func parse(spec string) (map[string]*action, error) {
+// Parse parses spec into a Set with every hit counter at zero. An empty
+// spec is an error: a disarmed Set is the nil one.
+func Parse(spec string) (*Set, error) {
 	parsed := make(map[string]*action)
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
@@ -203,5 +184,5 @@ func parse(spec string) (map[string]*action, error) {
 	if len(parsed) == 0 {
 		return nil, fmt.Errorf("failpoint: empty spec")
 	}
-	return parsed, nil
+	return &Set{sites: parsed}, nil
 }

@@ -47,10 +47,11 @@ import (
 // admits roughly 1.5 such sweeps before LRU eviction.
 const DefaultPlaneBytes = 256 << 20
 
-// SitePlanePublish is the failpoint site guarding plane publication: an
-// armed error action makes the computing leader fail before any kNN work,
-// so waiters observe the injected error through the plane's normal error
-// path (and, per its singleflight contract, the next query retries).
+// SitePlanePublish is the failpoint site guarding plane publication, read
+// from the computing leader's context (failpoint.From): an armed error
+// action makes the leader fail before any kNN work, so waiters observe the
+// injected error through the plane's normal error path (and, per its
+// singleflight contract, the next query retries).
 const SitePlanePublish = "plane.publish"
 
 // Plane is a shared neighbourhood cache. The zero value is not usable;
@@ -291,7 +292,7 @@ func (p *Plane) AllKNN(ctx context.Context, src ColumnSource, k, workers int) (i
 // through the standard index (AllKNNFlat over NewIndex) otherwise. Both
 // paths produce bit-identical values in the same layout.
 func (p *Plane) compute(ctx context.Context, src ColumnSource, kq, workers int) (planeEntry, error) {
-	if err := failpoint.Eval(SitePlanePublish); err != nil {
+	if err := failpoint.From(ctx).Eval(SitePlanePublish); err != nil {
 		return planeEntry{}, err
 	}
 	idx, dist, m, ok, err := p.delta.AllKNN(ctx, src, kq, workers)

@@ -264,23 +264,26 @@ func TestPlaneBudgetSmallerThanEntry(t *testing.T) {
 // query at k=12 that joins a leader already computing at kmax=5 cannot use
 // the leader's entry, so it recomputes at 12 instead of being served short.
 func TestPlaneInFlightUpgrade(t *testing.T) {
+	t.Parallel()
 	ds := tieDataset(t, "inflight-upgrade", 150, 5, 10, 9)
 	v := ds.View(subspace.New(0, 1, 2))
 	p := neighbors.NewPlane(0)
-	if err := failpoint.Enable(neighbors.SitePlanePublish + "=delay:300ms@1"); err != nil {
+	// Only the leader's computation carries the delay; the waiter's
+	// recompute runs under a context without faults.
+	faults, err := failpoint.Parse(neighbors.SitePlanePublish + "=delay:300ms")
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer failpoint.Disable()
 	leader := make(chan error, 1)
 	go func() {
-		_, _, m, _, _, err := p.AllKNN(context.Background(), v, 5, 1)
+		_, _, m, _, _, err := p.AllKNN(failpoint.With(context.Background(), faults), v, 5, 1)
 		if err == nil && m != 5 {
 			err = fmt.Errorf("leader m=%d, want 5", m)
 		}
 		leader <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for failpoint.Hits(neighbors.SitePlanePublish) == 0 { // leader is computing at kmax=5
+	for faults.Hits(neighbors.SitePlanePublish) == 0 { // leader is computing at kmax=5
 		if time.Now().After(deadline) {
 			t.Fatal("leader never started computing")
 		}

@@ -137,7 +137,7 @@ func TestRunGridCancelStampsUnfinishedCells(t *testing.T) {
 		Dims:        []int{2},
 		PointPipelines: []PointPipeline{
 			{Detector: "A", Explainer: trivialExplainer{name: "t0"}},
-			{Detector: "B", Explainer: cancelOnEntry{cancel: cancel}},
+			{Detector: "B", Explainer: cancelOnEntry{name: "cancel-on-entry", cancel: cancel}},
 			{Detector: "C", Explainer: trivialExplainer{name: "t2"}},
 		},
 		Workers: 1, // serial cells: deterministic completion prefix
@@ -158,9 +158,12 @@ func TestRunGridCancelStampsUnfinishedCells(t *testing.T) {
 
 // cancelOnEntry cancels the grid the moment its cell starts, then defers to
 // the context-aborted path.
-type cancelOnEntry struct{ cancel context.CancelFunc }
+type cancelOnEntry struct {
+	name   string
+	cancel context.CancelFunc
+}
 
-func (cancelOnEntry) Name() string { return "cancel-on-entry" }
+func (c cancelOnEntry) Name() string { return c.name }
 
 func (c cancelOnEntry) ExplainPoint(ctx context.Context, _ *dataset.Dataset, _, _ int) ([]core.ScoredSubspace, error) {
 	c.cancel()
@@ -180,7 +183,7 @@ func resumePipelines(interruptAt int, cancel context.CancelFunc) []PointPipeline
 	}
 	pps := []PointPipeline{mk("LOF-10", 10), mk("LOF-15", 15), mk("LOF-20", 20), mk("LOF-25", 25)}
 	if interruptAt >= 0 && cancel != nil {
-		pps[interruptAt].Explainer = cancelOnEntry{cancel: cancel}
+		pps[interruptAt].Explainer = cancelOnEntry{name: pps[interruptAt].Explainer.Name(), cancel: cancel}
 	}
 	return pps
 }
@@ -203,10 +206,11 @@ func stripTimings(results []Result) []Result {
 func TestRunGridJournalResumeByteIdentical(t *testing.T) {
 	ds, gt := testbed(t, 43)
 	path := filepath.Join(t.TempDir(), "grid.journal")
-	// NoSched pins FIFO dispatch: the interruption scenario below depends on
-	// cells 0–1 finishing before cell 2 cancels the grid, which cost-aware
-	// dispatch would reorder (the interrupting stub has no cost prior).
-	base := GridSpec{Dataset: ds, GroundTruth: gt, Dims: []int{2}, Workers: 1, NoSched: true}
+	// The interruption scenario below depends on cells 0–1 finishing before
+	// cell 2 cancels the grid. Every cell, the interrupting stub included,
+	// reports one explainer name and a detector without a cost prior, so
+	// their estimates tie and the serial grid dispatches them in order.
+	base := GridSpec{Dataset: ds, GroundTruth: gt, Dims: []int{2}, Workers: 1}
 
 	// Reference: one uninterrupted run, no journal.
 	ref := base

@@ -52,11 +52,6 @@ type GridSpec struct {
 	// once per detector per cell. Pass a plane to read its Stats, or to
 	// share it with work outside the grid.
 	Plane *neighbors.Plane
-	// NoSched disables cost-aware dispatch: cells are handed to workers in
-	// their deterministic (dimension, detector, explainer) order instead of
-	// longest-estimated-first. Results are byte-identical either way —
-	// scheduling only affects wall-clock packing.
-	NoSched bool
 	// PointPipelines and SummaryPipelines, when either is non-nil,
 	// replace the factory-built pipelines entirely: the grid runs exactly
 	// the given pipelines per dimension, and Detectors/Options-driven
@@ -181,7 +176,7 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 	}
 
 	done := ctx.Done()
-	sched := newCellScheduler(pending, !spec.NoSched)
+	sched := newCellScheduler(pending)
 	var wg sync.WaitGroup
 	var resMu sync.Mutex
 	for w := 0; w < workers; w++ {

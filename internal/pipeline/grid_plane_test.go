@@ -68,9 +68,9 @@ func planeGridOptions() Options {
 }
 
 // TestGridSchedulerInvariance is the grid-level determinism contract of
-// this layer: RunGrid's results are byte-identical (timings aside) with
-// cost-aware scheduling on or off, at any worker count, with a shared
-// neighbourhood plane, per-detector private planes, or no plane at all.
+// this layer: RunGrid's results are byte-identical (timings aside) in any
+// dispatch order, at any worker count, with a shared neighbourhood plane,
+// per-detector private planes, or no plane at all.
 // Scheduling only reorders dispatch, and the plane only changes WHERE
 // neighbourhoods are computed — never their values. It runs on both
 // testbeds: on mixedTestbed every (explainer, dim) cell of the reference
@@ -103,7 +103,7 @@ func TestGridSchedulerInvariance(t *testing.T) {
 func checkGridSchedulerInvariance(t *testing.T, ds *dataset.Dataset, gt *dataset.GroundTruth) []Result {
 	t.Helper()
 	opts := planeGridOptions()
-	run := func(plane bool, noSched bool, workers int) []Result {
+	run := func(plane bool, workers int) []Result {
 		var p *neighbors.Plane
 		if plane {
 			p = neighbors.NewPlane(0)
@@ -111,7 +111,7 @@ func checkGridSchedulerInvariance(t *testing.T, ds *dataset.Dataset, gt *dataset
 		res, err := RunGrid(context.Background(), GridSpec{
 			Dataset: ds, GroundTruth: gt, Dims: []int{2, 3}, Seed: 5,
 			Options: opts, Detectors: knnDetectors(p),
-			Workers: workers, NoSched: noSched,
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -123,14 +123,11 @@ func checkGridSchedulerInvariance(t *testing.T, ds *dataset.Dataset, gt *dataset
 		}
 		return stripTimings(res)
 	}
-	want := run(false, true, 1) // unshared, FIFO, serial: the reference
+	want := run(false, 1) // unshared, serial: the reference
 	for _, plane := range []bool{false, true} {
-		for _, noSched := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 4} {
-				got := run(plane, noSched, workers)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("plane=%v noSched=%v workers=%d: results differ from reference", plane, noSched, workers)
-				}
+		for _, workers := range []int{1, 2, 4} {
+			if got := run(plane, workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("plane=%v workers=%d: results differ from reference", plane, workers)
 			}
 		}
 	}

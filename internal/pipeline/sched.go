@@ -29,8 +29,8 @@ import (
 // grid is scheduled with observed costs, not guesses. Only DISPATCH ORDER
 // depends on the estimates — every cell writes its own results[order] slot
 // and all shared state (score caches, the neighbourhood plane) is
-// value-deterministic, so grid output is byte-identical with scheduling on
-// or off, at any worker count (TestGridSchedulerInvariance).
+// value-deterministic, so grid output is byte-identical in any dispatch
+// order, at any worker count (TestGridSchedulerInvariance).
 
 // explainerPrior is the relative base cost of one cell of the explainer,
 // in Beam-cell units (BENCH_4, Figure 9 workload: RefOut ≈ 5× Beam_FX;
@@ -73,14 +73,12 @@ func staticCost(c gridCell) float64 {
 	return explainerPrior(c.explainer) * detectorPrior(c.detector) * dimPrior(c.dim)
 }
 
-// cellScheduler hands pending cells to free workers. With byCost set it
-// dispatches longest-estimated-first, keeping view groups apart; otherwise
-// it preserves the cells' deterministic (dimension, detector, explainer)
-// order, which is exactly the old FIFO channel behaviour.
+// cellScheduler hands pending cells to free workers, longest-estimated
+// first, keeping view groups apart. Equal estimates dispatch in the cells'
+// deterministic (dimension, detector, explainer) order.
 type cellScheduler struct {
 	mu      sync.Mutex
 	pending []gridCell
-	byCost  bool
 	// units holds, per explainer, an EWMA of observed seconds per static
 	// cost unit. Missing entries fall back to the pure prior.
 	units map[string]float64
@@ -97,36 +95,31 @@ type viewGroup struct {
 
 func groupOf(c gridCell) viewGroup { return viewGroup{c.explainer, c.dim} }
 
-func newCellScheduler(pending []gridCell, byCost bool) *cellScheduler {
+func newCellScheduler(pending []gridCell) *cellScheduler {
 	return &cellScheduler{
 		pending: pending,
-		byCost:  byCost,
 		units:   make(map[string]float64),
 		running: make(map[viewGroup]int),
 	}
 }
 
 // next pops the next cell to dispatch; ok=false when the grid is drained.
-// Every popped cell must be handed back through finish. Under cost-aware
-// dispatch ties keep the lowest order, so the dispatch sequence itself is
-// deterministic for a fixed estimate and running state.
+// Every popped cell must be handed back through finish. Ties keep the
+// lowest order, so the dispatch sequence itself is deterministic for a
+// fixed estimate and running state.
 func (s *cellScheduler) next() (c gridCell, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.pending) == 0 {
 		return gridCell{}, false
 	}
-	best := 0
-	if s.byCost {
-		best = -1
-		bestFree := false
-		var bestCost float64
-		for i, p := range s.pending {
-			free := s.running[groupOf(p)] == 0
-			est := s.estimateLocked(p)
-			if best < 0 || (free && !bestFree) || (free == bestFree && est > bestCost) {
-				best, bestFree, bestCost = i, free, est
-			}
+	best, bestFree := -1, false
+	var bestCost float64
+	for i, p := range s.pending {
+		free := s.running[groupOf(p)] == 0
+		est := s.estimateLocked(p)
+		if best < 0 || (free && !bestFree) || (free == bestFree && est > bestCost) {
+			best, bestFree, bestCost = i, free, est
 		}
 	}
 	c = s.pending[best]
@@ -159,7 +152,7 @@ func (s *cellScheduler) finish(c gridCell, elapsed time.Duration) {
 	if s.running[g]--; s.running[g] <= 0 {
 		delete(s.running, g)
 	}
-	if !s.byCost || elapsed <= 0 {
+	if elapsed <= 0 {
 		return
 	}
 	unit := elapsed.Seconds() / staticCost(c)

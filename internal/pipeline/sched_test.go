@@ -22,7 +22,7 @@ func schedCells() []gridCell {
 // order is the pure estimate order. The cells finish unrun (zero elapsed):
 // a zero observation must not reach the estimates.
 func TestCellSchedulerLongestFirst(t *testing.T) {
-	s := newCellScheduler(schedCells(), true)
+	s := newCellScheduler(schedCells())
 	want := []int{3, 1, 4, 2, 0} // FastABOD/RefOut, LOF/RefOut, 4d Beam, FastABOD/Beam, LOF/Beam
 	for i, w := range want {
 		c, ok := s.next()
@@ -55,7 +55,7 @@ func TestCellSchedulerSeparatesViewSharers(t *testing.T) {
 		}
 		return c
 	}
-	s := newCellScheduler(schedCells(), true)
+	s := newCellScheduler(schedCells())
 	pop(s, 3) // FastABOD/RefOut/2 runs ...
 	pop(s, 4) // ... so the 4d Beam goes next, not LOF/RefOut/2
 	pop(s, 2) // FastABOD/Beam_FX/2: its group is still free
@@ -64,20 +64,28 @@ func TestCellSchedulerSeparatesViewSharers(t *testing.T) {
 	pop(s, 1)
 	pop(s, 0)
 
-	s = newCellScheduler(schedCells(), true)
+	s = newCellScheduler(schedCells())
 	s.finish(pop(s, 3), 0) // cancelled before it ran: releases RefOut/2
 	pop(s, 1)
 }
 
-// TestCellSchedulerFIFO: with cost-aware dispatch off the original
-// deterministic order is preserved exactly.
+// TestCellSchedulerFIFO: cells with equal estimates dispatch in their
+// deterministic order, also once an observed wall time has priced their
+// explainer — the property a serial grid's journal-resume test relies on.
 func TestCellSchedulerFIFO(t *testing.T) {
-	s := newCellScheduler(schedCells(), false)
-	for i := 0; i < 5; i++ {
+	cells := []gridCell{
+		{order: 0, detector: "LOF-10", explainer: "Beam_FX", dim: 2},
+		{order: 1, detector: "LOF-15", explainer: "Beam_FX", dim: 2},
+		{order: 2, detector: "LOF-20", explainer: "Beam_FX", dim: 2},
+		{order: 3, detector: "LOF-25", explainer: "Beam_FX", dim: 2},
+	}
+	s := newCellScheduler(cells)
+	for i := range cells {
 		c, ok := s.next()
 		if !ok || c.order != i {
 			t.Fatalf("pop %d: order=%d ok=%v, want FIFO", i, c.order, ok)
 		}
+		s.finish(c, time.Duration(i+1)*time.Millisecond)
 	}
 }
 
@@ -89,7 +97,7 @@ func TestCellSchedulerEWMARefinement(t *testing.T) {
 		{order: 0, detector: "LOF", explainer: "RefOut", dim: 2},  // prior 5
 		{order: 1, detector: "LOF", explainer: "LookOut", dim: 2}, // prior 1
 	}
-	s := newCellScheduler(cells, true)
+	s := newCellScheduler(cells)
 	// LookOut was observed to take 100 s per unit; RefOut 0.01 s per unit.
 	s.finish(gridCell{detector: "LOF", explainer: "LookOut", dim: 2}, 100*time.Second)
 	s.finish(gridCell{detector: "LOF", explainer: "RefOut", dim: 2}, 50*time.Millisecond)

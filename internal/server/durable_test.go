@@ -117,8 +117,14 @@ func TestDurableRegistrationsSurviveRestart(t *testing.T) {
 // succeeding, every write gets 503 + Retry-After (sticky, even after the
 // fault clears), and /healthz + /v1/stats report the degraded flag.
 func TestDegradedModeOnDurableWriteFailure(t *testing.T) {
+	t.Parallel()
+	// The first append (registering a) passes; the second faults.
+	faults, err := failpoint.Parse(durable.SiteWALAppend + "=error@2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	store, _, err := durable.Open(dir)
+	store, _, err := durable.OpenWith(dir, durable.Options{Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +141,6 @@ func TestDegradedModeOnDurableWriteFailure(t *testing.T) {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
 
-	if err := failpoint.Enable(durable.SiteWALAppend + "=error"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable()
 	resp, body := doJSON(t, h, "POST", "/v1/datasets", RegisterRequest{Name: "b", CSV: engineCSV(2, 60, 1), Header: true})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("register under write fault: %d %s, want 503", resp.StatusCode, body)
@@ -146,7 +148,6 @@ func TestDegradedModeOnDurableWriteFailure(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != strconv.Itoa(DegradedRetryAfterSeconds) {
 		t.Errorf("degraded Retry-After = %q, want %q", got, strconv.Itoa(DegradedRetryAfterSeconds))
 	}
-	failpoint.Disable()
 
 	// Sticky: the fault is gone but the store fail-stopped, so writes stay
 	// refused — including idempotent re-registration and forgets.
@@ -190,12 +191,21 @@ func TestDegradedModeOnDurableWriteFailure(t *testing.T) {
 	}
 }
 
+// withFaults serves h with faults on every request's context — what
+// anexd's http.Server.BaseContext does for its -failpoints set.
+func withFaults(h http.Handler, faults *failpoint.Set) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r.WithContext(failpoint.With(r.Context(), faults)))
+	})
+}
+
 // TestTransientPublicationFaultsDoNotPoison pins that one-shot injected
 // faults at the cache-publication sites (plane, score memo) and the HTTP
 // handler sites fail exactly one request and leave the server healthy:
 // the singleflight layers release their waiters and the next request
 // recomputes cleanly.
 func TestTransientPublicationFaultsDoNotPoison(t *testing.T) {
+	t.Parallel()
 	srv := New(NewEngine(EngineConfig{Workers: 2}), Config{})
 	h := srv.Handler()
 	if resp, body := doJSON(t, h, "POST", "/v1/datasets", RegisterRequest{Name: "a", CSV: engineCSV(1, 90, 2), Header: true}); resp.StatusCode != 200 {
@@ -205,25 +215,40 @@ func TestTransientPublicationFaultsDoNotPoison(t *testing.T) {
 	_, want := doJSON(t, h, "POST", "/v1/explain", explain)
 
 	for _, site := range []string{"plane.publish", "memo.publish", SiteHTTPExplain} {
+		faults, err := failpoint.Parse(site + "=error@1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh := withFaults(h, faults)
 		// A fresh dataset per site so the explain path actually recomputes
 		// (a warm memo would answer without touching the faulted site).
 		name := "ds-" + site
 		if resp, body := doJSON(t, h, "POST", "/v1/datasets", RegisterRequest{Name: name, CSV: engineCSV(1, 90, 2), Header: true}); resp.StatusCode != 200 {
 			t.Fatalf("register %s: %d %s", name, resp.StatusCode, body)
 		}
-		if err := failpoint.Enable(site + "=error@1"); err != nil {
-			t.Fatal(err)
-		}
 		req := ExplainRequest{Dataset: name, Points: []int{0}}
-		if resp, _ := doJSON(t, h, "POST", "/v1/explain", req); resp.StatusCode != http.StatusInternalServerError {
+		if resp, _ := doJSON(t, fh, "POST", "/v1/explain", req); resp.StatusCode != http.StatusInternalServerError {
 			t.Errorf("site %s: faulted explain = %d, want 500", site, resp.StatusCode)
 		}
-		if resp, got := doJSON(t, h, "POST", "/v1/explain", req); resp.StatusCode != 200 {
+		if resp, got := doJSON(t, fh, "POST", "/v1/explain", req); resp.StatusCode != 200 {
 			t.Errorf("site %s: explain after one-shot fault = %d %s, want 200", site, resp.StatusCode, got)
 		} else if !bytes.Equal(stripDatasetName(got), stripDatasetName(want)) {
 			t.Errorf("site %s: post-fault explanation differs from clean baseline", site)
 		}
-		failpoint.Disable()
+	}
+
+	// The register site fails one registration, and its retry lands.
+	faults, err := failpoint.Parse(SiteHTTPRegister + "=error@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh := withFaults(h, faults)
+	reg := RegisterRequest{Name: "ds-" + SiteHTTPRegister, CSV: engineCSV(1, 90, 2), Header: true}
+	if resp, _ := doJSON(t, fh, "POST", "/v1/datasets", reg); resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("site %s: faulted register = %d, want 500", SiteHTTPRegister, resp.StatusCode)
+	}
+	if resp, body := doJSON(t, fh, "POST", "/v1/datasets", reg); resp.StatusCode != 200 {
+		t.Errorf("site %s: register after one-shot fault = %d %s, want 200", SiteHTTPRegister, resp.StatusCode, body)
 	}
 }
 

@@ -101,6 +101,7 @@ func TestExplainPointCap(t *testing.T) {
 // A connection-wide read deadline would instead cancel r.Context() once
 // the body hits EOF and net/http's background read times out.
 func TestSlowExplainOutlivesBodyDeadline(t *testing.T) {
+	t.Parallel()
 	eng := NewEngine(EngineConfig{Workers: 1})
 	if _, err := eng.RegisterCSV("d", []byte(engineCSV(5, 80, 2)), true); err != nil {
 		t.Fatal(err)
@@ -115,14 +116,17 @@ func TestSlowExplainOutlivesBodyDeadline(t *testing.T) {
 	}))
 	ts.Config.ReadHeaderTimeout = 10 * time.Second
 	ts.Config.IdleTimeout = time.Minute
+	// The first score-memo publication sleeps past the body deadline.
+	faults, err := failpoint.Parse(detector.SiteMemoPublish + "=delay:300ms@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Config.BaseContext = func(net.Listener) context.Context {
+		return failpoint.With(context.Background(), faults)
+	}
 	ts.Start()
 	defer ts.Close()
 
-	// The first score-memo publication sleeps past the body deadline.
-	if err := failpoint.Enable(detector.SiteMemoPublish + "=delay:300ms@1"); err != nil {
-		t.Fatal(err)
-	}
-	defer failpoint.Disable()
 	body, err := json.Marshal(ExplainRequest{Dataset: "d", Points: []int{0}, Algo: "beam", Detector: "lof", Dim: 2})
 	if err != nil {
 		t.Fatal(err)

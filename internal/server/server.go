@@ -23,9 +23,11 @@ import (
 // coarse — it spaces out well-behaved clients without promising recovery.
 const DegradedRetryAfterSeconds = 30
 
-// The serving layer's failpoint sites: an armed error action fails the
-// handler before it touches the engine, exercising the client's retry
-// path against real HTTP 5xx responses.
+// The serving layer's failpoint sites, read from the request's context
+// (failpoint.From; anexd puts its -failpoints set there through
+// http.Server.BaseContext): an armed error action fails the handler before
+// it touches the engine, exercising the client's retry path against real
+// HTTP 5xx responses.
 const (
 	SiteHTTPRegister = "server.register"
 	SiteHTTPExplain  = "server.explain"
@@ -216,7 +218,7 @@ func (w *codeWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // and a crash between append and commit leaves a record recovery replays.
 // A durable append failure degrades the server instead of crashing it.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	if err := failpoint.Eval(SiteHTTPRegister); err != nil {
+	if err := failpoint.From(r.Context()).Eval(SiteHTTPRegister); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -269,7 +271,7 @@ func (s *Server) handleForget(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if err := failpoint.Eval(SiteHTTPExplain); err != nil {
+	if err := failpoint.From(r.Context()).Eval(SiteHTTPExplain); err != nil {
 		writeError(w, err)
 		return
 	}

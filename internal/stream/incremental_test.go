@@ -21,9 +21,9 @@ type parityArm struct {
 	mk   func(noInc bool) (*Monitor, *neighbors.Plane)
 }
 
-func lofArm(k, workers, stride, slack int) parityArm {
+func lofArm(k, workers, stride int) parityArm {
 	return parityArm{
-		name: fmt.Sprintf("LOF-k%d-w%d-s%d-sl%d", k, workers, stride, slack),
+		name: fmt.Sprintf("LOF-k%d-w%d-s%d", k, workers, stride),
 		mk: func(noInc bool) (*Monitor, *neighbors.Plane) {
 			plane := neighbors.NewPlane(0)
 			det := &detector.LOF{K: k, Workers: workers}
@@ -35,7 +35,6 @@ func lofArm(k, workers, stride, slack int) parityArm {
 				Detector:      det,
 				Plane:         plane,
 				NoIncremental: noInc,
-				Slack:         Slack(slack),
 				Workers:       workers,
 			}), plane
 		},
@@ -116,13 +115,15 @@ func alertKey(a Alert) string {
 // Flushes, including repeated zero-new-point Flushes that take the fast
 // path) through an incremental and a cold-rebuild monitor, and requires the
 // alert streams to be bit-identical — sequence, raw score, and z-score —
-// across detectors, strides, worker counts, and slacks. Every arm must
-// raise alerts on both sides, so no arm passes by comparing empty streams.
+// across detectors, strides and worker counts (the monitor always runs the
+// engine at neighbors.DefaultWindowSlack; TestWindowEngineBitIdenticalCold
+// sweeps other slacks). Every arm must raise alerts on both sides, so no
+// arm passes by comparing empty streams.
 func TestMonitorIncrementalAlertParity(t *testing.T) {
 	arms := []parityArm{
-		lofArm(7, 1, 12, 4),
-		lofArm(7, 4, 1, 0),
-		lofArm(15, 4, 47, 8),
+		lofArm(7, 1, 12),
+		lofArm(7, 4, 1),
+		lofArm(15, 4, 47),
 		// FastABOD's standardised scores (−ABOF) have a long left tail and a
 		// short right one, so its arms flag at z > 1: at 2.5 they raised
 		// no alert and compared two empty streams.

@@ -120,21 +120,11 @@ type Config struct {
 	// engine's contract); the knob exists for A/B benchmarking and as an
 	// escape hatch.
 	NoIncremental bool
-	// Slack is the incremental engine's per-point reservoir headroom: each
-	// maintained neighbour list holds k+slack entries so that expiries can
-	// be absorbed without a rescan. Nil means neighbors.DefaultWindowSlack;
-	// use Slack(0) for a deliberate zero (rescan on every prefix expiry).
-	Slack *int
 	// Workers bounds the goroutines of the engine's scan and repair
 	// phases; values ≤ 1 (including zero) stay serial. Results are
 	// identical at any worker count.
 	Workers int
 }
-
-// Slack returns a pointer to s, for Config.Slack. The pointer distinguishes
-// "unset, use neighbors.DefaultWindowSlack" (nil) from a deliberate zero
-// reservoir.
-func Slack(s int) *int { return &s }
 
 // Tombstones records that a named dataset is dead and must not be
 // resurrected. *durable.Store implements it.
@@ -174,9 +164,6 @@ func (c *Config) validate() error {
 	}
 	if c.Stride < 0 {
 		return fmt.Errorf("stream: negative stride")
-	}
-	if c.Slack != nil && *c.Slack < 0 {
-		return fmt.Errorf("stream: negative slack")
 	}
 	if _, p := windowScorerOf(c.Detector); c.Plane != p {
 		return fmt.Errorf("stream: Plane is not the detector's neighbourhood plane")
@@ -534,11 +521,7 @@ func (m *Monitor) ensureEngine(ctx context.Context) error {
 		return nil
 	}
 	m.dropEngine()
-	slack := neighbors.DefaultWindowSlack
-	if m.cfg.Slack != nil {
-		slack = *m.cfg.Slack
-	}
-	eng := neighbors.NewWindowEngine(winK, slack, m.cfg.Workers)
+	eng := neighbors.NewWindowEngine(winK, neighbors.DefaultWindowSlack, m.cfg.Workers)
 	seed := make([]neighbors.WindowArrival, len(m.window))
 	for i, p := range m.window {
 		seed[i] = neighbors.WindowArrival{Slot: i, Point: p}
