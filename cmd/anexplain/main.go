@@ -94,8 +94,8 @@ func run(ctx context.Context, out io.Writer, dataPath, pointsArg, algo, detName 
 	return printResponse(out, eng, resp, points, top, plotTop)
 }
 
-// printResponse renders an engine response in the CLI's text format; the
-// anexd parity test pins this output against a live server's answer.
+// printResponse renders an engine response in the CLI's text format;
+// TestOutputMatchesAnexd pins this output against a live anexd's answer.
 func printResponse(out io.Writer, eng *server.Engine, resp *server.ExplainResponse, points []int, top int, plotTop bool) error {
 	printList := func(list []server.ScoredSubspaceJSON) {
 		if len(list) > top {

@@ -336,22 +336,6 @@ func (s *Store) fail(err error) error {
 	return err
 }
 
-// Compact forces a snapshot compaction regardless of the append counter.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("durable: store closed")
-	}
-	if s.failed != nil {
-		return fmt.Errorf("durable: store failed, read-only: %w", s.failed)
-	}
-	if err := s.compactLocked(); err != nil {
-		return s.fail(err)
-	}
-	return nil
-}
-
 // compactLocked writes the live state to snapshot.tmp, fsyncs, renames it
 // over the snapshot, fsyncs the directory, then resets the WAL.
 func (s *Store) compactLocked() error {

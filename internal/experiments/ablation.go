@@ -41,12 +41,11 @@ func (s *Session) Ablations(ctx context.Context) *Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	// Every arm gets a fresh score memo over an LOF on the session's plane.
+	// Every arm gets a fresh score memo over its own LOF, which owns a
+	// fresh plane, so each arm's runtime is measured cold.
 	eng := s.Cfg.engine()
 	lof := func() core.Detector {
-		l := detector.NewLOF(detector.DefaultLOFK)
-		eng.WirePlane(l)
-		return eng.NewScoreMemo(l)
+		return eng.NewScoreMemo(detector.NewLOF(detector.DefaultLOFK))
 	}
 	lofDet := func() pipeline.NamedDetector {
 		return pipeline.NamedDetector{Name: "LOF", Detector: lof()}

@@ -3,10 +3,14 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"anex/internal/detector"
+	"anex/internal/pipeline"
 	"anex/internal/synth"
 )
 
@@ -391,5 +395,94 @@ func TestMeanRecallMetricRendering(t *testing.T) {
 		if row[0] == "tiny-8d" && row[1] == "Beam_FX" && row[2] == "LOF" && row[3] != "1.000" {
 			t.Errorf("Beam+LOF recall@2d = %s", row[3])
 		}
+	}
+}
+
+// TestTimingAndAblationsRunCold: Figure 11's timing cells and the ablation
+// arms build their own detectors, each with its own plane, so neither
+// touches the session plane the effectiveness figures warmed. A timing
+// that read those neighbourhoods would depend on what ran before it.
+func TestTimingAndAblationsRunCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs pipelines")
+	}
+	s := tinySession(t)
+	s.Cfg.DetectorFilter = []string{"LOF", "FastABOD"} // the kNN detectors: the plane's only users
+	ctx := context.Background()
+	s.PointResults(ctx)
+	s.SummaryResults(ctx)
+	warm := s.PlaneStats().Queries
+	if warm == 0 {
+		t.Fatal("effectiveness figures made no plane queries")
+	}
+	s.TimingResults(ctx)
+	s.Ablations(ctx)
+	if got := s.PlaneStats().Queries; got != warm {
+		t.Errorf("timing and ablations queried the session plane: %d queries, want %d", got, warm)
+	}
+}
+
+// TestSessionJournalResume: a session over the same testbed and a reopened
+// journal serves every feasible cell from the journal, returns equal
+// results, and does no neighbourhood work.
+func TestSessionJournalResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs pipelines")
+	}
+	path := filepath.Join(t.TempDir(), "session.journal")
+	ctx := context.Background()
+	run := func(s *Session) []pipeline.Result {
+		t.Helper()
+		j, err := pipeline.OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		s.Cfg.Journal = j
+		s.Cfg.DetectorFilter = []string{"LOF"}
+		results := s.PointResults(ctx)
+		point, summary := s.TimingResults(ctx)
+		results = append(append(results, point...), summary...)
+		feasible := 0
+		for _, r := range results {
+			if r.Err != nil {
+				t.Fatalf("cell %s/%s/%s/%dd failed: %v", r.Dataset, r.Detector, r.Explainer, r.TargetDim, r.Err)
+			}
+			if r.MAP >= 0 {
+				feasible++
+			}
+		}
+		if j.Len() != feasible {
+			t.Fatalf("journal holds %d cells, want the %d feasible ones", j.Len(), feasible)
+		}
+		return results
+	}
+	first := tinySession(t)
+	want := run(first)
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	recorded := size()
+	resumed := &Session{Cfg: Config{Scale: first.Cfg.Scale, Seed: first.Cfg.Seed}, TB: first.TB}
+	got := run(resumed)
+	if len(got) != len(want) {
+		t.Fatalf("%d results after resume, want %d", len(got), len(want))
+	}
+	for i := range want {
+		// Equal durations too: a recomputed cell would have taken its own time.
+		if g, w := fmt.Sprintf("%+v", got[i]), fmt.Sprintf("%+v", want[i]); g != w {
+			t.Errorf("result %d after resume:\n got %s\nwant %s", i, g, w)
+		}
+	}
+	if grown := size() - recorded; grown != 0 {
+		t.Errorf("resumed session appended %d journal bytes, want 0", grown)
+	}
+	if q := resumed.PlaneStats().Queries; q != 0 {
+		t.Errorf("resumed session made %d plane queries, want 0", q)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 
@@ -33,10 +32,9 @@ type Config struct {
 	// datasets (useful for running single paper-scale datasets).
 	DatasetFilter []string
 	// Journal, when set, persists each completed pipeline cell and lets
-	// interrupted runs resume without recomputation. Cells that failed
-	// with a context error (cancellation, deadline) are not recorded, so
-	// a resumed run recomputes exactly the unfinished work. A journal is
-	// only valid for one (scale, seed) configuration.
+	// interrupted runs resume without recomputation (see
+	// pipeline.RunCells). A journal is only valid for one (scale, seed)
+	// configuration.
 	Journal *pipeline.Journal
 	// DetectorFilter, when non-empty, restricts the pipelines to the
 	// named detectors ("LOF", "FastABOD", "iForest") — useful for
@@ -55,8 +53,9 @@ type Config struct {
 	// (see detector.NewCachedBudget); zero selects the generous default.
 	CacheBytes int64
 	// PlaneBytes is the byte budget of the session's shared neighbourhood
-	// plane — ONE plane serves every kNN detector across all datasets and
-	// experiments, LRU-bounded; zero selects neighbors.DefaultPlaneBytes.
+	// plane — ONE plane serves the ground-truth derivation and every kNN
+	// detector of the effectiveness figures across all datasets,
+	// LRU-bounded; zero selects neighbors.DefaultPlaneBytes.
 	PlaneBytes int64
 
 	// eng is the session's explanation core — the same server.Engine that
@@ -89,32 +88,6 @@ func (c *Config) wantDetector(name string) bool {
 		}
 	}
 	return false
-}
-
-// runCell returns the journalled result for the cell, or computes it with
-// compute and records it. Cells whose computation was cancelled or timed
-// out are not journalled: they carry no reusable work and a resumed run
-// must recompute them.
-func (c *Config) runCell(kind string, key resultKey, compute func() pipeline.Result) pipeline.Result {
-	if c.Journal != nil {
-		if res, ok := c.Journal.Lookup(kind, key.dataset, key.detector, key.explainer, key.dim); ok {
-			c.logf("%s %-18s %dd %-9s %-8s (journalled)", kind, key.dataset, key.dim, key.detector, key.explainer)
-			return res
-		}
-	}
-	res := compute()
-	if c.Journal != nil && !isContextErr(res.Err) {
-		if err := c.Journal.Record(kind, res); err != nil {
-			c.logf("journal write failed: %v", err)
-		}
-	}
-	return res
-}
-
-// isContextErr reports whether err is (or wraps) a context cancellation or
-// deadline expiry.
-func isContextErr(err error) bool {
-	return err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
 func (c *Config) wantDataset(name string) bool {
@@ -158,11 +131,13 @@ func (c *Config) options() pipeline.Options {
 	}
 }
 
-// detectors builds the three detectors, sized to the scale. Effectiveness
-// experiments share score caches; timing experiments must not. Every kNN
-// detector is wired to the session's neighbourhood plane, so the
-// per-(dataset, subspace) structures survive the per-dataset cache resets
-// and are shared across detectors and experiments.
+// detectors builds the three detectors, sized to the scale. Only the
+// effectiveness figures (cached) share the session's neighbourhood plane:
+// their kNN detectors are wired to it, so the per-(dataset, subspace)
+// structures survive the per-dataset score-memo resets and are shared
+// across detectors and across Figures 9 and 10. Uncached detectors are for
+// timing and keep the fresh plane an LOF or FastABOD is built with, so a
+// timing cell that builds its own detector is timed cold.
 func (c *Config) detectors(cached bool) []pipeline.NamedDetector {
 	var dets []pipeline.NamedDetector
 	if c.Scale == synth.ScalePaper {
@@ -176,10 +151,10 @@ func (c *Config) detectors(cached bool) []pipeline.NamedDetector {
 			}},
 		}
 	}
-	eng := c.engine()
-	for i := range dets {
-		eng.WirePlane(dets[i].Detector)
-		if cached {
+	if cached {
+		eng := c.engine()
+		for i := range dets {
+			eng.WirePlane(dets[i].Detector)
 			dets[i].Detector = eng.NewScoreMemo(dets[i].Detector)
 		}
 	}
@@ -259,33 +234,8 @@ func (s *Session) explanationDims(synthetic bool) []int {
 // cells; finished cells (and journalled ones) keep their results, and
 // aborted cells carry ctx's error.
 func (s *Session) PointResults(ctx context.Context) []pipeline.Result {
-	if s.pointResults != nil {
-		return s.pointResults
-	}
-	opts := s.Cfg.options()
-	for _, td := range s.TB.All() {
-		dets := s.Cfg.detectors(true) // fresh caches per dataset to bound memory
-		for _, dim := range s.explanationDims(td.Synthetic) {
-			for _, d := range dets {
-				if !s.Cfg.wantDetector(d.Name) {
-					continue
-				}
-				for _, pp := range pipeline.PointPipelines(d, s.Cfg.Seed, opts) {
-					if !feasiblePoint(s.Cfg.Scale, td.Dataset.D(), dim, d.Name, pp.Explainer.Name()) {
-						s.pointResults = append(s.pointResults, skipped(td.Dataset.Name(), d.Name, pp.Explainer.Name(), dim))
-						continue
-					}
-					td, pp, dim := td, pp, dim
-					res := s.Cfg.runCell("point", resultKey{td.Dataset.Name(), d.Name, pp.Explainer.Name(), dim}, func() pipeline.Result {
-						res := pipeline.RunPointExplanation(ctx, td.Dataset, td.GroundTruth, pp, dim)
-						s.Cfg.logf("fig9 %-18s %dd %-9s %-8s MAP=%.3f (%s)",
-							res.Dataset, dim, res.Detector, res.Explainer, res.MAP, res.Duration.Round(1e6))
-						return res
-					})
-					s.pointResults = append(s.pointResults, res)
-				}
-			}
-		}
+	if s.pointResults == nil {
+		s.pointResults, _ = s.runCells(ctx, s.TB.All(), kindPoint, "")
 	}
 	return s.pointResults
 }
@@ -293,35 +243,126 @@ func (s *Session) PointResults(ctx context.Context) []pipeline.Result {
 // SummaryResults runs (or returns cached) Figure 10 pipeline executions.
 // Cancellation semantics match PointResults.
 func (s *Session) SummaryResults(ctx context.Context) []pipeline.Result {
-	if s.summaryResults != nil {
-		return s.summaryResults
+	if s.summaryResults == nil {
+		_, s.summaryResults = s.runCells(ctx, s.TB.All(), "", kindSummary)
 	}
+	return s.summaryResults
+}
+
+// Journal kinds of the session's cells. Existing -journal files are keyed
+// by them, so they must not change.
+const (
+	kindPoint         = "point"
+	kindSummary       = "summary"
+	kindTimingPoint   = "timing-point"
+	kindTimingSummary = "timing-summary"
+)
+
+// runCells runs the cells of the given families and returns each family's
+// results in table order: dataset, dimension, detector, pipeline. pointKind
+// and summaryKind are the families' journal kinds; an empty kind leaves its
+// family out, and the timing kinds select Figure 11's timing cells.
+// Infeasible cells get a skipped result and are neither run nor journalled.
+//
+// Each dataset is one pipeline.RunCells batch on one worker: cells run
+// serially, as Config.Workers documents, and the dataset's score memos die
+// with its batch. Effectiveness cells share the dataset's cached detectors
+// on the session plane. A timing cell builds its own uncached detector when
+// it runs, so no timing depends on what ran before it.
+func (s *Session) runCells(ctx context.Context, datasets []synth.TestbedDataset, pointKind, summaryKind string) (point, summary []pipeline.Result) {
+	timing := pointKind == kindTimingPoint || summaryKind == kindTimingSummary
 	opts := s.Cfg.options()
-	for _, td := range s.TB.All() {
-		dets := s.Cfg.detectors(true)
+	for _, td := range datasets {
+		ds, gt := td.Dataset, td.GroundTruth
+		if timing {
+			gt = s.timingGroundTruth(td)
+		}
+		dets := s.Cfg.detectors(!timing)
+		detector := func(i int) pipeline.NamedDetector {
+			if timing {
+				return s.Cfg.detectors(false)[i]
+			}
+			return dets[i]
+		}
+
+		var (
+			cells []pipeline.Cell
+			out   []pipeline.Result // table order, skipped cells filled in
+			kinds []string          // out's journal kinds
+			slots []int             // out's index of each cell
+		)
+		add := func(kind, det, expl string, dim int, feasible bool, run func(context.Context) pipeline.Result) {
+			kinds = append(kinds, kind)
+			if !feasible {
+				out = append(out, skipped(ds.Name(), det, expl, dim))
+				return
+			}
+			slots = append(slots, len(out))
+			out = append(out, pipeline.Result{})
+			cells = append(cells, pipeline.Cell{Kind: kind, Dataset: ds.Name(), Detector: det, Explainer: expl, Dim: dim,
+				Run: func(ctx context.Context) pipeline.Result {
+					res := run(ctx)
+					s.Cfg.logCell(kind, res)
+					return res
+				}})
+		}
 		for _, dim := range s.explanationDims(td.Synthetic) {
-			for _, d := range dets {
+			for i, d := range dets {
 				if !s.Cfg.wantDetector(d.Name) {
 					continue
 				}
-				for _, sp := range pipeline.SummaryPipelines(d, s.Cfg.Seed, opts) {
-					if !feasibleSummary(s.Cfg.Scale, td.Dataset.D(), dim, d.Name, sp.Summarizer.Name()) {
-						s.summaryResults = append(s.summaryResults, skipped(td.Dataset.Name(), d.Name, sp.Summarizer.Name(), dim))
-						continue
+				if pointKind != "" {
+					for j, pp := range pipeline.PointPipelines(d, s.Cfg.Seed, opts) {
+						expl := pp.Explainer.Name()
+						add(pointKind, d.Name, expl, dim, feasiblePoint(s.Cfg.Scale, ds.D(), dim, d.Name, expl), func(ctx context.Context) pipeline.Result {
+							return pipeline.RunPointExplanation(ctx, ds, gt, pipeline.PointPipelines(detector(i), s.Cfg.Seed, opts)[j], dim)
+						})
 					}
-					td, sp, dim := td, sp, dim
-					res := s.Cfg.runCell("summary", resultKey{td.Dataset.Name(), d.Name, sp.Summarizer.Name(), dim}, func() pipeline.Result {
-						res := pipeline.RunSummarization(ctx, td.Dataset, td.GroundTruth, sp, dim)
-						s.Cfg.logf("fig10 %-18s %dd %-9s %-8s MAP=%.3f (%s)",
-							res.Dataset, dim, res.Detector, res.Explainer, res.MAP, res.Duration.Round(1e6))
-						return res
-					})
-					s.summaryResults = append(s.summaryResults, res)
+				}
+				if summaryKind != "" {
+					for j, sp := range pipeline.SummaryPipelines(d, s.Cfg.Seed, opts) {
+						expl := sp.Summarizer.Name()
+						add(summaryKind, d.Name, expl, dim, feasibleSummary(s.Cfg.Scale, ds.D(), dim, d.Name, expl), func(ctx context.Context) pipeline.Result {
+							return pipeline.RunSummarization(ctx, ds, gt, pipeline.SummaryPipelines(detector(i), s.Cfg.Seed, opts)[j], dim)
+						})
+					}
 				}
 			}
 		}
+
+		results, err := pipeline.RunCells(ctx, cells, 1, 0, s.Cfg.Journal)
+		if err != nil {
+			s.Cfg.logf("journal write failed: %v", err)
+		}
+		for k, res := range results {
+			out[slots[k]] = res
+		}
+		for k, res := range out {
+			if kinds[k] == pointKind {
+				point = append(point, res)
+			} else {
+				summary = append(summary, res)
+			}
+		}
 	}
-	return s.summaryResults
+	return point, summary
+}
+
+// logCell reports one computed cell on the progress writer.
+func (c *Config) logCell(kind string, res pipeline.Result) {
+	switch kind {
+	case kindPoint, kindSummary:
+		fig := "fig9"
+		if kind == kindSummary {
+			fig = "fig10"
+		}
+		c.logf("%s %-18s %dd %-9s %-8s MAP=%.3f (%s)",
+			fig, res.Dataset, res.TargetDim, res.Detector, res.Explainer, res.MAP, res.Duration.Round(1e6))
+	default:
+		c.logf("fig11 %-18s %dd %-9s %-8s %s (score %s | search %s)",
+			res.Dataset, res.TargetDim, res.Detector, res.Explainer, res.Duration.Round(1e6),
+			res.ScoringTime.Round(1e6), res.SearchTime.Round(1e6))
+	}
 }
 
 // PlaneStats reports the activity of the session's shared neighbourhood
@@ -388,53 +429,11 @@ func (s *Session) timingDatasets() []synth.TestbedDataset {
 }
 
 // TimingResults runs (or returns cached) the Figure 11 runtime experiment:
-// uncached detectors, bounded point count, same pipelines. Cancellation
-// semantics match PointResults.
+// bounded point count, same pipelines, each cell on its own uncached
+// detector. Cancellation semantics match PointResults.
 func (s *Session) TimingResults(ctx context.Context) (point, summary []pipeline.Result) {
-	if s.timingPoint != nil || s.timingSummary != nil {
-		return s.timingPoint, s.timingSummary
-	}
-	opts := s.Cfg.options()
-	for _, td := range s.timingDatasets() {
-		gt := s.timingGroundTruth(td)
-		for _, dim := range s.explanationDims(td.Synthetic) {
-			dets := s.Cfg.detectors(false)
-			for _, d := range dets {
-				if !s.Cfg.wantDetector(d.Name) {
-					continue
-				}
-				for _, pp := range pipeline.PointPipelines(d, s.Cfg.Seed, opts) {
-					if !feasiblePoint(s.Cfg.Scale, td.Dataset.D(), dim, d.Name, pp.Explainer.Name()) {
-						s.timingPoint = append(s.timingPoint, skipped(td.Dataset.Name(), d.Name, pp.Explainer.Name(), dim))
-						continue
-					}
-					td, pp, dim, gt := td, pp, dim, gt
-					res := s.Cfg.runCell("timing-point", resultKey{td.Dataset.Name(), d.Name, pp.Explainer.Name(), dim}, func() pipeline.Result {
-						res := pipeline.RunPointExplanation(ctx, td.Dataset, gt, pp, dim)
-						s.Cfg.logf("fig11 %-18s %dd %-9s %-8s %s (score %s | search %s)",
-							res.Dataset, dim, res.Detector, res.Explainer, res.Duration.Round(1e6),
-							res.ScoringTime.Round(1e6), res.SearchTime.Round(1e6))
-						return res
-					})
-					s.timingPoint = append(s.timingPoint, res)
-				}
-				for _, sp := range pipeline.SummaryPipelines(d, s.Cfg.Seed, opts) {
-					if !feasibleSummary(s.Cfg.Scale, td.Dataset.D(), dim, d.Name, sp.Summarizer.Name()) {
-						s.timingSummary = append(s.timingSummary, skipped(td.Dataset.Name(), d.Name, sp.Summarizer.Name(), dim))
-						continue
-					}
-					td, sp, dim, gt := td, sp, dim, gt
-					res := s.Cfg.runCell("timing-summary", resultKey{td.Dataset.Name(), d.Name, sp.Summarizer.Name(), dim}, func() pipeline.Result {
-						res := pipeline.RunSummarization(ctx, td.Dataset, gt, sp, dim)
-						s.Cfg.logf("fig11 %-18s %dd %-9s %-8s %s (score %s | search %s)",
-							res.Dataset, dim, res.Detector, res.Explainer, res.Duration.Round(1e6),
-							res.ScoringTime.Round(1e6), res.SearchTime.Round(1e6))
-						return res
-					})
-					s.timingSummary = append(s.timingSummary, res)
-				}
-			}
-		}
+	if s.timingPoint == nil && s.timingSummary == nil {
+		s.timingPoint, s.timingSummary = s.runCells(ctx, s.timingDatasets(), kindTimingPoint, kindTimingSummary)
 	}
 	return s.timingPoint, s.timingSummary
 }

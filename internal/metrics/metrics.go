@@ -1,5 +1,5 @@
 // Package metrics implements the evaluation measures of the paper
-// (Section 3.3): precision at k, average precision, Mean Average Precision
+// (Section 3.3): precision, average precision, Mean Average Precision
 // (MAP), and Mean Recall of ranked subspace explanations against a ground
 // truth of relevant subspaces. A returned subspace counts as relevant only
 // when it is identical to a ground-truth subspace.
@@ -20,29 +20,19 @@ func newRelSet(relevant []subspace.Subspace) relSet {
 	return set
 }
 
-// PrecisionAtK returns P@k: the fraction of the first k returned subspaces
-// that are relevant (Eq. 1 restricted to the k-prefix). k is clamped to the
-// list length; an empty prefix yields 0.
-func PrecisionAtK(returned, relevant []subspace.Subspace, k int) float64 {
-	if k > len(returned) {
-		k = len(returned)
-	}
-	if k <= 0 {
+// Precision returns |REL ∩ EXP| / |EXP| (Eq. 1); an empty list yields 0.
+func Precision(returned, relevant []subspace.Subspace) float64 {
+	if len(returned) == 0 {
 		return 0
 	}
 	set := newRelSet(relevant)
 	hits := 0
-	for _, s := range returned[:k] {
+	for _, s := range returned {
 		if set[s.Key()] {
 			hits++
 		}
 	}
-	return float64(hits) / float64(k)
-}
-
-// Precision returns |REL ∩ EXP| / |EXP| (Eq. 1).
-func Precision(returned, relevant []subspace.Subspace) float64 {
-	return PrecisionAtK(returned, relevant, len(returned))
+	return float64(hits) / float64(len(returned))
 }
 
 // Recall returns |REL ∩ EXP| / |REL|: the fraction of relevant subspaces

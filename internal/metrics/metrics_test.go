@@ -34,22 +34,6 @@ func TestPrecision(t *testing.T) {
 	}
 }
 
-func TestPrecisionAtK(t *testing.T) {
-	returned := subs("0,1", "2,3", "4,5")
-	relevant := subs("2,3")
-	cases := []struct {
-		k    int
-		want float64
-	}{
-		{1, 0}, {2, 0.5}, {3, 1.0 / 3}, {10, 1.0 / 3}, {0, 0},
-	}
-	for _, c := range cases {
-		if got := PrecisionAtK(returned, relevant, c.k); !almost(got, c.want) {
-			t.Errorf("P@%d = %v, want %v", c.k, got, c.want)
-		}
-	}
-}
-
 func TestRecall(t *testing.T) {
 	returned := subs("0,1", "2,3")
 	relevant := subs("2,3", "4,5", "6,7")

@@ -88,15 +88,6 @@ type GridSpec struct {
 // gridKind namespaces RunGrid's cells in a journal.
 const gridKind = "grid"
 
-// gridCell is one schedulable unit of the grid.
-type gridCell struct {
-	order     int
-	detector  string
-	explainer string
-	dim       int
-	run       func(ctx context.Context) Result
-}
-
 // RunGrid executes the grid and returns all cell results, deterministically
 // ordered by (dimension, detector, explainer). An empty grid — no Dims or
 // no detectors/pipelines — returns nil without spinning up workers.
@@ -121,18 +112,54 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 	if spec.Options.Workers > 0 {
 		inner = spec.Options.Workers // explicit inner knob wins
 	}
-	cells := buildCells(spec, inner)
+	return RunCells(ctx, buildCells(spec, inner), workers, spec.CellTimeout, spec.Journal)
+}
 
+// Cell is one schedulable unit of work: a pipeline run keyed, in a journal
+// and in its Result, by (Kind, Dataset, Detector, Explainer, Dim).
+type Cell struct {
+	// Kind namespaces the cell in a journal ("grid" for RunGrid).
+	Kind      string
+	Dataset   string
+	Detector  string
+	Explainer string
+	Dim       int
+	// Run computes the cell's result under the context RunCells gives it.
+	Run func(ctx context.Context) Result
+
+	order int // the cell's index in RunCells' input: its result slot
+}
+
+// RunCells executes the cells on workers goroutines (at least one) and
+// returns their results in input order; it is the executor behind RunGrid
+// and the experiment sessions.
+//
+// With a journal, a cell already recorded under its key is served from the
+// journal without running, and every cell that finishes is recorded as it
+// finishes — except those that failed with a context error (cancellation or
+// cell timeout), which carry no reusable work and must be recomputed on
+// resume. The journal is not closed.
+//
+// A positive cellTimeout bounds each cell's wall-clock runtime with its own
+// deadline: a cell exceeding it is abandoned with context.DeadlineExceeded
+// as its Result.Err while every other cell runs to completion. Cancelling
+// ctx stops dispatch; cells never started (or aborted midway) carry ctx's
+// error. Pending cells dispatch costliest-estimated first (see
+// cellScheduler); only the order changes, never a result. The returned
+// error reports journal I/O failures only — computation failures live in
+// the per-cell Err fields.
+func RunCells(ctx context.Context, cells []Cell, workers int, cellTimeout time.Duration, j *Journal) ([]Result, error) {
 	results := make([]Result, len(cells))
 	ran := make([]bool, len(cells))
 
 	// Serve journaled cells without scheduling them.
-	var pending []gridCell
-	for _, c := range cells {
-		if spec.Journal != nil {
-			if res, ok := spec.Journal.Lookup(gridKind, spec.Dataset.Name(), c.detector, c.explainer, c.dim); ok {
-				results[c.order] = res
-				ran[c.order] = true
+	var pending []Cell
+	for i, c := range cells {
+		c.order = i
+		if j != nil {
+			if res, ok := j.Lookup(c.Kind, c.Dataset, c.Detector, c.Explainer, c.Dim); ok {
+				results[i] = res
+				ran[i] = true
 				continue
 			}
 		}
@@ -143,11 +170,11 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 		journalMu  sync.Mutex
 		journalErr error
 	)
-	recordJournal := func(res Result) {
-		if spec.Journal == nil || isContextErr(res.Err) {
+	recordJournal := func(c Cell, res Result) {
+		if j == nil || isContextErr(res.Err) {
 			return
 		}
-		if err := spec.Journal.Record(gridKind, res); err != nil {
+		if err := j.Record(c.Kind, res); err != nil {
 			journalMu.Lock()
 			if journalErr == nil {
 				journalErr = err
@@ -156,22 +183,22 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 		}
 	}
 
-	runCell := func(c gridCell) Result {
+	runCell := func(c Cell) Result {
 		cellCtx := ctx
 		cancel := context.CancelFunc(func() {})
-		if spec.CellTimeout > 0 {
-			cellCtx, cancel = context.WithTimeout(ctx, spec.CellTimeout)
+		if cellTimeout > 0 {
+			cellCtx, cancel = context.WithTimeout(ctx, cellTimeout)
 		}
-		res := c.run(cellCtx)
+		res := c.Run(cellCtx)
 		cancel()
-		// A cell abandoned because the whole GRID was cancelled should
+		// A cell abandoned because ctx itself was cancelled should
 		// carry the parent's error, not its private deadline's.
 		if isContextErr(res.Err) {
 			if perr := ctx.Err(); perr != nil {
 				res.Err = perr
 			}
 		}
-		recordJournal(res)
+		recordJournal(c, res)
 		return res
 	}
 
@@ -179,7 +206,7 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 	sched := newCellScheduler(pending)
 	var wg sync.WaitGroup
 	var resMu sync.Mutex
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(workers, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -201,13 +228,7 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 					}
 				}
 				if cancelled {
-					res = Result{
-						Dataset:   spec.Dataset.Name(),
-						Detector:  c.detector,
-						Explainer: c.explainer,
-						TargetDim: c.dim,
-						Err:       ctx.Err(),
-					}
+					res = c.failed(ctx.Err())
 				} else {
 					start := time.Now()
 					res = runCell(c)
@@ -227,17 +248,15 @@ func RunGrid(ctx context.Context, spec GridSpec) ([]Result, error) {
 	// cancellation-stamped above); a gap would mean a scheduling bug.
 	for i := range results {
 		if !ran[i] {
-			c := cells[i]
-			results[i] = Result{
-				Dataset:   spec.Dataset.Name(),
-				Detector:  c.detector,
-				Explainer: c.explainer,
-				TargetDim: c.dim,
-				Err:       errors.New("grid: cell was never scheduled"),
-			}
+			results[i] = cells[i].failed(errors.New("grid: cell was never scheduled"))
 		}
 	}
 	return results, journalErr
+}
+
+// failed is the cell's result when it did not run to completion.
+func (c Cell) failed(err error) Result {
+	return Result{Dataset: c.Dataset, Detector: c.Detector, Explainer: c.Explainer, TargetDim: c.Dim, Err: err}
 }
 
 // countCells returns the number of cells the spec expands to, without
@@ -263,12 +282,10 @@ func countCells(spec GridSpec) int {
 // buildCells expands the spec into its deterministic cell list, ordered by
 // (dimension, detector, explainer) and with the inner worker budget applied
 // (explicitly-set Workers on override pipelines win).
-func buildCells(spec GridSpec, inner int) []gridCell {
-	var cells []gridCell
-	order := 0
+func buildCells(spec GridSpec, inner int) []Cell {
+	var cells []Cell
 	add := func(det, expl string, dim int, run func(ctx context.Context) Result) {
-		cells = append(cells, gridCell{order: order, detector: det, explainer: expl, dim: dim, run: run})
-		order++
+		cells = append(cells, Cell{Kind: gridKind, Dataset: spec.Dataset.Name(), Detector: det, Explainer: expl, Dim: dim, Run: run})
 	}
 	addPoint := func(pp PointPipeline, dim int) {
 		if pp.Workers <= 0 {

@@ -69,8 +69,8 @@ func dimPrior(dim int) float64 {
 	return float64(dim) / 2
 }
 
-func staticCost(c gridCell) float64 {
-	return explainerPrior(c.explainer) * detectorPrior(c.detector) * dimPrior(c.dim)
+func staticCost(c Cell) float64 {
+	return explainerPrior(c.Explainer) * detectorPrior(c.Detector) * dimPrior(c.Dim)
 }
 
 // cellScheduler hands pending cells to free workers, longest-estimated
@@ -78,7 +78,7 @@ func staticCost(c gridCell) float64 {
 // deterministic (dimension, detector, explainer) order.
 type cellScheduler struct {
 	mu      sync.Mutex
-	pending []gridCell
+	pending []Cell
 	// units holds, per explainer, an EWMA of observed seconds per static
 	// cost unit. Missing entries fall back to the pure prior.
 	units map[string]float64
@@ -93,9 +93,9 @@ type viewGroup struct {
 	dim       int
 }
 
-func groupOf(c gridCell) viewGroup { return viewGroup{c.explainer, c.dim} }
+func groupOf(c Cell) viewGroup { return viewGroup{c.Explainer, c.Dim} }
 
-func newCellScheduler(pending []gridCell) *cellScheduler {
+func newCellScheduler(pending []Cell) *cellScheduler {
 	return &cellScheduler{
 		pending: pending,
 		units:   make(map[string]float64),
@@ -107,11 +107,11 @@ func newCellScheduler(pending []gridCell) *cellScheduler {
 // Every popped cell must be handed back through finish. Ties keep the
 // lowest order, so the dispatch sequence itself is deterministic for a
 // fixed estimate and running state.
-func (s *cellScheduler) next() (c gridCell, ok bool) {
+func (s *cellScheduler) next() (c Cell, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.pending) == 0 {
-		return gridCell{}, false
+		return Cell{}, false
 	}
 	best, bestFree := -1, false
 	var bestCost float64
@@ -128,9 +128,9 @@ func (s *cellScheduler) next() (c gridCell, ok bool) {
 	return c, true
 }
 
-func (s *cellScheduler) estimateLocked(c gridCell) float64 {
+func (s *cellScheduler) estimateLocked(c Cell) float64 {
 	est := staticCost(c)
-	if unit, ok := s.units[c.explainer]; ok {
+	if unit, ok := s.units[c.Explainer]; ok {
 		est *= unit
 	}
 	return est
@@ -145,7 +145,7 @@ const ewmaAlpha = 0.4
 // when the cell ran (elapsed > 0), folds its wall time into the estimates.
 // A cell stamped with the grid's cancellation never ran and passes zero —
 // a zero observation would price its explainer at nothing.
-func (s *cellScheduler) finish(c gridCell, elapsed time.Duration) {
+func (s *cellScheduler) finish(c Cell, elapsed time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g := groupOf(c)
@@ -156,9 +156,9 @@ func (s *cellScheduler) finish(c gridCell, elapsed time.Duration) {
 		return
 	}
 	unit := elapsed.Seconds() / staticCost(c)
-	if prev, ok := s.units[c.explainer]; ok {
-		s.units[c.explainer] = (1-ewmaAlpha)*prev + ewmaAlpha*unit
+	if prev, ok := s.units[c.Explainer]; ok {
+		s.units[c.Explainer] = (1-ewmaAlpha)*prev + ewmaAlpha*unit
 	} else {
-		s.units[c.explainer] = unit
+		s.units[c.Explainer] = unit
 	}
 }

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-func schedCells() []gridCell {
-	return []gridCell{
-		{order: 0, detector: "LOF", explainer: "Beam_FX", dim: 2},
-		{order: 1, detector: "LOF", explainer: "RefOut", dim: 2},
-		{order: 2, detector: "FastABOD", explainer: "Beam_FX", dim: 2},
-		{order: 3, detector: "FastABOD", explainer: "RefOut", dim: 2},
-		{order: 4, detector: "LOF", explainer: "Beam_FX", dim: 4},
+func schedCells() []Cell {
+	return []Cell{
+		{order: 0, Detector: "LOF", Explainer: "Beam_FX", Dim: 2},
+		{order: 1, Detector: "LOF", Explainer: "RefOut", Dim: 2},
+		{order: 2, Detector: "FastABOD", Explainer: "Beam_FX", Dim: 2},
+		{order: 3, Detector: "FastABOD", Explainer: "RefOut", Dim: 2},
+		{order: 4, Detector: "LOF", Explainer: "Beam_FX", Dim: 4},
 	}
 }
 
@@ -47,7 +47,7 @@ func TestCellSchedulerLongestFirst(t *testing.T) {
 // costliest sharer only when nothing else is pending, and a cell stamped
 // with the grid's cancellation still releases its group.
 func TestCellSchedulerSeparatesViewSharers(t *testing.T) {
-	pop := func(s *cellScheduler, want int) gridCell {
+	pop := func(s *cellScheduler, want int) Cell {
 		t.Helper()
 		c, ok := s.next()
 		if !ok || c.order != want {
@@ -73,11 +73,11 @@ func TestCellSchedulerSeparatesViewSharers(t *testing.T) {
 // deterministic order, also once an observed wall time has priced their
 // explainer — the property a serial grid's journal-resume test relies on.
 func TestCellSchedulerFIFO(t *testing.T) {
-	cells := []gridCell{
-		{order: 0, detector: "LOF-10", explainer: "Beam_FX", dim: 2},
-		{order: 1, detector: "LOF-15", explainer: "Beam_FX", dim: 2},
-		{order: 2, detector: "LOF-20", explainer: "Beam_FX", dim: 2},
-		{order: 3, detector: "LOF-25", explainer: "Beam_FX", dim: 2},
+	cells := []Cell{
+		{order: 0, Detector: "LOF-10", Explainer: "Beam_FX", Dim: 2},
+		{order: 1, Detector: "LOF-15", Explainer: "Beam_FX", Dim: 2},
+		{order: 2, Detector: "LOF-20", Explainer: "Beam_FX", Dim: 2},
+		{order: 3, Detector: "LOF-25", Explainer: "Beam_FX", Dim: 2},
 	}
 	s := newCellScheduler(cells)
 	for i := range cells {
@@ -93,16 +93,16 @@ func TestCellSchedulerFIFO(t *testing.T) {
 // priors — an explainer that proves 100× more expensive than its prior
 // jumps the queue.
 func TestCellSchedulerEWMARefinement(t *testing.T) {
-	cells := []gridCell{
-		{order: 0, detector: "LOF", explainer: "RefOut", dim: 2},  // prior 5
-		{order: 1, detector: "LOF", explainer: "LookOut", dim: 2}, // prior 1
+	cells := []Cell{
+		{order: 0, Detector: "LOF", Explainer: "RefOut", Dim: 2},  // prior 5
+		{order: 1, Detector: "LOF", Explainer: "LookOut", Dim: 2}, // prior 1
 	}
 	s := newCellScheduler(cells)
 	// LookOut was observed to take 100 s per unit; RefOut 0.01 s per unit.
-	s.finish(gridCell{detector: "LOF", explainer: "LookOut", dim: 2}, 100*time.Second)
-	s.finish(gridCell{detector: "LOF", explainer: "RefOut", dim: 2}, 50*time.Millisecond)
+	s.finish(Cell{Detector: "LOF", Explainer: "LookOut", Dim: 2}, 100*time.Second)
+	s.finish(Cell{Detector: "LOF", Explainer: "RefOut", Dim: 2}, 50*time.Millisecond)
 	c, _ := s.next()
-	if c.explainer != "LookOut" {
-		t.Fatalf("popped %s first, want the observed-expensive LookOut", c.explainer)
+	if c.Explainer != "LookOut" {
+		t.Fatalf("popped %s first, want the observed-expensive LookOut", c.Explainer)
 	}
 }

@@ -139,12 +139,3 @@ func shadeFor(count, max int) rune {
 	idx := int(math.Round(float64(count-1) / float64(max-1) * float64(len(shades)-1)))
 	return shades[idx]
 }
-
-// ScatterString is Scatter into a string, for tests and embedding.
-func ScatterString(v *dataset.View, opts Options) (string, error) {
-	var b strings.Builder
-	if err := Scatter(&b, v, opts); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}

@@ -23,8 +23,15 @@ func testView(t *testing.T) *dataset.View {
 	return ds.View(subspace.New(0, 1))
 }
 
+// scatterString is Scatter into a string.
+func scatterString(v *dataset.View, opts Options) (string, error) {
+	var b strings.Builder
+	err := Scatter(&b, v, opts)
+	return b.String(), err
+}
+
 func TestScatterBasics(t *testing.T) {
-	out, err := ScatterString(testView(t), Options{Width: 20, Height: 10, Highlight: []int{4}, Title: "demo"})
+	out, err := scatterString(testView(t), Options{Width: 20, Height: 10, Highlight: []int{4}, Title: "demo"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +80,7 @@ func TestScatterConstantColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ScatterString(ds.FullView(), Options{Width: 10, Height: 5})
+	out, err := scatterString(ds.FullView(), Options{Width: 10, Height: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +90,7 @@ func TestScatterConstantColumn(t *testing.T) {
 }
 
 func TestScatterCustomMarkerAndDefaults(t *testing.T) {
-	out, err := ScatterString(testView(t), Options{Highlight: []int{4}, Marker: '!'})
+	out, err := scatterString(testView(t), Options{Highlight: []int{4}, Marker: '!'})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +103,7 @@ func TestScatterCustomMarkerAndDefaults(t *testing.T) {
 		t.Errorf("%d lines with default height", len(lines))
 	}
 	// Out-of-range highlights are ignored, not fatal.
-	if _, err := ScatterString(testView(t), Options{Highlight: []int{999}}); err != nil {
+	if _, err := scatterString(testView(t), Options{Highlight: []int{999}}); err != nil {
 		t.Errorf("out-of-range highlight: %v", err)
 	}
 }

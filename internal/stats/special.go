@@ -96,8 +96,3 @@ func StudentTCDF(t, df float64) float64 {
 	}
 	return p
 }
-
-// NormalCDF returns the standard normal cumulative distribution Φ(z).
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}

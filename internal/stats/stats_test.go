@@ -80,18 +80,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {1. / 3, 2},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
 func TestRank(t *testing.T) {
 	got := Rank([]float64{30, 10, 20})
 	want := []int{2, 0, 1}
@@ -126,17 +114,6 @@ func TestStudentTCDF(t *testing.T) {
 	}
 	if got := StudentTCDF(1, -1); !math.IsNaN(got) {
 		t.Errorf("CDF with df<0 = %v, want NaN", got)
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	cases := []struct{ z, want float64 }{
-		{0, 0.5}, {1.959964, 0.975}, {-1.959964, 0.025}, {3, 0.99865},
-	}
-	for _, c := range cases {
-		if got := NormalCDF(c.z); !almostEqual(got, c.want, 1e-4) {
-			t.Errorf("NormalCDF(%v) = %v, want %v", c.z, got, c.want)
-		}
 	}
 }
 
@@ -306,44 +283,6 @@ func TestKolmogorovSmirnovKnownStatistic(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if r := Pearson(xs, ys); !almostEqual(r, 1, 1e-12) {
-		t.Errorf("perfect positive r = %v", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if r := Pearson(xs, neg); !almostEqual(r, -1, 1e-12) {
-		t.Errorf("perfect negative r = %v", r)
-	}
-	if r := Pearson(xs, []float64{1, 1, 1, 1, 1}); !math.IsNaN(r) {
-		t.Errorf("constant r = %v, want NaN", r)
-	}
-	if r := Pearson(xs, ys[:3]); !math.IsNaN(r) {
-		t.Errorf("mismatched lengths r = %v, want NaN", r)
-	}
-}
-
-func TestCovariance(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	ys := []float64{2, 4, 6}
-	if c := Covariance(xs, ys); !almostEqual(c, 2, 1e-12) {
-		t.Errorf("covariance = %v", c)
-	}
-}
-
-func TestMeanAbsPearson(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	c := []float64{8, 6, 4, 2}
-	if r := MeanAbsPearson([][]float64{a, b, c}); !almostEqual(r, 1, 1e-12) {
-		t.Errorf("mean abs r = %v", r)
-	}
-	if r := MeanAbsPearson([][]float64{a}); !math.IsNaN(r) {
-		t.Errorf("single column = %v, want NaN", r)
-	}
-}
-
 func TestPropertyZScoreLinearInvariance(t *testing.T) {
 	// Z-scores are invariant under affine transforms with positive scale.
 	f := func(raw []float64, shift float64, scaleSeed uint8) bool {
@@ -428,12 +367,6 @@ func sanitize(raw []float64) []float64 {
 	return out
 }
 
-func TestStdDev(t *testing.T) {
-	if sd := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEqual(sd, math.Sqrt(32.0/7), 1e-12) {
-		t.Errorf("StdDev = %v", sd)
-	}
-}
-
 func TestDegenerateInputs(t *testing.T) {
 	if _, v := MeanVariance([]float64{5}); !math.IsNaN(v) {
 		t.Error("single-sample variance should be NaN")
@@ -441,23 +374,8 @@ func TestDegenerateInputs(t *testing.T) {
 	if m, v := PopulationMeanVariance(nil); !math.IsNaN(m) || !math.IsNaN(v) {
 		t.Error("empty population stats should be NaN")
 	}
-	if c := Covariance([]float64{1}, []float64{2}); !math.IsNaN(c) {
-		t.Error("single-pair covariance should be NaN")
-	}
-	if c := Covariance([]float64{1, 2}, []float64{1}); !math.IsNaN(c) {
-		t.Error("mismatched covariance should be NaN")
-	}
-	if r := MeanAbsPearson([][]float64{{1, 1, 1}, {2, 2, 2}}); !math.IsNaN(r) {
-		t.Error("all-constant MeanAbsPearson should be NaN")
-	}
 	if zs := ZScores(nil); len(zs) != 0 {
 		t.Error("empty ZScores")
-	}
-	if q := Quantile(nil, 0.5); !math.IsNaN(q) {
-		t.Error("empty Quantile should be NaN")
-	}
-	if q := Quantile([]float64{3}, 0.37); q != 3 {
-		t.Errorf("single-element quantile = %v", q)
 	}
 }
 

@@ -109,15 +109,3 @@ func Random(rng *rand.Rand, d, k int) Subspace {
 	}
 	return New(perm[:k]...)
 }
-
-// Extensions returns every (dim+1)-feature subspace obtained by adding one
-// feature of the d-feature space to s. The results are canonical and unique.
-func Extensions(s Subspace, d int) []Subspace {
-	out := make([]Subspace, 0, d-len(s))
-	for f := 0; f < d; f++ {
-		if !s.Contains(f) {
-			out = append(out, s.With(f))
-		}
-	}
-	return out
-}

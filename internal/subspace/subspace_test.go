@@ -256,19 +256,6 @@ func TestRandom(t *testing.T) {
 	}
 }
 
-func TestExtensions(t *testing.T) {
-	ext := Extensions(New(1, 3), 5)
-	want := []Subspace{New(0, 1, 3), New(1, 2, 3), New(1, 3, 4)}
-	if len(ext) != len(want) {
-		t.Fatalf("got %v", ext)
-	}
-	for i := range want {
-		if !ext[i].Equal(want[i]) {
-			t.Errorf("ext[%d] = %v, want %v", i, ext[i], want[i])
-		}
-	}
-}
-
 func TestPropertyCanonicalInvariants(t *testing.T) {
 	f := func(raw []uint8) bool {
 		feats := make([]int, len(raw))

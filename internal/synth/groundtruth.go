@@ -58,57 +58,3 @@ func DeriveTopSubspaceGroundTruth(ctx context.Context, ds *dataset.Dataset, outl
 	}
 	return dataset.NewGroundTruth(relevant), nil
 }
-
-// AssignOutliersByScore reproduces the ground-truth alignment the paper
-// applies to the HiCS synthetic datasets: given the planted relevant
-// subspaces, it scores all points in each subspace with the detector and
-// associates the subspace with its top-k highest-scoring points. The result
-// matches the planted contamination when the detector separates the planted
-// outliers (the paper verifies this holds for LOF).
-func AssignOutliersByScore(ctx context.Context, ds *dataset.Dataset, planted []subspace.Subspace, topK int, det core.Detector) (*dataset.GroundTruth, error) {
-	if det == nil {
-		return nil, fmt.Errorf("ground truth %q: nil detector", ds.Name())
-	}
-	if topK < 1 {
-		return nil, fmt.Errorf("ground truth %q: topK must be ≥ 1, got %d", ds.Name(), topK)
-	}
-	relevant := make(map[int][]subspace.Subspace)
-	for _, s := range planted {
-		if err := s.Validate(ds.D()); err != nil {
-			return nil, fmt.Errorf("ground truth %q: %w", ds.Name(), err)
-		}
-		scores, err := det.Scores(ctx, ds.View(s))
-		if err != nil {
-			return nil, fmt.Errorf("ground truth %q: %w", ds.Name(), err)
-		}
-		top := topIndices(scores, topK)
-		for _, p := range top {
-			relevant[p] = append(relevant[p], s)
-		}
-	}
-	return dataset.NewGroundTruth(relevant), nil
-}
-
-// topIndices returns the indices of the k largest scores, descending; ties
-// break on the smaller index.
-func topIndices(scores []float64, k int) []int {
-	if k > len(scores) {
-		k = len(scores)
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Partial selection sort: k is tiny (5 in the paper).
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if scores[idx[j]] > scores[idx[best]] ||
-				(scores[idx[j]] == scores[idx[best]] && idx[j] < idx[best]) {
-				best = j
-			}
-		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
-	return idx[:k]
-}

@@ -127,33 +127,52 @@ awk -v ratio="$best" -v bb="$beam_base" -v rb="$ref_base" 'BEGIN {
     }
 }'
 
+# Self-normalising ratio gates. Each runs one benchmark whose two sub-
+# benchmarks are two arms of the same workload in the same process, so the
+# arm/arm ratio is self-normalising: host-load swings hit both arms alike
+# and cancel. The best (smallest) ratio of the rounds is gated against a
+# ceiling — noise only ever shrinks the measured gap, so a real regression
+# still cannot pass.
+#
+# ratio_gate LABEL BENCH PKG BENCHTIME ROUNDS NUM DEN CEILING FAIL
+# runs BENCH (its regex; a trailing $ is dropped to name the sub-
+# benchmarks) in PKG, ROUNDS times at -benchtime BENCHTIME, and fails
+# with the printf message FAIL (given the ratio) when the best NUM/DEN
+# ratio exceeds CEILING.
+ratio_gate() {
+    label=$1 bench=$2 pkg=$3 benchtime=$4 rounds=$5 num=$6 den=$7 ceil=$8 fail=$9
+    prefix="^${bench%\$}"
+    rbest=""
+    round=1
+    while [ "$round" -le "$rounds" ]; do
+        out="$(go test -run '^$' -bench "$bench" -benchtime="$benchtime" "$pkg")"
+        a="$(echo "$out" | getns "$prefix/$num")"
+        b="$(echo "$out" | getns "$prefix/$den")"
+        [ -n "$a" ] && [ -n "$b" ]
+        ratio="$(awk -v a="$a" -v b="$b" 'BEGIN { printf("%.6f", a / b) }')"
+        echo "round $round: $label $num ${a} ns/op, $den ${b} ns/op, ratio ${ratio}"
+        if [ -z "$rbest" ] || awk -v a="$ratio" -v b="$rbest" 'BEGIN { exit !(a < b) }'; then
+            rbest="$ratio"
+        fi
+        round=$((round + 1))
+    done
+    awk -v ratio="$rbest" -v ceil="$ceil" -v fail="$fail" -v label="$label" -v arms="$num/$den" 'BEGIN {
+        if (ratio > ceil) {
+            printf(fail "\n", ratio)
+            exit 1
+        }
+        printf("%s: %s ratio %.4f (gate %s)\n", label, arms, ratio, ceil)
+    }'
+}
+
 # RunGrid mini-workload perf gate: BenchmarkRunGridKNN runs the Figure-9
 # mini-grid with all three kNN detectors twice in the same process — once
 # with the detectors sharing one neighbourhood plane, once with a private
-# plane each — so the shared/unshared ratio is self-normalising: host-load
-# swings hit both arms alike and cancel. The plane's whole point is cutting
-# duplicated kNN work, so gate on shared ≤ 0.75× unshared (the ≥25%
-# wall-clock reduction the PR-5 acceptance criteria demand). Best of two
-# rounds, same rationale as above: noise only ever shrinks the gap.
-bestgrid=""
-for i in 1 2; do
-    gridout="$(go test -run '^$' -bench 'BenchmarkRunGridKNN$' -benchtime=2x ./internal/pipeline)"
-    shared="$(echo "$gridout" | getns '^BenchmarkRunGridKNN/shared')"
-    unshared="$(echo "$gridout" | getns '^BenchmarkRunGridKNN/unshared')"
-    [ -n "$shared" ] && [ -n "$unshared" ]
-    gridratio="$(awk -v s="$shared" -v u="$unshared" 'BEGIN { printf("%.6f", s / u) }')"
-    echo "round $i: grid shared ${shared} ns/op, unshared ${unshared} ns/op, ratio ${gridratio}"
-    if [ -z "$bestgrid" ] || awk -v a="$gridratio" -v b="$bestgrid" 'BEGIN { exit !(a < b) }'; then
-        bestgrid="$gridratio"
-    fi
-done
-awk -v ratio="$bestgrid" 'BEGIN {
-    if (ratio > 0.75) {
-        printf("FAIL: shared plane saves <25%% on the kNN grid: shared/unshared ratio %.4f > 0.75\n", ratio)
-        exit 1
-    }
-    printf("grid kNN plane: shared/unshared ratio %.4f (gate 0.75)\n", ratio)
-}'
+# plane each. The plane's whole point is cutting duplicated kNN work, so
+# gate on shared ≤ 0.75× unshared (the ≥25% wall-clock reduction the PR-5
+# acceptance criteria demand). Best of two rounds.
+ratio_gate "grid kNN plane" 'BenchmarkRunGridKNN$' ./internal/pipeline 2x 2 shared unshared 0.75 \
+    'FAIL: shared plane saves <25%% on the kNN grid: shared/unshared ratio %.4f > 0.75'
 
 # Quantized-prefilter perf gate: BenchmarkFigure9KNNQuant (in
 # internal/neighbors, where the coded index has an unexported constructor)
@@ -161,64 +180,26 @@ awk -v ratio="$bestgrid" 'BEGIN {
 # reference workload (20d, n=1000 — the widest views the kNN detectors
 # score) twice in the same process — once through the coded brute-force
 # index NewIndex builds for wide views, once through the plain exhaustive
-# scan (candidates go straight to the exact distance kernel) — so the
-# quant/noquant ratio is self-normalising against host load, same as the
-# gates above. Both arms are warm-index. Gate on quant ≤ 0.85× noquant —
-# the ≥15% speedup the prefilter was accepted on. Best of three rounds:
-# noise only ever shrinks the measured gap. Neighbour-set
+# scan (candidates go straight to the exact distance kernel). Both arms are
+# warm-index. Gate on quant ≤ 0.85× noquant — the ≥15% speedup the
+# prefilter was accepted on. Best of three rounds. Neighbour-set
 # bit-identicality between the two arms is enforced separately by the
 # deterministic property tests and the fuzz smoke below, not by this
 # timing gate.
-bestquant=""
-for i in 1 2 3; do
-    quantout="$(go test -run '^$' -bench 'BenchmarkFigure9KNNQuant$' -benchtime=30x ./internal/neighbors)"
-    quant="$(echo "$quantout" | getns '^BenchmarkFigure9KNNQuant/quant')"
-    noquant="$(echo "$quantout" | getns '^BenchmarkFigure9KNNQuant/noquant')"
-    [ -n "$quant" ] && [ -n "$noquant" ]
-    quantratio="$(awk -v q="$quant" -v u="$noquant" 'BEGIN { printf("%.6f", q / u) }')"
-    echo "round $i: quant ${quant} ns/op, noquant ${noquant} ns/op, ratio ${quantratio}"
-    if [ -z "$bestquant" ] || awk -v a="$quantratio" -v b="$bestquant" 'BEGIN { exit !(a < b) }'; then
-        bestquant="$quantratio"
-    fi
-done
-awk -v ratio="$bestquant" 'BEGIN {
-    if (ratio > 0.85) {
-        printf("FAIL: quantized prefilter saves <15%% on Figure-9 kNN: quant/noquant ratio %.4f > 0.85\n", ratio)
-        exit 1
-    }
-    printf("quant prefilter: quant/noquant ratio %.4f (gate 0.85)\n", ratio)
-}'
+ratio_gate "quant prefilter" 'BenchmarkFigure9KNNQuant$' ./internal/neighbors 30x 3 quant noquant 0.85 \
+    'FAIL: quantized prefilter saves <15%% on Figure-9 kNN: quant/noquant ratio %.4f > 0.85'
 
 # Incremental-stream perf gate: BenchmarkStreamWindow pushes the reference
 # stream workload (W=256, stride=64, 20d, LOF k=15) through the sliding-
 # window monitor twice in the same process — once with the incremental
 # neighbourhood engine, once rebuilding the window from scratch every
-# stride — so the incremental/rebuild ratio is self-normalising against
-# host load, same as the grid and quant gates above. Gate on incremental
-# ≤ 0.60× rebuild — the ≥1.6× steady-state speedup the PR-9 acceptance
-# criteria demand (measured ~0.51 at recording time). Best of three
-# rounds: noise only ever shrinks the measured gap. Alert bit-identicality
-# between the two arms is enforced separately by the deterministic parity
-# tests in internal/stream, not by this timing gate.
-beststream=""
-for i in 1 2 3; do
-    streamout="$(go test -run '^$' -bench 'BenchmarkStreamWindow' -benchtime=100x ./internal/stream)"
-    streaminc="$(echo "$streamout" | getns '^BenchmarkStreamWindow/incremental')"
-    streamreb="$(echo "$streamout" | getns '^BenchmarkStreamWindow/rebuild')"
-    [ -n "$streaminc" ] && [ -n "$streamreb" ]
-    streamratio="$(awk -v a="$streaminc" -v r="$streamreb" 'BEGIN { printf("%.6f", a / r) }')"
-    echo "round $i: stream incremental ${streaminc} ns/op, rebuild ${streamreb} ns/op, ratio ${streamratio}"
-    if [ -z "$beststream" ] || awk -v a="$streamratio" -v b="$beststream" 'BEGIN { exit !(a < b) }'; then
-        beststream="$streamratio"
-    fi
-done
-awk -v ratio="$beststream" 'BEGIN {
-    if (ratio > 0.60) {
-        printf("FAIL: incremental stream engine saves <40%% per stride: incremental/rebuild ratio %.4f > 0.60\n", ratio)
-        exit 1
-    }
-    printf("stream window: incremental/rebuild ratio %.4f (gate 0.60)\n", ratio)
-}'
+# stride. Gate on incremental ≤ 0.60× rebuild — the ≥1.6× steady-state
+# speedup the PR-9 acceptance criteria demand (measured ~0.51 at recording
+# time). Best of three rounds. Alert bit-identicality between the two arms
+# is enforced separately by the deterministic parity tests in
+# internal/stream, not by this timing gate.
+ratio_gate "stream window" 'BenchmarkStreamWindow' ./internal/stream 100x 3 incremental rebuild 0.60 \
+    'FAIL: incremental stream engine saves <40%% per stride: incremental/rebuild ratio %.4f > 0.60'
 
 # Repair-fraction gate: independent of timing, the incremental engine must
 # repair only a small fraction of surviving k-lists per stride on the same
