@@ -154,6 +154,44 @@ func BenchmarkFigure9KNNQuant(b *testing.B) {
 	b.Run("noquant", func(b *testing.B) { run(b, NewBruteForce(points)) })
 }
 
+// BenchmarkRefOutPoolKNN measures the seeded coded tier on the RefOut
+// pool workload (refOutPool: 40 views of 14 of 20 dims, n = 1000, k = 15,
+// serial). The plane arm answers every view through a fresh plane, so it
+// pays the source's full-space seed build as well as the 40 seeded coded
+// scans; the plain arm runs the unpruned exhaustive scan over the same
+// views' rows. scripts/check.sh gates on the plane/plain ratio (≤ 0.50,
+// best of three same-process rounds).
+func BenchmarkRefOutPoolKNN(b *testing.B) {
+	_, views := refOutPool(b)
+	ctx := context.Background()
+	b.Run("plane", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := NewPlane(0)
+			for _, v := range views {
+				if _, _, _, _, ok, err := p.AllKNN(ctx, v, 15, 1); err != nil || !ok {
+					b.Fatalf("view %v: ok=%v err=%v", v.feats, ok, err)
+				}
+			}
+		}
+	})
+	b.Run("plain", func(b *testing.B) {
+		rows := make([][][]float64, len(views))
+		for j, v := range views {
+			rows[j] = sourceRows(v)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range rows {
+				if _, _, _, err := AllKNNFlat(ctx, NewBruteForce(r), 15, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkDeltaScan measures the delta engine's scan path as the
 // Figure-9/10 grid exercises it: on a 300×10 source, one 3d and one 7d view
 // at k = 15, each seeded from the full-space kNN. Every iteration starts

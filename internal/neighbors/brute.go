@@ -14,6 +14,14 @@ import (
 // the exact kernel only through the shared tile scan (scanTiles), which
 // rejects from 8-bit codes alone the ones the kernel's own early exit would
 // have discarded — so coded and plain scans are bit-identical.
+//
+// A coded index over a subspace view may also carry seeds: the source's
+// full-space neighbours, the delta engine's cached structure (the plane
+// hands it over). A seeded query fills its list with the seeds' exact view
+// distances before the scan, so the list is full — its radius already an
+// upper bound on the true k-th distance — from the first tile on, and the
+// code bound rejects from the first candidate instead of after a whole
+// unbounded tile.
 type bruteForce struct {
 	points [][]float64
 	codes  *bruteCodes // nil: the plain scan
@@ -25,6 +33,9 @@ type bruteCodes struct {
 	qp   *quantParams
 	rows []uint8 // one padded code row per point, in point order
 	tile int
+	// seeds, when non-nil, holds seeds.m full-space neighbours per point
+	// (row-major, the delta engine's knnEntry).
+	seeds *knnEntry
 
 	queries, qcand, qrej atomic.Int64
 }
@@ -67,8 +78,9 @@ func (b bruteForce) Len() int { return len(b.points) }
 func (b bruteForce) KNNInto(i, k int, s *Scratch) ([]int, []float64) {
 	checkK(k)
 	if c := b.codes; c != nil {
+		list, seen := b.seedList(i, k, s)
 		var tested, rejected int64
-		s.nn, tested, rejected = scanTiles(b.points, i, c.qp, c.rows, nil, c.tile, emptyList(s.nn, k), k, &s.tiles)
+		s.nn, tested, rejected = scanTiles(b.points, i, c.qp, c.rows, nil, seen, c.tile, list, k, &s.tiles)
 		c.queries.Add(1)
 		c.qcand.Add(tested)
 		c.qrej.Add(rejected)
@@ -76,6 +88,38 @@ func (b bruteForce) KNNInto(i, k int, s *Scratch) ([]int, []float64) {
 	}
 	s.nn = scanRange(b.points, i, 0, len(b.points), emptyList(s.nn, k), k)
 	return s.drain()
+}
+
+// seedList returns query i's starting list and the marks of the rows
+// scanTiles must not offer again. Unseeded, that is an empty list and no
+// marks. Seeded, it is the list prefilled with the seeds' exact view
+// distances — SquaredEuclidean, whose grouping is squaredEuclideanWithin's,
+// so a kept value is bit-identical to the one the scan would compute — with
+// the query itself and every seed offered marked. Seeds that repeat or
+// name the query (a full-space list cut short by non-finite coordinates is
+// zero-filled) are offered once or not at all. If fewer than k distinct
+// seeds remain, or their distances overflow to +Inf, the list has no
+// finite radius to bound a tile with, and the query falls back to the
+// unseeded scan.
+func (b bruteForce) seedList(i, k int, s *Scratch) ([]neighbor, *rowMarks) {
+	list := emptyList(s.nn, k)
+	sd := b.codes.seeds
+	if sd == nil {
+		return list, nil
+	}
+	seen := &s.marks
+	seen.next(len(b.points))
+	seen.set(int32(i))
+	q := b.points[i]
+	for _, j := range sd.idx[i*sd.m : (i+1)*sd.m] {
+		if seen.set(j) {
+			list = insertNeighbor(list, SquaredEuclidean(q, b.points[j]), j, k)
+		}
+	}
+	if math.IsInf(listRadius(list, k), 1) {
+		return list[:0], nil
+	}
+	return list, seen
 }
 
 // scanRange is the plain exhaustive scan: it offers rows lo ≤ j < hi,
@@ -99,8 +143,8 @@ func scanRange(rows [][]float64, i, lo, hi int, list []neighbor, capacity int) [
 }
 
 // pruneStats returns a coded index's own activity counters (zero for a
-// plain one). Every query considers the n−1 other rows, and every one the
-// code bound did not reject reached the exact kernel.
+// plain one). Every query considers the n−1 other rows; each one the code
+// bound did not reject — its seeds included — reached the exact kernel.
 func (b bruteForce) pruneStats() PruneStats {
 	c := b.codes
 	if c == nil {
@@ -119,19 +163,59 @@ func (b bruteForce) pruneStats() PruneStats {
 }
 
 // Scratch holds the reusable per-worker state of KNNInto queries: the
-// k-nearest list and the result buffers. The zero value is ready to use;
-// one scratch must not be shared between concurrent queries. Every buffer
-// is sized by k — never by view width — and is fully rewritten before it
-// is read, so one scratch serves indexes of any dimensionality back to
-// back (pinned by TestScratchReuseAcrossWidths).
+// k-nearest list, the result buffers, the tile cells of the code-bound
+// pass and the marks of a seeded query. The zero value is ready to use;
+// one scratch must not be shared between concurrent queries. The list and
+// result buffers are sized by k and the marks by the index's row count —
+// never by view width — and every buffer is rewritten (or, for the marks,
+// superseded by a fresh generation) before it is read, so one scratch
+// serves indexes of any dimensionality and size back to back (pinned by
+// TestScratchReuseAcrossWidths).
 type Scratch struct {
-	nn   []neighbor
-	idx  []int
-	dist []float64
-	// The quantized prefilter's tile scratch (see scanTiles), living here
-	// so the query path stays allocation-free.
+	nn    []neighbor
+	idx   []int
+	dist  []float64
 	tiles tileScratch
+	marks rowMarks
 }
+
+// rowMarks marks rows for one query at a time: mark[j] == gen says row j
+// was already offered to the current query's list, and count says how
+// many rows carry the mark. Advancing gen clears every mark in O(1); the
+// array grows on demand and is zeroed on the rare wrap-around of gen, so a
+// mark left by a query 2³² generations back can never alias the current
+// one. The seeded brute-force query and the delta engine's scan share it.
+type rowMarks struct {
+	mark  []uint32
+	gen   uint32
+	count int
+}
+
+// next starts a new generation over n rows, none of them marked.
+func (m *rowMarks) next(n int) {
+	if len(m.mark) < n {
+		m.mark = make([]uint32, n)
+	}
+	m.gen++
+	if m.gen == 0 {
+		clear(m.mark)
+		m.gen = 1
+	}
+	m.count = 0
+}
+
+// set marks row j, reporting whether it was unmarked.
+func (m *rowMarks) set(j int32) bool {
+	if m.mark[j] == m.gen {
+		return false
+	}
+	m.mark[j] = m.gen
+	m.count++
+	return true
+}
+
+// has reports whether row j is marked in the current generation.
+func (m *rowMarks) has(j int32) bool { return m.mark[j] == m.gen }
 
 // drain copies the list into the scratch's result buffers, already ordered
 // by increasing (distance, index), converting squared distances to

@@ -24,6 +24,12 @@ import (
 //     the true k-th and so starts the scan with a tight radius, or, for
 //     the full space itself, from its first k candidates.
 //
+// The full-space kNN is the seed structure of both scan tiers: the plane
+// also hands it (seeds) to the coded brute-force index it builds for a
+// subspace view too wide or too large for this engine, whose queries
+// prefill their lists from it the same way. One cache serves both, pinned
+// per source and k.
+//
 // Results are bit-identical to the brute-force / KD-tree path: every
 // surviving candidate's distance is accumulated in ascending feature order,
 // which for dimensionality ≤ maxDeltaDim is exactly the grouping
@@ -411,6 +417,17 @@ func (e *deltaEngine) fullSpaceKNN(ctx context.Context, ds *deltaSource, src Col
 	return en, nil
 }
 
+// seeds returns src's full-space kNN at neighbourhood size k — the
+// structure that seeds the scan path — for a coded brute-force index over a
+// view too wide or too large for this engine. It shares fullSpaceKNN's
+// per-source cache (pinned, bounded by maxDeltaSources, dropped by Forget)
+// and counts nothing in DeltaStats: the view is not this engine's query.
+func (e *deltaEngine) seeds(ctx context.Context, src ColumnSource, k, workers int) (*knnEntry, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.fullSpaceKNN(ctx, e.source(src.SourceKey()), src, k, workers)
+}
+
 // sqBlocks recycles the scan path's n×n squared-distance blocks (at most
 // maxDeltaPoints² float64s, 2 MiB) across queries.
 var sqBlocks = sync.Pool{New: func() any { return new([]float64) }}
@@ -433,12 +450,11 @@ type deltaQuery struct {
 }
 
 // deltaScratch is the per-worker reusable query state: the k-nearest list
-// of the current point, and stamp[j] == gen marking candidate j as already
-// in the current scan point's prefilled list.
+// of the current point, and the marks of the candidates already in the
+// current scan point's prefilled list.
 type deltaScratch struct {
 	nn    []neighbor
-	stamp []uint32
-	gen   uint32
+	marks rowMarks
 }
 
 // point answers one query into the output slots.
@@ -579,33 +595,30 @@ func (q *deltaQuery) composeRow(i int) {
 // scanPoint selects one query's k-nearest list from its block row. The
 // list is prefilled with k candidates — the point's full-space neighbours
 // (none when the view is unseeded), topped up with the first non-self
-// candidates — which are stamped so the scan skips them. Any k distinct
+// candidates — which are marked so the scan skips them. Any k distinct
 // candidates upper-bound the true k-th distance, and seeds bound it
 // tightly, so most of the row is rejected by its first compare against
 // the radius.
 func (q *deltaQuery) scanPoint(i int, nn []neighbor, s *deltaScratch) []neighbor {
 	n, k := q.n, q.m
 	row := q.block[i*n : (i+1)*n]
-	if len(s.stamp) < n {
-		s.stamp = make([]uint32, n)
-	}
-	s.gen++
-	stamp, gen := s.stamp[:n], s.gen
+	seen := &s.marks
+	seen.next(n)
+	seen.set(int32(i))
 	for _, j := range q.seedIdx[i*q.seedM : (i+1)*q.seedM] {
-		if int(j) != i && len(nn) < k {
+		if len(nn) < k && seen.set(j) {
 			nn = insertNeighbor(nn, row[j], j, k)
-			stamp[j] = gen
 		}
 	}
-	for j := 0; len(nn) < k; j++ {
-		if j != i && stamp[j] != gen {
-			nn = insertNeighbor(nn, row[j], int32(j), k)
-			stamp[j] = gen
+	for j := int32(0); len(nn) < k; j++ {
+		if seen.set(j) {
+			nn = insertNeighbor(nn, row[j], j, k)
 		}
 	}
 	radius := listRadius(nn, k)
+	mark, gen := seen.mark[:n], seen.gen
 	for j, dd := range row {
-		if dd > radius || j == i || stamp[j] == gen {
+		if dd > radius || mark[j] == gen {
 			continue
 		}
 		nn = insertNeighbor(nn, dd, int32(j), k)

@@ -301,11 +301,20 @@ func (p *Plane) compute(ctx context.Context, src ColumnSource, kq, workers int) 
 	}
 	if !ok {
 		ix := NewIndex(sourceRows(src))
+		bf, _ := ix.(bruteForce)
+		if bf.codes != nil && src.Dim() < src.NumFeatures() {
+			// A coded scan over a subspace view starts from the source's
+			// full-space neighbours: the delta engine's pinned seeds,
+			// built once per source and k for both scan tiers.
+			if bf.codes.seeds, err = p.delta.seeds(ctx, src, kq, workers); err != nil {
+				return planeEntry{}, err
+			}
+		}
 		idx, dist, m, err = AllKNNFlat(ctx, ix, kq, workers)
 		if err != nil {
 			return planeEntry{}, err
 		}
-		if bf, ok := ix.(bruteForce); ok && bf.codes != nil {
+		if bf.codes != nil {
 			// The codes were built, and every query answered, for exactly
 			// this entry: the index's counters ARE the entry's ledger.
 			p.mu.Lock()

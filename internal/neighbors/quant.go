@@ -38,9 +38,10 @@ import "math"
 // proportionally little to real distances, so the sharpness that matters —
 // in the wide columns that decide rejections — is the full 8 bits.
 //
-// Why a rejected candidate can never change the result: the reject test
-// multiplies by a (1 − quantEps) factor, making the computed bound
-// strictly less than the true lower bound — quantEps over-covers, by five
+// Why a rejected candidate can never change the result: the reject test,
+// float64(sum)·sqAdj > limit with sqAdj = s²·(1 − quantEps), multiplies by
+// a (1 − quantEps) factor, making the computed bound strictly less than
+// the true lower bound — quantEps over-covers, by five
 // orders of magnitude, the quantization slop past s/2 (≤ ~256·3ε of a
 // cell, from computing (x−lo)/s in floats) and the one rounding of the
 // final product (the integer sum itself is exact: quantMaxDims caps it
@@ -63,7 +64,19 @@ import "math"
 // data-dependent branch of the plain scan into a predictable filter/verify
 // pipeline. The tile's radius snapshot is taken at tile entry; the live
 // radius only shrinks during the tile, so the snapshot is merely
-// conservative (fewer rejections, never a wrong one).
+// conservative (fewer rejections, never a wrong one). The snapshot is
+// turned into ONE integer threshold per tile, sumLimit — the largest sum
+// the float test keeps, exact because the test is monotone in the integer
+// sum — so the per-candidate test is a single integer compare that rejects
+// exactly the candidates the float test would.
+//
+// A bound needs a finite radius, so a list that starts empty scans its
+// first tile unbounded. A coded index over a subspace view avoids that by
+// seeding: the plane hands it the source's full-space neighbours (the
+// delta engine's cached seed structure), each query prefills its list
+// with their exact view distances, and the bound fires from the first
+// candidate on. The seeds are marked in the query's Scratch and never
+// offered twice; a list the seeds cannot fill scans unseeded.
 //
 // Constant dimensions code to 0 everywhere and contribute nothing to the
 // bound — conservative, still exact. Views with non-finite values, a
@@ -99,6 +112,10 @@ const (
 	// the prefilter.
 	quantMaxDims = 1 << 15
 
+	// quantSumMax is the largest bound sum quantSqSum can return: every
+	// dimension of the widest codeable view at its largest term, 254².
+	quantSumMax = quantMaxDims * 254 * 254
+
 	// quantMinPoints gates the prefilter by dataset size: below it the
 	// code build and per-query tile bookkeeping would not amortise over
 	// the handful of candidates an exhaustive scan costs anyway.
@@ -108,7 +125,10 @@ const (
 // PruneStats is the quantized prefilter's ledger over coded brute-force
 // indexes: how many were built, their code storage, and how much of the
 // candidate stream the code bound rejected before the exact distance
-// kernel ran.
+// kernel ran. A seeded query's seeds are candidates that reached the exact
+// kernel without a bound test: they count in Candidates and Scanned, never
+// in QuantCandidates, and neither does the query's own row — so
+// QuantCandidates ≤ Candidates always.
 type PruneStats struct {
 	// Indexes counts coded indexes built.
 	Indexes int
@@ -170,7 +190,7 @@ type quantParams struct {
 	lo     []float64 // per-dimension offset (the column minimum)
 	step   []float64 // per-dimension scale: the shared cell width s, or 0
 	//                  for constant columns
-	sqAdj  float64 // s²·(1−quantEps): reject iff float64(sum)·sqAdj > limit
+	sqAdj  float64 // s²·(1−quantEps): reject iff sum > sumLimit(limit)
 	usable bool
 }
 
@@ -273,6 +293,29 @@ func (qp *quantParams) sumClears(sum int64, limit float64) bool {
 	return float64(sum)*qp.sqAdj > limit
 }
 
+// sumLimit returns the largest bound sum that sumClears(·, limit) keeps,
+// so that sumClears(s, limit) == (s > sumLimit(limit)) for every sum s in
+// [0, quantSumMax] — the range quantSqSum can produce. sumClears is
+// monotone in s (the conversion is exact below 2⁵³ and a product with the
+// positive sqAdj preserves order), so the threshold exists; the quotient
+// estimates it to within a rounding, and the two confirming walks make it
+// exact: it is the last kept sum and its successor clears. −1 means every
+// sum clears (a negative limit); quantSumMax means none does (+Inf, NaN, or
+// a limit past the largest bound).
+func (qp *quantParams) sumLimit(limit float64) int64 {
+	t := int64(quantSumMax)
+	if f := limit / qp.sqAdj; f < quantSumMax {
+		t = int64(max(f, -1))
+	}
+	for t >= 0 && qp.sumClears(t, limit) {
+		t--
+	}
+	for t < quantSumMax && !qp.sumClears(t+1, limit) {
+		t++
+	}
+	return t
+}
+
 // tileScratch is one worker's fixed tile cells for scanTiles: the bound
 // sums and the survivor list, sized by quantTileMax so the scan pays no
 // per-call allocation or zeroing.
@@ -288,16 +331,30 @@ type tileScratch struct {
 // padded code rows (codes holds one per row, in row order), then the
 // survivor list, then squaredEuclideanWithin and the insert for the
 // survivors only. ok, when non-nil, marks the rows whose code is valid; an
-// invalid row is never rejected by the bound. The radius snapshot is taken
-// at tile entry and only shrinks during the tile, so it merely
-// under-rejects; tiles met before the list fills skip the bound pass,
-// since nothing can be rejected. It returns the list, how many candidates
-// were bound-tested and how many of those the bound rejected.
-func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []bool, tile int, list []neighbor, capacity int, ts *tileScratch) (out []neighbor, tested, rejected int64) {
+// invalid row is never rejected by the bound. seen, when non-nil, is a
+// seeded query's record of the rows its full list was prefilled from, the
+// query itself included: those rows are not offered again.
+//
+// Each tile's radius snapshot is taken at tile entry and turned into one
+// integer threshold (sumLimit), so the per-candidate reject test is a
+// single integer compare that rejects exactly the candidates the float
+// test would; the live radius only shrinks during the tile, so the
+// snapshot merely under-rejects. A seeded list arrives full, so every tile
+// is bounded, the first included; tiles met while the list is still
+// filling (an unseeded query) skip the bound pass, since nothing can be
+// rejected. It returns the list, how many candidates were bound-tested and
+// how many of those the bound rejected. The query's own row and the seen
+// rows are offered elsewhere and counted in neither: the pass tests them
+// with the rest of their tile (a mark check per survivor is cheaper than
+// one per candidate), and the ledger takes them out again — the query's
+// row always survives (its bound is 0, the radius ≥ 0), and a seeded
+// query meets every seen row in a bounded tile.
+func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []bool, seen *rowMarks, tile int, list []neighbor, capacity int, ts *tileScratch) (out []neighbor, tested, rejected int64) {
 	q := rows[i]
 	st := qp.stride
 	qc := codes[i*st : i*st+st]
 	n := len(rows)
+	var offered int64 // seen rows, and the query's own, that survived the bound
 	for base := 0; base < n; base += tile {
 		t := min(tile, n-base)
 		radius := listRadius(list, capacity)
@@ -306,9 +363,10 @@ func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []boo
 			continue
 		}
 		quantSqSumTile(qc, codes[base*st:(base+t)*st], t, ts.bound[:])
+		lim := qp.sumLimit(radius)
 		ns := 0
 		for r := 0; r < t; r++ {
-			if qp.sumClears(ts.bound[r], radius) && (ok == nil || ok[base+r]) {
+			if ts.bound[r] > lim && (ok == nil || ok[base+r]) {
 				continue
 			}
 			ts.surv[ns] = int32(base + r)
@@ -317,7 +375,8 @@ func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []boo
 		tested += int64(t)
 		rejected += int64(t - ns)
 		for _, j := range ts.surv[:ns] {
-			if int(j) == i {
+			if int(j) == i || (seen != nil && seen.has(j)) {
+				offered++
 				continue
 			}
 			if d2, within := squaredEuclideanWithin(q, rows[j], radius); within {
@@ -326,7 +385,11 @@ func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []boo
 			}
 		}
 	}
-	return list, tested, rejected
+	if seen == nil {
+		return list, tested - offered, rejected
+	}
+	// seen.count includes the query's own row.
+	return list, tested - int64(seen.count), rejected - (int64(seen.count) - offered)
 }
 
 // quantSqSumRef is the portable reference of the bound sum

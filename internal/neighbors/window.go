@@ -396,7 +396,7 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 func (e *WindowEngine) scanSlot(i int, sc *windowScratch, out []neighbor) []neighbor {
 	out = emptyList(out, e.cap())
 	if e.qp != nil && e.qok[i] {
-		out, tested, rejected := scanTiles(e.points, i, e.qp, e.qcodes, e.qok, e.qtile, out, e.cap(), &sc.tiles)
+		out, tested, rejected := scanTiles(e.points, i, e.qp, e.qcodes, e.qok, nil, e.qtile, out, e.cap(), &sc.tiles)
 		sc.qcand += tested
 		sc.qrej += rejected
 		return out

@@ -59,7 +59,8 @@ func journalKey(kind, dataset, detector, explainer string, dim int) string {
 // OpenJournal opens (creating if absent) the journal at path and loads every
 // complete entry already recorded. A torn final line — the signature of a
 // run killed mid-write — is truncated away, so a journal survives its
-// writer crashing; a malformed line anywhere else is an error.
+// writer crashing; a malformed line anywhere else is an error, and so is a
+// complete line whose target_dim is missing or below 1.
 func OpenJournal(path string) (*Journal, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
@@ -90,6 +91,12 @@ func OpenJournal(path string) (*Journal, error) {
 				break
 			}
 			return nil, fmt.Errorf("journal: %s line %d: %w", path, lineNo, uerr)
+		}
+		if e.TargetDim < 1 {
+			// Every cell kind journals a dimension ≥ 2. A line without one
+			// (a file written under another schema) would load under a key
+			// no Lookup asks for, and the run would silently recompute.
+			return nil, fmt.Errorf("journal: %s line %d: no target_dim ≥ 1", path, lineNo)
 		}
 		done[journalKey(e.Kind, e.Dataset, e.Detector, e.Explainer, e.TargetDim)] = e.toResult()
 		goodEnd = offset

@@ -139,3 +139,22 @@ func TestOpenJournalRejectsCorruptionMidFile(t *testing.T) {
 		t.Error("mid-file corruption silently accepted")
 	}
 }
+
+// TestOpenJournalRejectsMissingTargetDim: a complete line that carries no
+// target_dim (here an entry written under the old "dim" field name) would
+// load under a key no Lookup asks for, so the run would recompute and
+// append without a word. It must fail to open, naming the path and line.
+func TestOpenJournalRejectsMissingTargetDim(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old-schema")
+	line := `{"kind":"point","dataset":"hics-8d","detector":"LOF","explainer":"Beam_FX","dim":2,"map":1,"mean_recall":1,"points_evaluated":4,"duration_ns":17269673}` + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenJournal(path)
+	if err == nil {
+		t.Fatal(`a "dim": 2 line without target_dim opened silently`)
+	}
+	if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, "line 1") {
+		t.Fatalf("error %q does not name the path and line", msg)
+	}
+}
