@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -150,8 +151,41 @@ func BenchmarkFigure9KNNQuant(b *testing.B) {
 			}
 		}
 	}
-	b.Run("quant", func(b *testing.B) { run(b, newBruteForce(points, quantTileDefault)) })
+	b.Run("quant", func(b *testing.B) { run(b, newBruteForce(points)) })
 	b.Run("noquant", func(b *testing.B) { run(b, NewBruteForce(points)) })
+}
+
+// maskSink keeps BenchmarkQuantRejectTile's kernel calls live.
+var maskSink uint64
+
+// BenchmarkQuantRejectTile measures the reject-mask kernel alone: one
+// 64-row tile of coded random rows against one query row, at the RefOut
+// pool views' 14d and the stream workload's 20d, with the limit at the
+// tile's median bound sum so the mask is mixed. It reports ns per row.
+func BenchmarkQuantRejectTile(b *testing.B) {
+	for _, d := range []int{14, 20} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			points := benchPoints(quantTile+1, d)
+			qp := newQuantParams(points, d)
+			st := qp.stride
+			codes := make([]uint8, len(points)*st)
+			for j, p := range points {
+				qp.encode(p, codes[j*st:(j+1)*st])
+			}
+			q, rows := codes[:st], codes[st:]
+			sums := make([]int64, quantTile)
+			for r := range sums {
+				sums[r] = quantSqSumRef(q, rows[r*st:(r+1)*st])
+			}
+			sort.Slice(sums, func(a, c int) bool { return sums[a] < sums[c] })
+			lim := sums[quantTile/2]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				maskSink ^= quantRejectTile(q, rows, quantTile, lim)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*quantTile), "ns/row")
+		})
+	}
 }
 
 // BenchmarkRefOutPoolKNN measures the seeded coded tier on the RefOut

@@ -19,9 +19,9 @@ import (
 // full-space neighbours, the delta engine's cached structure (the plane
 // hands it over). A seeded query fills its list with the seeds' exact view
 // distances before the scan, so the list is full — its radius already an
-// upper bound on the true k-th distance — from the first tile on, and the
-// code bound rejects from the first candidate instead of after a whole
-// unbounded tile.
+// upper bound on the true k-th distance — from the first candidate on, and
+// the code bound rejects from the first candidate instead of after the k
+// rows an unseeded list is filled from.
 type bruteForce struct {
 	points [][]float64
 	codes  *bruteCodes // nil: the plain scan
@@ -32,7 +32,6 @@ type bruteForce struct {
 type bruteCodes struct {
 	qp   *quantParams
 	rows []uint8 // one padded code row per point, in point order
-	tile int
 	// seeds, when non-nil, holds seeds.m full-space neighbours per point
 	// (row-major, the delta engine's knnEntry).
 	seeds *knnEntry
@@ -46,13 +45,12 @@ func NewBruteForce(points [][]float64) Index {
 	return bruteForce{points: points}
 }
 
-// newBruteForce builds a brute-force index whose prefilter scans in tiles
-// of the given size: tile 0 builds no codes (the plain reference scan),
-// larger tiles are clamped to quantTileMax. Views below quantMinPoints
-// rows, or that the code book refuses, stay plain.
-func newBruteForce(points [][]float64, tile int) bruteForce {
+// newBruteForce builds a brute-force index behind the quantized
+// prefilter. Views below quantMinPoints rows, or that the code book
+// refuses, stay plain.
+func newBruteForce(points [][]float64) bruteForce {
 	b := bruteForce{points: points}
-	if tile <= 0 || len(points) < quantMinPoints {
+	if len(points) < quantMinPoints {
 		return b
 	}
 	qp := newQuantParams(points, len(points[0]))
@@ -68,7 +66,7 @@ func newBruteForce(points [][]float64, tile int) bruteForce {
 			return b
 		}
 	}
-	b.codes = &bruteCodes{qp: qp, rows: rows, tile: min(tile, quantTileMax)}
+	b.codes = &bruteCodes{qp: qp, rows: rows}
 	return b
 }
 
@@ -80,7 +78,7 @@ func (b bruteForce) KNNInto(i, k int, s *Scratch) ([]int, []float64) {
 	if c := b.codes; c != nil {
 		list, seen := b.seedList(i, k, s)
 		var tested, rejected int64
-		s.nn, tested, rejected = scanTiles(b.points, i, c.qp, c.rows, nil, seen, c.tile, list, k, &s.tiles)
+		s.nn, tested, rejected = scanTiles(b.points, i, c.qp, c.rows, nil, seen, list, k)
 		c.queries.Add(1)
 		c.qcand.Add(tested)
 		c.qrej.Add(rejected)
@@ -163,19 +161,17 @@ func (b bruteForce) pruneStats() PruneStats {
 }
 
 // Scratch holds the reusable per-worker state of KNNInto queries: the
-// k-nearest list, the result buffers, the tile cells of the code-bound
-// pass and the marks of a seeded query. The zero value is ready to use;
-// one scratch must not be shared between concurrent queries. The list and
-// result buffers are sized by k and the marks by the index's row count —
-// never by view width — and every buffer is rewritten (or, for the marks,
-// superseded by a fresh generation) before it is read, so one scratch
-// serves indexes of any dimensionality and size back to back (pinned by
-// TestScratchReuseAcrossWidths).
+// k-nearest list, the result buffers and the marks of a seeded query. The
+// zero value is ready to use; one scratch must not be shared between
+// concurrent queries. The list and result buffers are sized by k and the
+// marks by the index's row count — never by view width — and every buffer
+// is rewritten (or, for the marks, superseded by a fresh generation)
+// before it is read, so one scratch serves indexes of any dimensionality
+// and size back to back (pinned by TestScratchReuseAcrossWidths).
 type Scratch struct {
 	nn    []neighbor
 	idx   []int
 	dist  []float64
-	tiles tileScratch
 	marks rowMarks
 }
 

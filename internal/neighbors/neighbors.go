@@ -45,7 +45,7 @@ func NewIndex(points [][]float64) Index {
 	if len(points) >= 64 && len(points[0]) <= kdTreeMaxDim {
 		return NewKDTree(points)
 	}
-	return newBruteForce(points, quantTileDefault)
+	return newBruteForce(points)
 }
 
 // AllKNNFlat returns the complete neighbourhood structure — every indexed

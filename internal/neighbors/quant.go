@@ -1,6 +1,9 @@
 package neighbors
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // The quantized prefilter is the candidate-rejection tier of the
 // exhaustive scans: the coded brute-force index NewIndex builds for views
@@ -28,11 +31,12 @@ import "math"
 // A candidate whose bound already exceeds the live list radius cannot
 // enter the k-set and is rejected from its code row alone — sequential
 // 8-bit loads and small-integer arithmetic instead of the float kernel's
-// 64-bit loads and multiply-adds. The integer sum is quantSqSum, a
-// SIMD-width kernel on amd64 (16 code bytes per instruction through the
-// saturating-subtract / multiply-add-words path; see quant_kernel_amd64.s)
-// with a portable fallback elsewhere; the shared cell width is exactly
-// what lets one unweighted integer sum carry the whole bound. Columns
+// 64-bit loads and multiply-adds. The integer sums are the work of one
+// kernel, quantRejectTile: SSE2 on amd64 (16 code bytes per instruction
+// through the saturating-subtract / multiply-add-words path, four rows per
+// pass; see quant_kernel_amd64.s) with a portable loop over quantSqSumRef
+// elsewhere; the shared cell width is exactly what lets one unweighted
+// integer sum carry the whole bound. Columns
 // narrower than the widest spend fewer of their 256 levels, which only
 // SOFTENS their term (the bound stays valid); those columns contribute
 // proportionally little to real distances, so the sharpness that matters —
@@ -54,37 +58,42 @@ import "math"
 // tie-breaking stays inside the shared insert. Survivors go through the
 // unchanged squaredEuclideanWithin kernel against the live radius, in the
 // same row order as the plain scan, so the list evolves exactly as it
-// would unpruned and kept distances are bit-identical at any tile size and
-// worker count.
+// would unpruned and kept distances are bit-identical at any worker count.
 //
-// Candidates are scanned in cache-sized tiles (quantTileDefault): the
-// branch-free bound pass covers the whole tile's sequential padded byte
-// rows first, survivors are collected into a fixed scratch list, and only
-// then does the exact kernel run — converting the per-candidate
-// data-dependent branch of the plain scan into a predictable filter/verify
-// pipeline. The tile's radius snapshot is taken at tile entry; the live
-// radius only shrinks during the tile, so the snapshot is merely
-// conservative (fewer rejections, never a wrong one). The snapshot is
-// turned into ONE integer threshold per tile, sumLimit — the largest sum
-// the float test keeps, exact because the test is monotone in the integer
-// sum — so the per-candidate test is a single integer compare that rejects
-// exactly the candidates the float test would.
+// Candidates are tested in tiles of quantTile = 64 rows, the width of the
+// kernel's mask. The tile's radius snapshot, taken at tile entry, is
+// turned into ONE integer threshold, sumLimit — the largest sum the float
+// test keeps, exact because the test is monotone in the integer sum — and
+// one kernel call compares every row's sum with it, returning a 64-bit
+// reject mask: bit r set iff row r's sum exceeds the threshold, so the
+// mask rejects exactly the candidates the float test would. Sums never
+// leave the kernel. The scan then walks the survivor bits in row order
+// (bits.TrailingZeros64) into the exact kernel. The live radius only
+// shrinks during the tile, so the snapshot is merely conservative (fewer
+// rejections, never a wrong one).
 //
-// A bound needs a finite radius, so a list that starts empty scans its
-// first tile unbounded. A coded index over a subspace view avoids that by
+// A bound needs a finite radius, so a list that starts empty is filled
+// row by row through the plain scan, and the bounded tiles start from the
+// row that fills it. A coded index over a subspace view skips even that by
 // seeding: the plane hands it the source's full-space neighbours (the
 // delta engine's cached seed structure), each query prefills its list
 // with their exact view distances, and the bound fires from the first
 // candidate on. The seeds are marked in the query's Scratch and never
 // offered twice; a list the seeds cannot fill scans unseeded.
 //
+// The window engine's survivor merge runs the same mask over the batch's
+// arrival code rows, 64 arrivals per call, each tile at the limit it meets
+// on entry (the reservoir's radius, capped by its trusted boundary);
+// surviving arrivals then meet the live limit in squaredEuclideanWithin,
+// so a limit that tightens mid-tile costs only missed rejections.
+//
 // Constant dimensions code to 0 everywhere and contribute nothing to the
 // bound — conservative, still exact. Views with non-finite values, a
 // non-finite range, a cell width whose square underflows, or more than
 // quantMaxDims dimensions refuse to build codes (usable=false) and the
 // owning scan falls back to the plain exact path; window arrivals that
-// land outside the coded range are marked uncodeable per slot and simply
-// never rejected.
+// land outside the coded range are marked uncodeable in a slot bitset,
+// OR-ed into every tile's keep mask, and so are never rejected.
 
 const (
 	// quantEps is the multiplicative safety margin on the squared code
@@ -96,14 +105,10 @@ const (
 	// quantLevels is the code alphabet size minus one: codes span [0, 255].
 	quantLevels = 255
 
-	// quantTileDefault is the candidate tile of the filter/verify pipeline:
-	// 64 padded code rows of a 20d view are 2 KB — comfortably L1-resident
-	// alongside the query row and the bound scratch.
-	quantTileDefault = 64
-
-	// quantTileMax caps tile sizes so the per-query bound and
-	// survivor scratches stay fixed-size cells in the query Scratch.
-	quantTileMax = 256
+	// quantTile is the candidate tile of the filter/verify pipeline: the
+	// width of quantRejectTile's mask. 64 padded code rows of a 20d view
+	// are 2 KB — comfortably L1-resident alongside the query row.
+	quantTile = 64
 
 	// quantMaxDims keeps the integer bound sum exact everywhere: one
 	// dimension contributes at most 254², so 2¹⁵ dimensions stay under
@@ -112,7 +117,7 @@ const (
 	// the prefilter.
 	quantMaxDims = 1 << 15
 
-	// quantSumMax is the largest bound sum quantSqSum can return: every
+	// quantSumMax is the largest bound sum a code row pair can reach: every
 	// dimension of the widest codeable view at its largest term, 254².
 	quantSumMax = quantMaxDims * 254 * 254
 
@@ -295,7 +300,7 @@ func (qp *quantParams) sumClears(sum int64, limit float64) bool {
 
 // sumLimit returns the largest bound sum that sumClears(·, limit) keeps,
 // so that sumClears(s, limit) == (s > sumLimit(limit)) for every sum s in
-// [0, quantSumMax] — the range quantSqSum can produce. sumClears is
+// [0, quantSumMax] — every sum a code row pair can produce. sumClears is
 // monotone in s (the conversion is exact below 2⁵³ and a product with the
 // positive sqAdj preserves order), so the threshold exists; the quotient
 // estimates it to within a rounding, and the two confirming walks make it
@@ -316,65 +321,72 @@ func (qp *quantParams) sumLimit(limit float64) int64 {
 	return t
 }
 
-// tileScratch is one worker's fixed tile cells for scanTiles: the bound
-// sums and the survivor list, sized by quantTileMax so the scan pays no
-// per-call allocation or zeroing.
-type tileScratch struct {
-	bound [quantTileMax]int64
-	surv  [quantTileMax]int32
+// bitsAt returns bits base … base+63 of the bitset w as one word, bit 0
+// first; bits past w's end read as zero.
+func bitsAt(w []uint64, base int) uint64 {
+	k, s := base>>6, uint(base&63)
+	v := w[k] >> s
+	if s != 0 && k+1 < len(w) {
+		v |= w[k+1] << (64 - s)
+	}
+	return v
+}
+
+// keepMask bound-tests the t ≤ quantTile code rows codes[base … base+t)
+// against the query's code row qc at a radius snapshot: bit r is set iff
+// row base+r must go on to the exact kernel — its bound does not clear
+// radius, or uncoded (a bitset over the rows; nil for none) marks its code
+// invalid, and an invalid code never rejects.
+func (qp *quantParams) keepMask(qc, codes []uint8, base, t int, uncoded []uint64, radius float64) uint64 {
+	st := qp.stride
+	keep := ^quantRejectTile(qc, codes[base*st:(base+t)*st], t, qp.sumLimit(radius))
+	if uncoded != nil {
+		keep |= bitsAt(uncoded, base)
+	}
+	return keep & (^uint64(0) >> (quantTile - t))
 }
 
 // scanTiles is the one candidate loop behind the quantized prefilter,
 // shared by the coded brute-force index and the window engine's fresh
 // scans: it offers every row j ≠ i of rows to the list, as the plain
-// early-exit scan would, but tile by tile — quantSqSumTile over the tile's
-// padded code rows (codes holds one per row, in row order), then the
-// survivor list, then squaredEuclideanWithin and the insert for the
-// survivors only. ok, when non-nil, marks the rows whose code is valid; an
-// invalid row is never rejected by the bound. seen, when non-nil, is a
-// seeded query's record of the rows its full list was prefilled from, the
-// query itself included: those rows are not offered again.
+// early-exit scan would. While the list is short of capacity it has no
+// radius to bound with, so rows are offered one by one through the plain
+// scan; from the row that fills it on, rows go tile by tile — one
+// keepMask call over the tile's padded code rows (codes holds one per
+// row, in row order), then squaredEuclideanWithin and the insert for the
+// survivor bits only, in row order. uncoded, when non-nil, is a bitset of
+// the rows whose code is invalid; such a row is never rejected. seen, when
+// non-nil, is a seeded query's record of the rows its full list was
+// prefilled from, the query itself included: those rows are not offered
+// again. A seeded list arrives full, so every row is bound-tested.
 //
-// Each tile's radius snapshot is taken at tile entry and turned into one
-// integer threshold (sumLimit), so the per-candidate reject test is a
-// single integer compare that rejects exactly the candidates the float
-// test would; the live radius only shrinks during the tile, so the
-// snapshot merely under-rejects. A seeded list arrives full, so every tile
-// is bounded, the first included; tiles met while the list is still
-// filling (an unseeded query) skip the bound pass, since nothing can be
-// rejected. It returns the list, how many candidates were bound-tested and
-// how many of those the bound rejected. The query's own row and the seen
-// rows are offered elsewhere and counted in neither: the pass tests them
-// with the rest of their tile (a mark check per survivor is cheaper than
-// one per candidate), and the ledger takes them out again — the query's
-// row always survives (its bound is 0, the radius ≥ 0), and a seeded
-// query meets every seen row in a bounded tile.
-func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []bool, seen *rowMarks, tile int, list []neighbor, capacity int, ts *tileScratch) (out []neighbor, tested, rejected int64) {
+// Each tile's radius snapshot is taken at tile entry; the live radius
+// only shrinks during the tile, so the snapshot merely under-rejects. It
+// returns the list, how many candidates were bound-tested and how many of
+// those the bound rejected. The query's own row and the seen rows are
+// offered elsewhere and counted in neither: the pass tests them with the
+// rest of their tile (a mark check per survivor is cheaper than one per
+// candidate), and the ledger takes them out again — the query's row
+// always survives (its bound is 0, the radius ≥ 0), and a seeded query
+// meets every seen row in a bounded tile.
+func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, uncoded []uint64, seen *rowMarks, list []neighbor, capacity int) (out []neighbor, tested, rejected int64) {
+	n := len(rows)
+	base := 0
+	for ; base < n && math.IsInf(listRadius(list, capacity), 1); base++ {
+		list = scanRange(rows, i, base, base+1, list, capacity)
+	}
 	q := rows[i]
 	st := qp.stride
 	qc := codes[i*st : i*st+st]
-	n := len(rows)
 	var offered int64 // seen rows, and the query's own, that survived the bound
-	for base := 0; base < n; base += tile {
-		t := min(tile, n-base)
+	for ; base < n; base += quantTile {
+		t := min(quantTile, n-base)
 		radius := listRadius(list, capacity)
-		if math.IsInf(radius, 1) {
-			list = scanRange(rows, i, base, base+t, list, capacity)
-			continue
-		}
-		quantSqSumTile(qc, codes[base*st:(base+t)*st], t, ts.bound[:])
-		lim := qp.sumLimit(radius)
-		ns := 0
-		for r := 0; r < t; r++ {
-			if ts.bound[r] > lim && (ok == nil || ok[base+r]) {
-				continue
-			}
-			ts.surv[ns] = int32(base + r)
-			ns++
-		}
+		keep := qp.keepMask(qc, codes, base, t, uncoded, radius)
 		tested += int64(t)
-		rejected += int64(t - ns)
-		for _, j := range ts.surv[:ns] {
+		rejected += int64(t - bits.OnesCount64(keep))
+		for ; keep != 0; keep &= keep - 1 {
+			j := int32(base + bits.TrailingZeros64(keep))
 			if int(j) == i || (seen != nil && seen.has(j)) {
 				offered++
 				continue
@@ -393,11 +405,11 @@ func scanTiles(rows [][]float64, i int, qp *quantParams, codes []uint8, ok []boo
 }
 
 // quantSqSumRef is the portable reference of the bound sum
-// Σ_j max(0, |a_j − b_j| − 1)² over two padded code rows: the non-amd64
-// quantSqSum implementation, and the oracle the fuzz target holds the
-// assembly kernel to. Abs and the clamp at zero are mask arithmetic, so
-// even the fallback loop has no data-dependent branches. len(a) must be
-// the stride; len(b) ≥ len(a).
+// Σ_j max(0, |a_j − b_j| − 1)² over two padded code rows: the row sum of
+// the non-amd64 quantRejectTile, and the oracle the kernel tests and the
+// fuzz target hold the assembly to. Abs and the clamp at zero are mask
+// arithmetic, so even the fallback loop has no data-dependent branches.
+// len(a) must be the stride; len(b) ≥ len(a).
 func quantSqSumRef(a, b []uint8) int64 {
 	b = b[:len(a)] // bounds-check elimination
 	var acc int64

@@ -2,18 +2,17 @@
 
 package neighbors
 
-// quantSqSum computes the code-bound sum Σ_j max(0, |a_j − b_j| − 1)² over
-// two padded code rows. Platforms without the SSE2 kernel take the
-// portable branch-free loop.
-func quantSqSum(a, b []uint8) int64 {
-	return quantSqSumRef(a, b)
-}
-
-// quantSqSumTile computes the bound sums of count consecutive padded code
-// rows against the query row q into out[0:count].
-func quantSqSumTile(q, rows []uint8, count int, out []int64) {
+// quantRejectTile returns the reject mask of count ≤ 64 consecutive padded
+// code rows (rows, stride len(q) each) against the query row q: bit r is
+// set iff row r's bound sum exceeds lim. Platforms without the SSE2 kernel
+// take the portable loop.
+func quantRejectTile(q, rows []uint8, count int, lim int64) uint64 {
 	st := len(q)
+	var mask uint64
 	for r := 0; r < count; r++ {
-		out[r] = quantSqSumRef(q, rows[r*st:(r+1)*st])
+		if quantSqSumRef(q, rows[r*st:(r+1)*st]) > lim {
+			mask |= 1 << r
+		}
 	}
+	return mask
 }

@@ -2,6 +2,7 @@ package neighbors
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,22 +92,26 @@ func figure9Points(t testing.TB) [][]float64 {
 }
 
 // TestQuantPrunedBitIdentical pins the quantized prefilter's core contract:
-// for every degenerate dataset, tile size (including the degenerate
-// one-candidate tile and an over-max value that must clamp), neighbourhood
-// size (including k ≥ n), and worker count, the brute-force index WITH the
-// code bound answers bit-identically to the plain brute-force scan —
-// indices and distance bit patterns both. The duplicate/lattice/identical shapes
+// for every degenerate dataset, row count (around multiples of 4 and 64,
+// so the kernel's 4-row groups and 64-row tiles end in every remainder),
+// neighbourhood size (including k ≥ n, and so every length of the
+// row-by-row fill), and worker count, the brute-force index WITH the code
+// bound answers bit-identically to the plain brute-force scan — indices
+// and distance bit patterns both. The duplicate/lattice/identical shapes
 // are where a lower bound classically goes wrong: distances sit exactly on
 // the radius, and a bound that is not strictly conservative flips a
 // boundary tie.
 func TestQuantPrunedBitIdentical(t *testing.T) {
 	ctx := context.Background()
-	for name, points := range wideCases() {
+	for name, all := range wideCases() {
 		t.Run(name, func(t *testing.T) {
-			n := len(points)
-			brute := NewBruteForce(points)
-			for _, tile := range []int{1, 2, 7, 64, 1 << 20} {
-				pruned := newBruteForce(points, tile)
+			for _, n := range []int{64, 65, 66, 67, 127, 128, 130, 193, len(all)} {
+				points := all[:n]
+				brute := NewBruteForce(points)
+				pruned := newBruteForce(points)
+				if pruned.codes == nil && name != "all-identical" {
+					t.Fatalf("n=%d: no codes built", n)
+				}
 				for _, k := range []int{1, 5, 15, n - 1, n + 10} {
 					wantIdx, wantDist, wantM, err := AllKNNFlat(ctx, brute, k, 1)
 					if err != nil {
@@ -118,17 +123,17 @@ func TestQuantPrunedBitIdentical(t *testing.T) {
 							t.Fatal(err)
 						}
 						if gotM != wantM || len(gotIdx) != len(wantIdx) {
-							t.Fatalf("tile=%d k=%d w=%d: shape m=%d len=%d, want m=%d len=%d",
-								tile, k, workers, gotM, len(gotIdx), wantM, len(wantIdx))
+							t.Fatalf("n=%d k=%d w=%d: shape m=%d len=%d, want m=%d len=%d",
+								n, k, workers, gotM, len(gotIdx), wantM, len(wantIdx))
 						}
 						for i := range wantIdx {
 							if gotIdx[i] != wantIdx[i] {
-								t.Fatalf("tile=%d k=%d w=%d: idx[%d]=%d, want %d (point %d slot %d)",
-									tile, k, workers, i, gotIdx[i], wantIdx[i], i/wantM, i%wantM)
+								t.Fatalf("n=%d k=%d w=%d: idx[%d]=%d, want %d (point %d slot %d)",
+									n, k, workers, i, gotIdx[i], wantIdx[i], i/wantM, i%wantM)
 							}
 							if math.Float64bits(gotDist[i]) != math.Float64bits(wantDist[i]) {
-								t.Fatalf("tile=%d k=%d w=%d: dist[%d] bits %x, want %x",
-									tile, k, workers, i, math.Float64bits(gotDist[i]), math.Float64bits(wantDist[i]))
+								t.Fatalf("n=%d k=%d w=%d: dist[%d] bits %x, want %x",
+									n, k, workers, i, math.Float64bits(gotDist[i]), math.Float64bits(wantDist[i]))
 							}
 						}
 					}
@@ -142,12 +147,13 @@ func TestQuantPrunedBitIdentical(t *testing.T) {
 // gate: on the Figure-9 reference workload (20d, n=1000, k=15 — the
 // widest, most expensive views the detectors score), the code bound must
 // reject enough of the scan that at most 15% of the bound-tested
-// candidates still reach the exact kernel (measured: 0.063). This is a
-// deterministic property of the data and the code book — not a timing
-// assertion — so it cannot flake with host load.
+// candidates still reach the exact kernel (measured: 0.114 — the first
+// bounded tile, right after the row-by-row fill, tests its rows at a
+// loose radius). This is a deterministic property of the data and the
+// code book — not a timing assertion — so it cannot flake with host load.
 func TestQuantSurvivorFractionFigure9(t *testing.T) {
 	points := figure9Points(t)
-	ix := newBruteForce(points, quantTileDefault)
+	ix := newBruteForce(points)
 	if _, _, _, err := AllKNNFlat(context.Background(), ix, 15, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +176,7 @@ func TestQuantSurvivorFractionFigure9(t *testing.T) {
 // index NewIndex selects for the Figure-9 reference workload: the view is
 // too wide for the KD-tree, so it must land on the coded brute-force tier,
 // and the prefilter must keep at most 60% of all candidates away from the
-// exact distance kernel (measured: 0.12). Like the survivor gate above it
+// exact distance kernel (measured: 0.128). Like the survivor gate above it
 // is deterministic in the data, so it cannot flake with host load.
 func TestPruneEffectivenessFigure9(t *testing.T) {
 	points := figure9Points(t)
@@ -200,7 +206,7 @@ func TestQuantDisabledMatchesEnabled(t *testing.T) {
 	ctx := context.Background()
 	points := figure9Points(t)
 	off := NewBruteForce(points)
-	on := newBruteForce(points, quantTileDefault)
+	on := newBruteForce(points)
 	offIdx, offDist, _, err := AllKNNFlat(ctx, off, 15, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -225,10 +231,11 @@ func TestQuantDisabledMatchesEnabled(t *testing.T) {
 // ANY dataset the code book accepts — random rows, constant columns,
 // subnormal and astronomically scaled magnitudes, large offsets — the
 // code-derived bound float64(sum)·sqAdj never exceeds the exact squared
-// distance of any pair, and the platform bound kernel agrees exactly with
-// the portable reference (on amd64 that pins the SSE2 assembly).
-// Everything else in the tier (tiling, layouts, counters) only moves work
-// around; this inequality is what makes a rejection safe.
+// distance of any pair, and the reject-mask kernel every coded scan runs
+// agrees exactly with the portable reference on tiles of those code rows
+// (checkRejectTile; on amd64 that pins the SSE2 assembly). Everything else
+// in the tier (tiling, layouts, counters) only moves work around; these
+// two properties are what make a rejection safe.
 func FuzzQuantBoundSafe(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(8), 0, 0.0)
 	f.Add(int64(2), uint8(64), uint8(3), -1074, 1e-300)
@@ -276,11 +283,7 @@ func FuzzQuantBoundSafe(f *testing.F) {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				exact := SquaredEuclidean(points[i], points[j])
-				sum := quantSqSum(codes[i*st:(i+1)*st], codes[j*st:(j+1)*st])
-				ref := quantSqSumRef(codes[i*st:(i+1)*st], codes[j*st:(j+1)*st])
-				if sum != ref {
-					t.Fatalf("pair (%d,%d): kernel sum %d != reference %d", i, j, sum, ref)
-				}
+				sum := quantSqSumRef(codes[i*st:(i+1)*st], codes[j*st:(j+1)*st])
 				if sum < 0 {
 					t.Fatalf("pair (%d,%d): bound sum overflowed to %d", i, j, sum)
 				}
@@ -291,7 +294,79 @@ func FuzzQuantBoundSafe(f *testing.F) {
 				}
 			}
 		}
+		// A full tile of the book's code rows (cycling when n < 64)
+		// against a seed-chosen query row.
+		tile := make([]uint8, quantTile*st)
+		for r := 0; r < quantTile; r++ {
+			copy(tile[r*st:(r+1)*st], codes[(r%n)*st:])
+		}
+		qi := rng.Intn(n)
+		checkRejectTile(t, codes[qi*st:(qi+1)*st], tile)
 	})
+}
+
+// checkRejectTile holds quantRejectTile to quantSqSumRef on one tile of
+// quantTile code rows (stride len(q)): for every count from 1 to 64, at
+// the limits −1, 0 and quantSumMax and at each counted row's own sum s and
+// s−1, bit r of the mask must be set iff row r's reference sum exceeds the
+// limit, and no bit at or past count may be set.
+func checkRejectTile(t testing.TB, q, rows []uint8) {
+	t.Helper()
+	st := len(q)
+	sums := make([]int64, quantTile)
+	for r := range sums {
+		sums[r] = quantSqSumRef(q, rows[r*st:(r+1)*st])
+	}
+	for count := 1; count <= quantTile; count++ {
+		lims := []int64{-1, 0, quantSumMax}
+		for _, s := range sums[:count] {
+			lims = append(lims, s, s-1)
+		}
+		for _, lim := range lims {
+			var want uint64
+			for r, s := range sums[:count] {
+				if s > lim {
+					want |= 1 << r
+				}
+			}
+			if got := quantRejectTile(q, rows[:count*st], count, lim); got != want {
+				t.Fatalf("stride %d, count %d, lim %d: mask %064b, want %064b", st, count, lim, got, want)
+			}
+		}
+	}
+}
+
+// TestQuantRejectTileMatchesRef is the deterministic half of the kernel
+// check the fuzz target runs: row widths of one to three 16-byte blocks,
+// on both sides of each block edge, every count 1…64 (so every remainder
+// of the kernel's 4-row groups), on uniform bytes, on bytes at the 0/255
+// extremes (the largest sums) and on near-equal bytes (sums at and around
+// the −1 clamp).
+func TestQuantRejectTileMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, d := range []int{1, 14, 16, 17, 20, 32, 40} {
+		st := quantStride(d)
+		for _, shape := range []string{"uniform", "extreme", "near"} {
+			buf := make([]uint8, (quantTile+1)*st) // row 0 is the query
+			for r := 0; r <= quantTile; r++ {
+				for j := 0; j < d; j++ {
+					var c int
+					switch shape {
+					case "uniform":
+						c = rng.Intn(256)
+					case "extreme":
+						c = 255 * rng.Intn(2)
+					default:
+						c = 100 + rng.Intn(4)
+					}
+					buf[r*st+j] = uint8(c)
+				}
+			}
+			t.Run(fmt.Sprintf("d=%d/%s", d, shape), func(t *testing.T) {
+				checkRejectTile(t, buf[:st], buf[st:])
+			})
+		}
+	}
 }
 
 // TestQuantParamsRefusals pins the code book's refusal edges: data the
@@ -334,15 +409,17 @@ func TestQuantParamsRefusals(t *testing.T) {
 }
 
 // TestWindowEngineQuantParity extends the window parity property to the
-// quantized arrival/rescan path: windows at and above quantMinPoints, the
-// shapes where a sloppy bound flips boundary ties, small and default
-// tiles — all bit-identical to the cold rebuild. (The pre-existing parity
-// sweeps run below quantMinPoints and keep the unquantized path covered.)
+// quantized arrival/rescan path: windows at and above quantMinPoints,
+// sized around multiples of 4 and 64 so scans and merges end their
+// kernel groups and tiles in every remainder, the shapes where a sloppy
+// bound flips boundary ties — all bit-identical to the cold rebuild. (The
+// pre-existing parity sweeps run below quantMinPoints and keep the
+// unquantized path covered.)
 func TestWindowEngineQuantParity(t *testing.T) {
 	for _, shape := range []string{"random", "duplicates", "lattice", "identical"} {
-		for _, tile := range []int{3, quantTileDefault} {
+		for _, W := range []int{66, 96, 129, 131} {
 			t.Run(shape, func(t *testing.T) {
-				runWindowEngineParityTile(t, tile, shape, 96, 20, 15, 24, 8, 4, 400)
+				runWindowEngineParityQuant(t, true, shape, W, 20, 15, 24, 8, 4, 400)
 			})
 		}
 	}
@@ -355,11 +432,11 @@ func TestWindowEngineQuantParity(t *testing.T) {
 // prefilter-off engine holds. A silently disabled prefilter would pass
 // every parity sweep; it fails here.
 func TestWindowEnginePrefilterEngages(t *testing.T) {
-	on := runWindowEngineParityTile(t, quantTileDefault, "random", 2*quantMinPoints, 20, 15, 32, 0, 2, 640)
+	on := runWindowEngineParityQuant(t, true, "random", 2*quantMinPoints, 20, 15, 32, 0, 2, 640)
 	if on.QuantCandidates == 0 || on.QuantRejected == 0 {
 		t.Fatalf("window prefilter did not engage: %d bound-tested, %d rejected", on.QuantCandidates, on.QuantRejected)
 	}
-	off := runWindowEngineParityTile(t, 0, "random", 2*quantMinPoints, 20, 15, 32, 0, 2, 640)
+	off := runWindowEngineParityQuant(t, false, "random", 2*quantMinPoints, 20, 15, 32, 0, 2, 640)
 	if off.QuantCandidates != 0 || off.QuantRejected != 0 {
 		t.Fatalf("prefilter-off engine counted code bounds: %+v", off)
 	}
@@ -427,5 +504,133 @@ func TestWindowEngineQuantRangeDrift(t *testing.T) {
 	}
 	if !sawUncodeable {
 		t.Fatal("drift stream never produced an uncodeable arrival; the test lost its point")
+	}
+}
+
+// TestWindowEngineUncodeableBitsetEdges pins the uncodeable-slot bitset at
+// its word edges. After a 192-slot window fills, a tight cluster near the
+// top of dimension 0 takes slots 0–40, then uncodeable arrivals land at
+// slots 63, 64 and 127 — the last bit of word 0, the first of word 1 and
+// the last of word 1 — each one code cell past the book's range and one
+// cell from an in-range partner arriving in the same batch. The reservoir
+// capacity (k+slack = 23) ends each fresh scan's row-by-row fill at row 23
+// or 24, so its tiles start off the word grid and bitsAt reads across the
+// 64 and 128 boundaries. Every stride must be bit-identical to a cold
+// plain brute-force build; each partner's nearest neighbour must be its
+// uncodeable slot, which the kernel alone would reject (the invalid code
+// sits 254 cells away), so only the bitset keeps it; and a direct scan of
+// every coded slot must bound-test exactly the n−1−(k+slack) rows past
+// its fill, the slot's own row left out of the ledger.
+func TestWindowEngineUncodeableBitsetEdges(t *testing.T) {
+	const (
+		W, d, k, stride = 192, 8, 15, 10
+		capacity        = k + DefaultWindowSlack
+	)
+	partnerOf := map[int]int{63: 61, 64: 66, 127: 125}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(29))
+	eng := NewWindowEngine(k, DefaultWindowSlack, 2)
+	window := make([][]float64, W)
+	near := func() []float64 {
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = 0.05 * rng.NormFloat64()
+		}
+		return p
+	}
+	pairBase := map[int][]float64{}
+	var batch []WindowArrival
+	checked := 0
+	for i := 0; i < W+140; i++ {
+		slot := i % W
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = rng.NormFloat64()
+		}
+		if i >= W {
+			// Dimension 0 in code cells of the book the batch encodes
+			// against (frozen once the window is full).
+			cell := func(c float64) float64 { return eng.qp.lo[0] + c*eng.qp.step[0] }
+			u, isPartner := slot, false
+			for s, ps := range partnerOf {
+				if slot == ps {
+					u, isPartner = s, true
+				}
+			}
+			_, isUncoded := partnerOf[slot]
+			switch {
+			case slot <= 40:
+				p = near()
+				p[0] += cell(245)
+			case isPartner || isUncoded:
+				if pairBase[u] == nil {
+					pairBase[u] = near()
+				}
+				p = append([]float64(nil), pairBase[u]...)
+				p[0] = cell(255)
+				if isUncoded {
+					p[0] = cell(256)
+				}
+			}
+		}
+		window[slot] = p
+		batch = append(batch, WindowArrival{Slot: slot, Point: p})
+		if (i+1)%stride != 0 {
+			continue
+		}
+		if err := eng.Apply(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		batch = batch[:0]
+		live := window[:min(i+1, W)]
+		n := len(live)
+		gotIdx, gotDist, gotM, _ := eng.Neighborhood()
+		wantIdx, wantDist, wantM, err := AllKNNFlat(ctx, NewBruteForce(live), k, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotM != wantM {
+			t.Fatalf("i=%d: m=%d want %d", i, gotM, wantM)
+		}
+		for x := range wantIdx {
+			if gotIdx[x] != wantIdx[x] || math.Float64bits(gotDist[x]) != math.Float64bits(wantDist[x]) {
+				t.Fatalf("i=%d: point %d neighbour %d: idx %d dist %x, want idx %d dist %x",
+					i, x/wantM, x%wantM, gotIdx[x], math.Float64bits(gotDist[x]), wantIdx[x], math.Float64bits(wantDist[x]))
+			}
+		}
+		if eng.qp == nil {
+			continue
+		}
+		for q := 0; q < n; q++ {
+			if hasBit(eng.qbad, q) {
+				continue
+			}
+			_, tested, _ := scanTiles(eng.points, q, eng.qp, eng.qcodes, eng.qbad, nil, emptyList(nil, capacity), capacity)
+			if want := int64(n - 1 - capacity); tested != want {
+				t.Fatalf("i=%d: slot %d bound-tested %d rows, want n−1−capacity = %d", i, q, tested, want)
+			}
+		}
+		for u, p := range partnerOf {
+			if i-W < u || i-W >= u+stride || i-W < p {
+				continue // the pair's batch is not the one just applied
+			}
+			if !hasBit(eng.qbad, u) || hasBit(eng.qbad, p) {
+				t.Fatalf("i=%d: slot %d uncodeable %v, partner %d uncodeable %v; want true, false",
+					i, u, hasBit(eng.qbad, u), p, hasBit(eng.qbad, p))
+			}
+			if got := eng.lists[p][0].id; got != int32(u) {
+				t.Fatalf("i=%d: partner %d's nearest is slot %d, want its uncodeable pair %d", i, p, got, u)
+			}
+			bare, _, _ := scanTiles(eng.points, p, eng.qp, eng.qcodes, nil, nil, emptyList(nil, capacity), capacity)
+			for _, nb := range bare {
+				if nb.id == int32(u) {
+					t.Fatalf("i=%d: the code bound alone kept uncodeable slot %d for partner %d; the test lost its point", i, u, p)
+				}
+			}
+			checked++
+		}
+	}
+	if checked != len(partnerOf) {
+		t.Fatalf("checked %d uncodeable pairs, want %d", checked, len(partnerOf))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"anex/internal/parallel"
 )
@@ -122,30 +123,28 @@ type WindowEngine struct {
 	// Quantized prefilter state (see quant.go): slot-major code rows,
 	// maintained incrementally — arrivals re-encode only their own slot
 	// against the frozen code book. An arrival outside the book's range is
-	// marked uncodeable (qok false) and is simply never rejected by the
-	// bound; when uncodeable slots exceed a quarter of the window the book
-	// is rebuilt from the live points. qp nil means the prefilter is off
-	// (qtile 0, window too small, or uncodeable data). qtile is the
-	// candidate tile; only in-package tests set it to anything but
-	// quantTileDefault.
+	// marked uncodeable (its bit in the slot bitset qbad) and is simply
+	// never rejected by the bound; when uncodeable slots exceed a quarter
+	// of the window the book is rebuilt from the live points. qp nil means
+	// the prefilter is off (qtile false, window too small, or uncodeable
+	// data). qtile switches the prefilter on; only in-package tests turn
+	// it off.
 	qp      *quantParams
 	qcodes  []uint8
-	qok     []bool
+	qbad    []uint64
 	quncode int
-	qtile   int
+	qtile   bool
 	// arrCodes holds the batch's arrival code rows contiguously, in
-	// arrSlots order, so each survivor's merge bounds them all in one
-	// tile pass.
+	// arrSlots order, and arrBad the bitset of the uncodeable ones, so
+	// each survivor's merge bounds 64 arrivals per kernel call.
 	arrCodes []uint8
+	arrBad   []uint64
 }
 
-// windowScratch is the per-worker repair scratch: the code-bound cells of
-// fresh scans and merges, and the worker's code-bound counters (flushed
-// into WindowStats once per batch).
+// windowScratch is the per-worker repair scratch: the worker's code-bound
+// counters, flushed into WindowStats once per batch.
 type windowScratch struct {
 	qcand, qrej int64
-	tiles       tileScratch
-	arrBound    []int64 // the merge's per-arrival code bounds
 }
 
 // NewWindowEngine returns an engine maintaining reservoirs of k+slack
@@ -157,7 +156,7 @@ func NewWindowEngine(k, slack, workers int) *WindowEngine {
 	if slack < 0 {
 		slack = DefaultWindowSlack
 	}
-	return &WindowEngine{k: k, slack: slack, workers: workers, qtile: quantTileDefault}
+	return &WindowEngine{k: k, slack: slack, workers: workers, qtile: true}
 }
 
 // K returns the neighbourhood depth the engine maintains.
@@ -241,8 +240,12 @@ func (e *WindowEngine) Apply(ctx context.Context, batch []WindowArrival) error {
 	if e.qp != nil {
 		st := e.qp.stride
 		e.arrCodes = e.arrCodes[:0]
-		for _, s := range e.arrSlots {
+		e.arrBad = clearBits(e.arrBad, len(e.arrSlots))
+		for a, s := range e.arrSlots {
 			e.arrCodes = append(e.arrCodes, e.qcodes[int(s)*st:(int(s)+1)*st]...)
+			if hasBit(e.qbad, int(s)) {
+				setBit(e.arrBad, a)
+			}
 		}
 	}
 
@@ -326,36 +329,27 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 	if truncate && !haveBoundary {
 		arrivals = nil
 	}
-	// With codes, every arrival's bound comes from one tile pass first: an
-	// arrival whose bound exceeds the limit it meets would fail the exact
-	// kernel's early exit too (quant.go), so it is skipped unread.
-	var bounds []int64
-	if e.qp != nil && e.qok[i] && len(arrivals) > 0 {
-		st := e.qp.stride
-		if cap(sc.arrBound) < len(arrivals) {
-			sc.arrBound = make([]int64, len(arrivals))
-		}
-		bounds = sc.arrBound[:len(arrivals)]
-		quantSqSumTile(e.qcodes[i*st:(i+1)*st], e.arrCodes, len(arrivals), bounds)
-	}
+	// With codes, the arrivals are bound-tested 64 to a kernel call, each
+	// tile at the limit it meets on entry: an arrival whose bound clears
+	// that limit would fail the exact kernel's early exit against the live
+	// limit too (quant.go), so it is skipped unread. Slot i is no arrival.
 	q := e.points[i]
-	for a, r := range arrivals {
-		if int(r) == i {
-			continue
+	coded := e.qp != nil && !hasBit(e.qbad, i)
+	for base := 0; base < len(arrivals); base += quantTile {
+		t := min(quantTile, len(arrivals)-base)
+		keep := ^uint64(0) >> (quantTile - t)
+		if coded {
+			st := e.qp.stride
+			keep = e.qp.keepMask(e.qcodes[i*st:(i+1)*st], e.arrCodes, base, t, e.arrBad, min(radius, listRadius(list, e.cap())))
+			sc.qcand += int64(t)
+			sc.qrej += int64(t - bits.OnesCount64(keep))
 		}
-		limit := min(radius, listRadius(list, e.cap()))
-		if bounds != nil {
-			sc.qcand++
-			if e.qp.sumClears(bounds[a], limit) && e.qok[r] {
-				sc.qrej++
-				continue
+		for ; keep != 0; keep &= keep - 1 {
+			r := arrivals[base+bits.TrailingZeros64(keep)]
+			if d2, within := squaredEuclideanWithin(q, e.points[r], min(radius, listRadius(list, e.cap()))); within {
+				list = insertNeighbor(list, d2, r, e.cap())
 			}
 		}
-		d2, within := squaredEuclideanWithin(q, e.points[r], limit)
-		if !within {
-			continue
-		}
-		list = insertNeighbor(list, d2, r, e.cap())
 	}
 
 	// 3) Truncate suspect tail entries (arrivals beyond the boundary),
@@ -395,8 +389,8 @@ func (e *WindowEngine) repairSlot(i, nBefore, survivorOthers int, sc *windowScra
 // so the reservoir is bit-identical either way.
 func (e *WindowEngine) scanSlot(i int, sc *windowScratch, out []neighbor) []neighbor {
 	out = emptyList(out, e.cap())
-	if e.qp != nil && e.qok[i] {
-		out, tested, rejected := scanTiles(e.points, i, e.qp, e.qcodes, e.qok, nil, e.qtile, out, e.cap(), &sc.tiles)
+	if e.qp != nil && !hasBit(e.qbad, i) {
+		out, tested, rejected := scanTiles(e.points, i, e.qp, e.qcodes, e.qbad, nil, out, e.cap())
 		sc.qcand += tested
 		sc.qrej += rejected
 		return out
@@ -411,22 +405,23 @@ func (e *WindowEngine) scanSlot(i int, sc *windowScratch, out []neighbor) []neig
 // the parallel repair phase.
 func (e *WindowEngine) refreshCodes() {
 	n := len(e.points)
-	if e.qtile == 0 || n < quantMinPoints {
+	if !e.qtile || n < quantMinPoints {
 		e.qp = nil
 		return
 	}
-	if e.qp == nil || len(e.qok) != n {
+	if e.qp == nil || len(e.qcodes) != n*e.qp.stride {
 		e.rebuildCodes()
 		return
 	}
 	st := e.qp.stride
 	for _, s := range e.arrSlots {
 		j := int(s)
-		if !e.qok[j] {
+		if hasBit(e.qbad, j) {
 			e.quncode--
+			e.qbad[j>>6] &^= 1 << uint(j&63)
 		}
-		e.qok[j] = e.qp.encode(e.points[j], e.qcodes[j*st:(j+1)*st])
-		if !e.qok[j] {
+		if !e.qp.encode(e.points[j], e.qcodes[j*st:(j+1)*st]) {
+			setBit(e.qbad, j)
 			e.quncode++
 		}
 	}
@@ -450,14 +445,11 @@ func (e *WindowEngine) rebuildCodes() {
 		e.qcodes = make([]uint8, n*st)
 	}
 	e.qcodes = e.qcodes[:n*st]
-	if cap(e.qok) < n {
-		e.qok = make([]bool, n)
-	}
-	e.qok = e.qok[:n]
+	e.qbad = clearBits(e.qbad, n)
 	e.quncode = 0
 	for j, p := range e.points {
-		e.qok[j] = qp.encode(p, e.qcodes[j*st:(j+1)*st])
-		if !e.qok[j] {
+		if !qp.encode(p, e.qcodes[j*st:(j+1)*st]) {
+			setBit(e.qbad, j)
 			e.quncode++
 		}
 	}
@@ -501,3 +493,19 @@ func growBool(b []bool, n int) []bool {
 	b = b[:n]
 	return b
 }
+
+// clearBits returns a zeroed bitset of n bits, reusing w's backing array
+// when it is large enough.
+func clearBits(w []uint64, n int) []uint64 {
+	words := (n + 63) >> 6
+	if cap(w) < words {
+		return make([]uint64, words)
+	}
+	w = w[:words]
+	clear(w)
+	return w
+}
+
+func hasBit(w []uint64, j int) bool { return w[j>>6]>>uint(j&63)&1 != 0 }
+
+func setBit(w []uint64, j int) { w[j>>6] |= 1 << uint(j&63) }

@@ -102,17 +102,16 @@ func TestWindowEngineTinyWindows(t *testing.T) {
 
 func runWindowEngineParity(t *testing.T, shape string, W, d, k, stride, slack, workers, total int) {
 	t.Helper()
-	runWindowEngineParityTile(t, quantTileDefault, shape, W, d, k, stride, slack, workers, total)
+	runWindowEngineParityQuant(t, true, shape, W, d, k, stride, slack, workers, total)
 }
 
-// runWindowEngineParityTile is runWindowEngineParity with the engine's
-// prefilter tile pinned (0 turns the prefilter off), returning the engine's
-// final counters.
-func runWindowEngineParityTile(t *testing.T, tile int, shape string, W, d, k, stride, slack, workers, total int) WindowStats {
+// runWindowEngineParityQuant is runWindowEngineParity with the engine's
+// prefilter switched on or off, returning the engine's final counters.
+func runWindowEngineParityQuant(t *testing.T, quant bool, shape string, W, d, k, stride, slack, workers, total int) WindowStats {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(W*1000 + stride*100 + slack*10 + workers)))
 	eng := NewWindowEngine(k, slack, workers)
-	eng.qtile = tile
+	eng.qtile = quant
 	window := make([][]float64, 0, W)
 	next := 0
 	var batch []WindowArrival

@@ -12,6 +12,10 @@ go vet ./...
 # the untracked .bench_build/ module cache out of the scan.
 test -z "$(gofmt -l $(git ls-files '*.go'))"
 go build ./...
+# The quantized prefilter's reject-mask kernel is SSE2 assembly on amd64
+# and a portable Go loop everywhere else; cross-checking arm64 keeps the
+# fallback compiling (both commands work offline).
+GOARCH=arm64 go vet ./internal/neighbors && GOARCH=arm64 go build ./...
 go test -race ./...
 
 # The benchmark harness is its own module, so the root vet and test sweeps
@@ -33,10 +37,12 @@ go test ./internal/durable -run FuzzWALDecode -fuzz=FuzzWALDecode -fuzztime=10s
 
 # Quant-bound fuzz smoke: the quantized prefilter may only ever reject a
 # candidate whose true squared distance exceeds the bound — 10 seconds of
-# random shapes/values asserting the SSE2 kernel equals the portable
-# reference and the decoded bound never exceeds the exact distance. A
-# violation here is a wrong-answer bug (a neighbour silently dropped), so
-# it gates alongside the parser fuzzers.
+# random shapes/values asserting the decoded bound never exceeds the exact
+# distance and that the reject-mask kernel every coded scan runs
+# (quantRejectTile, SSE2 on amd64) sets exactly the bits the portable
+# reference sum says, for every tile length 1–64 at limits on and around
+# each row's sum. A violation here is a wrong-answer bug (a neighbour
+# silently dropped), so it gates alongside the parser fuzzers.
 go test ./internal/neighbors -run FuzzQuantBoundSafe -fuzz=FuzzQuantBoundSafe -fuzztime=10s
 
 # Crash drill: for every durable fault site and hit number, die there,
@@ -52,6 +58,9 @@ go test -run '^$' -bench 'BenchmarkRunGrid/workers=4' -benchtime=1x ./internal/p
 # Same smoke for the delta engine's scan layer (the grid's hottest
 # neighbourhood path): one seeded 3d and one seeded 7d view per iteration.
 go test -run '^$' -bench 'BenchmarkDeltaScan$' -benchtime=1x ./internal/neighbors
+# And for the quantized prefilter's reject-mask kernel: one 64-row tile at
+# 14d and 20d, reported in ns per row; no ceiling.
+go test -run '^$' -bench 'BenchmarkQuantRejectTile' -benchtime=1x ./internal/neighbors
 # And for an anexd explain request's search layer: Beam on a warm score
 # memo (candidates, memo keys, Z-scores, ranking); no ceiling.
 go test -run '^$' -bench 'BenchmarkBeamWarm$' -benchtime=1x ./internal/explain
