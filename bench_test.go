@@ -134,16 +134,18 @@ func figure9Cell(b *testing.B, mk func(det anex.Detector) anex.PointExplainer, m
 	b.ReportMetric(mapSum/float64(b.N), "MAP")
 }
 
+// figure9Beam is Figure 9's Beam explainer at benchmark size.
+func figure9Beam(det anex.Detector) anex.PointExplainer {
+	e := anex.NewBeamFX(det)
+	e.Width = 30
+	e.TopK = 30
+	return e
+}
+
 // BenchmarkFigure9 regenerates Figure 9 cells: both point explainers with
 // each detector on a planted-subspace dataset.
 func BenchmarkFigure9(b *testing.B) {
 	b.ReportAllocs()
-	beam := func(det anex.Detector) anex.PointExplainer {
-		e := anex.NewBeamFX(det)
-		e.Width = 30
-		e.TopK = 30
-		return e
-	}
 	refout := func(det anex.Detector) anex.PointExplainer {
 		e := anex.NewRefOut(det, 1)
 		e.PoolSize = 60
@@ -152,11 +154,11 @@ func BenchmarkFigure9(b *testing.B) {
 		return e
 	}
 	b.Run("Beam/LOF", func(b *testing.B) {
-		figure9Cell(b, beam, func() anex.Detector { return anex.NewLOF(15) })
+		figure9Cell(b, figure9Beam, func() anex.Detector { return anex.NewLOF(15) })
 	})
 	b.Run("Beam/iForest", func(b *testing.B) {
 		b.ReportAllocs()
-		figure9Cell(b, beam, func() anex.Detector {
+		figure9Cell(b, figure9Beam, func() anex.Detector {
 			return &anex.IsolationForest{Trees: 50, Subsample: 128, Repetitions: 3}
 		})
 	})
@@ -165,6 +167,29 @@ func BenchmarkFigure9(b *testing.B) {
 	})
 	b.Run("RefOut/FastABOD", func(b *testing.B) {
 		figure9Cell(b, refout, func() anex.Detector { return anex.NewFastABOD(10) })
+	})
+}
+
+// BenchmarkFigure9BeamGate is the Figure-9 Beam/LOF perf gate's workload
+// (scripts/check.sh): two arms in one process, so host-load swings hit
+// both alike and their ratio cancels machine speed. beam is the cold
+// Beam/LOF cell of BenchmarkFigure9, about 80 % of it the plane's 2d
+// sweep; ref is a fixed reference on the same 300 × 10 data, a serial
+// brute-force k = 15 all-points kNN over one 2d view. The arms share only
+// the k-nearest list insert, so a change to that insert moves both.
+func BenchmarkFigure9BeamGate(b *testing.B) {
+	b.Run("beam", func(b *testing.B) {
+		figure9Cell(b, figure9Beam, func() anex.Detector { return anex.NewLOF(15) })
+	})
+	b.Run("ref", func(b *testing.B) {
+		ds, _ := benchDataset(b, 300, 10)
+		ix := neighbors.NewBruteForce(ds.View(anex.NewSubspace(0, 1)).Points())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := neighbors.AllKNNFlat(bctx, ix, 15, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

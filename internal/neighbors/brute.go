@@ -16,8 +16,8 @@ import (
 // have discarded — so coded and plain scans are bit-identical.
 //
 // A coded index over a subspace view may also carry seeds: the source's
-// full-space neighbours, the delta engine's cached structure (the plane
-// hands it over). A seeded query fills its list with the seeds' exact view
+// full-space neighbours, the seed structure of the delta scan too (the
+// plane hands it over from its source cache). A seeded query fills its list with the seeds' exact view
 // distances before the scan, so the list is full — its radius already an
 // upper bound on the true k-th distance — from the first candidate on, and
 // the code bound rejects from the first candidate instead of after the k
@@ -33,7 +33,7 @@ type bruteCodes struct {
 	qp   *quantParams
 	rows []uint8 // one padded code row per point, in point order
 	// seeds, when non-nil, holds seeds.m full-space neighbours per point
-	// (row-major, the delta engine's knnEntry).
+	// (row-major, the plane's cached knnEntry).
 	seeds *knnEntry
 
 	queries, qcand, qrej atomic.Int64

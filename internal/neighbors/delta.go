@@ -4,14 +4,16 @@ import (
 	"context"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"anex/internal/parallel"
 )
 
-// The delta engine answers AllKNN queries over low-dimensional subspace
-// views from per-dataset structures shared by every view of the dataset,
-// instead of building a fresh spatial index per view. It has two paths:
+// The delta path answers the plane's AllKNN queries over low-dimensional
+// subspace views from per-dataset structures shared by every view of the
+// dataset, instead of building a fresh spatial index per view. It has two
+// paths:
 //
 //   - 2d views sweep one sorted dimension. Squared Euclidean distance
 //     decomposes additively over dimensions, so the one-dimensional gap
@@ -19,16 +21,21 @@ import (
 //     as soon as the gap alone exceeds the current k-th distance.
 //   - Every other view scans all candidates. The view's squared distances
 //     are composed once per pair into an n×n block, and each point's
-//     k-nearest list starts full: from its full-space neighbours (the
-//     source's cached full-space kNN), whose k-th distance upper-bounds
-//     the true k-th and so starts the scan with a tight radius, or, for
-//     the full space itself, from its first k candidates.
+//     k-nearest list starts full: from its full-space neighbours, whose
+//     k-th distance upper-bounds the true k-th and so starts the scan with
+//     a tight radius, or, for the full space itself, from its first k
+//     candidates.
 //
-// The full-space kNN is the seed structure of both scan tiers: the plane
-// also hands it (seeds) to the coded brute-force index it builds for a
-// subspace view too wide or too large for this engine, whose queries
-// prefill their lists from it the same way. One cache serves both, pinned
-// per source and k.
+// The shared structures — a feature's sort order, built only for a 2d
+// view's sweep column, and the source's full-space kNN at one k — are
+// entries of the plane's source cache, the same internal/memo mechanism
+// as its view entries: each is built once per key (concurrent misses wait
+// for one builder without blocking other keys), resident under the
+// plane's byte budget, and dropped with the dataset's view entries by
+// Plane.Forget. The full-space kNN seeds both scan tiers: the delta scan,
+// and the coded brute-force index the plane builds for a subspace view
+// too wide or too large for this path, whose queries prefill their lists
+// from it the same way.
 //
 // Results are bit-identical to the brute-force / KD-tree path: every
 // surviving candidate's distance is accumulated in ascending feature order,
@@ -37,7 +44,7 @@ import (
 // minimum under (distance, index), independent of visit order.
 
 const (
-	// maxDeltaDim bounds the view dimensionality the engine accepts.
+	// maxDeltaDim bounds the view dimensionality the delta path accepts.
 	// SquaredEuclidean's 4-way unrolled accumulation is exactly
 	// left-associative sequential only below 8 dimensions (the first
 	// 4-chunk lands on a zero sum; from 8 dimensions the chunk grouping
@@ -45,27 +52,18 @@ const (
 	// accumulation reproduces its values bit for bit.
 	maxDeltaDim = 7
 
-	// maxDeltaPoints and minDeltaPoints gate the engine by view size: the
-	// candidate scans are O(n) per query, which measures faster than the
-	// KD-tree only up to a few hundred points; tiny views are cheaper to
-	// score through the plain index.
+	// maxDeltaPoints and minDeltaPoints gate the delta path by view size:
+	// the candidate scans are O(n) per query, which measures faster than
+	// the KD-tree only up to a few hundred points; tiny views are cheaper
+	// to score through the plain index.
 	maxDeltaPoints = 512
 	minDeltaPoints = 64
-
-	// maxDeltaSources bounds the per-dataset pinned structures (sorted
-	// dimension orders, full-space seeds) an engine retains. A grid's plane
-	// only ever sees a handful of datasets, but a long-lived plane (an
-	// experiment session's, anexd's) funnels every dataset it serves
-	// through one engine, so the coldest source is dropped once the cap is
-	// reached — its structures are rebuilt on demand if that dataset
-	// returns.
-	maxDeltaSources = 32
 )
 
-// ColumnSource is the column-contiguous access the delta engine needs from
+// ColumnSource is the column-contiguous access the delta path needs from
 // a subspace view: the view's own columns in ascending feature order, plus
 // enough source identity to key cached structures. dataset.View implements
-// it; the engine deliberately depends only on this interface.
+// it; the plane deliberately depends only on this interface.
 type ColumnSource interface {
 	// N returns the number of points.
 	N() int
@@ -81,16 +79,17 @@ type ColumnSource interface {
 	// SourceColumn returns full-space column f, shared storage.
 	SourceColumn(f int) []float64
 	// SourceKey identifies the underlying dataset; sources scored through
-	// one engine must carry distinct keys.
+	// one plane must carry distinct keys.
 	SourceKey() string
 	// CacheKey identifies the view: SourceKey, "|", and a canonical key
 	// of the view's subspace.
 	CacheKey() string
 }
 
-// DeltaStats is a point-in-time snapshot of the engine's activity.
+// DeltaStats is a point-in-time snapshot of the plane's delta-path
+// activity.
 type DeltaStats struct {
-	// Queries counts AllKNN calls the engine accepted.
+	// Queries counts computations the delta path accepted.
 	Queries int
 	// SweepQueries of those used the sorted-dimension sweep (2d views).
 	SweepQueries int
@@ -101,54 +100,25 @@ type DeltaStats struct {
 	// other view narrower than the full space). The rest of Queries are
 	// full-space views, scanned unseeded.
 	FullSeeded int
-	// Rejected counts calls outside the engine's gates (dimension, size,
-	// or non-finite coordinates).
+	// Rejected counts computations outside the delta path's gates
+	// (dimension, size, or non-finite coordinates).
 	Rejected int
 }
 
-// deltaEngine holds the per-source structures — per-dimension sorted
-// orders, spreads and finite flags, and full-space neighbourhoods — that
-// every view of a dataset shares. It is safe for concurrent use; cached
-// structures are immutable once published, and concurrent builds of the
-// same structure are serialised so it is computed once.
-type deltaEngine struct {
-	mu      sync.Mutex
-	tick    int64 // source-recency clock (see source)
-	sources map[string]*deltaSource
-	stats   DeltaStats
+// sourceEntry is one per-dataset structure in the plane's source cache:
+// exactly one of a feature's sort order (key <SourceKey>|s<feature>) and
+// the full-space kNN at one k (key <SourceKey>|k<k>).
+type sourceEntry struct {
+	sorted *sortedDim
+	seeds  *knnEntry
 }
 
-// deltaSource holds the per-dataset structures: sorted per-dimension orders,
-// per-feature spreads and finite flags, and the full-space kNN per
-// neighbourhood size. All are pinned outside the plane's byte budget; only
-// the number of sources is bounded (maxDeltaSources).
-type deltaSource struct {
-	dims    map[int]*sortedDim
-	ranges  map[int]float64
-	fullKNN map[int]*knnEntry
-	finite  map[int]bool
-	lastUse int64 // tick of the most recent source() lookup
-}
-
-// finiteColumn reports (memoised per feature) whether the column holds only
-// finite values. NaN or ±Inf coordinates would break both the sweep's gap
-// lower bound and the (d2, id) order of the k-nearest lists (a NaN
-// distance orders against nothing), so the engine declines such views and
-// the caller's standard-path fallback answers them. Caller holds mu.
-func (ds *deltaSource) finiteColumn(src ColumnSource, j int) bool {
-	f := src.Feature(j)
-	if fin, ok := ds.finite[f]; ok {
-		return fin
+// bytes is a source entry's payload charge.
+func (en sourceEntry) bytes() int64 {
+	if en.sorted != nil {
+		return int64(len(en.sorted.vals))*8 + int64(len(en.sorted.ord)+len(en.sorted.rank))*4
 	}
-	fin := true
-	for _, x := range src.Column(j) {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			fin = false
-			break
-		}
-	}
-	ds.finite[f] = fin
-	return fin
+	return int64(len(en.seeds.idx)) * 4
 }
 
 // sweepPair is the 2d sweep structure of one query: the sweep dimension's
@@ -187,83 +157,66 @@ type knnEntry struct {
 	idx []int32 // n×m neighbour indices
 }
 
-// newDeltaEngine returns an empty engine.
-func newDeltaEngine() *deltaEngine {
-	return &deltaEngine{sources: make(map[string]*deltaSource)}
-}
-
-// Forget drops the pinned per-source structures of the dataset identified
-// by sourceKey (dataset.Dataset.SourceKey). Owners of short-lived datasets
-// call it (through Plane.Forget) when the dataset dies, so its sorted
-// orders and full-space seeds do not occupy one of the
-// maxDeltaSources slots until pressure evicts them. Safe when sourceKey
-// has no state.
-func (e *deltaEngine) Forget(sourceKey string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.sources, sourceKey)
-}
-
-// Stats returns the engine's activity counters.
-func (e *deltaEngine) Stats() DeltaStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
-// AllKNN computes the all-points k-nearest-neighbour structure for the view
-// when it falls inside the engine's gates (dimensionality ≤ maxDeltaDim,
-// point count within the scan-friendly range, finite coordinates),
-// distributing the independent per-point queries over the given number of
-// workers. The returned arrays are fresh, flat n×m row-major
-// (m = min(k, n−1)): point i's neighbours are idx[i*m : (i+1)*m] with
-// Euclidean distances in the matching dist slots, ascending, index
+// deltaKNN computes the all-points k-nearest-neighbour structure for the
+// view when it falls inside the delta path's gates (dimensionality ≤
+// maxDeltaDim, point count within the scan-friendly range, finite
+// coordinates), distributing the independent per-point queries over the
+// given number of workers. The returned arrays are fresh, flat n×m
+// row-major (m = min(k, n−1)): point i's neighbours are idx[i*m : (i+1)*m]
+// with Euclidean distances in the matching dist slots, ascending, index
 // tie-broken — bit-identical to AllKNNFlat over NewIndex at any worker
-// count. ok reports whether the engine handled the query; on false the
+// count. ok reports whether the delta path handled the query; on false the
 // caller must fall back to the standard index path.
-func (e *deltaEngine) AllKNN(ctx context.Context, src ColumnSource, k, workers int) (idx []int32, dist []float64, m int, ok bool, err error) {
+func (p *Plane) deltaKNN(ctx context.Context, src ColumnSource, k, workers int) (idx []int32, dist []float64, m int, ok bool, err error) {
 	n, d := src.N(), src.Dim()
-	if d < 1 || d > maxDeltaDim || n < minDeltaPoints || n > maxDeltaPoints || k < 1 {
-		e.mu.Lock()
-		e.stats.Rejected++
-		e.mu.Unlock()
+	ok = d >= 1 && d <= maxDeltaDim && n >= minDeltaPoints && n <= maxDeltaPoints && k >= 1
+	cols := make([][]float64, d)
+	// The sweep column of a 2d view is the one whose dimension spreads
+	// widest — the strongest one-dimensional pruning. The choice only
+	// affects speed, never results, but is deterministic (ties go to the
+	// lowest feature).
+	sweep, widest := 0, math.Inf(-1)
+	for j := 0; ok && j < d; j++ {
+		cols[j] = src.Column(j)
+		spread, finite := columnSpread(cols[j])
+		if spread > widest {
+			sweep, widest = j, spread
+		}
+		ok = finite
+	}
+	p.mu.Lock()
+	if !ok {
+		p.delta.Rejected++
+	} else {
+		p.delta.Queries++
+		if d == 2 {
+			p.delta.SweepQueries++
+		}
+	}
+	p.mu.Unlock()
+	if !ok {
 		return nil, nil, 0, false, nil
 	}
-	m = k
-	if m > n-1 {
-		m = n - 1
-	}
-	cols := make([][]float64, d)
-	for j := range cols {
-		cols[j] = src.Column(j)
-	}
+	m = min(k, n-1)
 
 	q := &deltaQuery{cols: cols, n: n, m: m}
-	e.mu.Lock()
-	ds := e.source(src.SourceKey())
-	for j := 0; j < d; j++ {
-		if !ds.finiteColumn(src, j) {
-			e.stats.Rejected++
-			e.mu.Unlock()
-			return nil, nil, 0, false, nil
-		}
-	}
-	e.stats.Queries++
 	if d == 2 {
-		e.stats.SweepQueries++
-		j := e.bestSweepColumn(ds, src)
-		q.pair = newSweepPair(src, ds.sortedFor(src, j), j)
-	} else if d < src.NumFeatures() {
-		full, ferr := e.fullSpaceKNN(ctx, ds, src, k, workers)
-		if ferr != nil {
-			e.mu.Unlock()
-			return nil, nil, 0, false, ferr
+		sd, err := p.sortOrder(ctx, src, sweep)
+		if err != nil {
+			return nil, nil, 0, false, err
 		}
-		e.stats.FullSeeded++
+		q.pair = newSweepPair(src, sd, sweep)
+	} else if d < src.NumFeatures() {
+		full, err := p.fullSpaceKNN(ctx, src, k, workers)
+		if err != nil {
+			return nil, nil, 0, false, err
+		}
+		p.mu.Lock()
+		p.delta.FullSeeded++
+		p.mu.Unlock()
 		q.seedIdx = full.idx
 		q.seedM = full.m
 	}
-	e.mu.Unlock()
 
 	if q.pair == nil {
 		bp := sqBlocks.Get().(*[]float64)
@@ -291,141 +244,77 @@ func (e *deltaEngine) AllKNN(ctx context.Context, src ColumnSource, k, workers i
 	return flatIdx, flatDist, m, true, nil
 }
 
-// source returns (creating on demand) the per-dataset state, evicting the
-// least-recently-used source past maxDeltaSources. Caller holds mu.
-func (e *deltaEngine) source(key string) *deltaSource {
-	e.tick++
-	ds, ok := e.sources[key]
-	if !ok {
-		if len(e.sources) >= maxDeltaSources {
-			coldKey, coldUse := "", int64(1<<62)
-			for k, s := range e.sources {
-				if s.lastUse < coldUse {
-					coldKey, coldUse = k, s.lastUse
-				}
-			}
-			delete(e.sources, coldKey)
+// columnSpread returns the column's spread (max − min) and whether every
+// value is finite. NaN or ±Inf coordinates would break both the sweep's
+// gap lower bound and the (d2, id) order of the k-nearest lists (a NaN
+// distance orders against nothing), so the delta path declines such views
+// and the standard index path answers them.
+func columnSpread(col []float64) (spread float64, finite bool) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range col {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, false
 		}
-		ds = &deltaSource{
-			dims:    make(map[int]*sortedDim),
-			ranges:  make(map[int]float64),
-			fullKNN: make(map[int]*knnEntry),
-			finite:  make(map[int]bool),
+		if v < lo {
+			lo = v
 		}
-		e.sources[key] = ds
+		if v > hi {
+			hi = v
+		}
 	}
-	ds.lastUse = e.tick
-	return ds
+	return hi - lo, true
 }
 
-// bestSweepColumn picks the view column whose dimension spreads widest —
-// the sweep dimension with the strongest one-dimensional pruning. The
-// choice only affects speed, never results, but is deterministic (ties go
-// to the lowest feature). Caller holds mu.
-func (e *deltaEngine) bestSweepColumn(ds *deltaSource, src ColumnSource) int {
-	best, bestSpread := 0, math.Inf(-1)
-	for j := 0; j < src.Dim(); j++ {
-		f := src.Feature(j)
-		spread, ok := ds.ranges[f]
-		if !ok {
-			lo, hi := math.Inf(1), math.Inf(-1)
-			for _, v := range src.Column(j) {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
+// sortOrder returns the sort order of view column j's feature from the
+// source cache, building it on a miss.
+func (p *Plane) sortOrder(ctx context.Context, src ColumnSource, j int) (*sortedDim, error) {
+	key := src.SourceKey() + "|s" + strconv.Itoa(src.Feature(j))
+	en, err := p.sources.Get(ctx, key, nil, func(context.Context) (sourceEntry, error) {
+		col := src.Column(j)
+		n := len(col)
+		sd := &sortedDim{
+			vals: make([]float64, n),
+			ord:  make([]int32, n),
+			rank: make([]int32, n),
+		}
+		for i := range sd.ord {
+			sd.ord[i] = int32(i)
+		}
+		sort.Slice(sd.ord, func(a, b int) bool {
+			va, vb := col[sd.ord[a]], col[sd.ord[b]]
+			if va != vb {
+				return va < vb
 			}
-			spread = hi - lo
-			ds.ranges[f] = spread
+			return sd.ord[a] < sd.ord[b] // deterministic on duplicate values
+		})
+		for r, id := range sd.ord {
+			sd.vals[r] = col[id]
+			sd.rank[id] = int32(r)
 		}
-		if spread > bestSpread {
-			best, bestSpread = j, spread
-		}
-	}
-	return best
-}
-
-// sortedFor returns (building on demand) the sorted order of the given view
-// column's dimension. Caller holds mu.
-func (ds *deltaSource) sortedFor(src ColumnSource, j int) *sortedDim {
-	f := src.Feature(j)
-	if sd, ok := ds.dims[f]; ok {
-		return sd
-	}
-	col := src.Column(j)
-	n := len(col)
-	sd := &sortedDim{
-		vals: make([]float64, n),
-		ord:  make([]int32, n),
-		rank: make([]int32, n),
-	}
-	for i := range sd.ord {
-		sd.ord[i] = int32(i)
-	}
-	sort.Slice(sd.ord, func(a, b int) bool {
-		va, vb := col[sd.ord[a]], col[sd.ord[b]]
-		if va != vb {
-			return va < vb
-		}
-		return sd.ord[a] < sd.ord[b] // deterministic on duplicate values
+		return sourceEntry{sorted: sd}, nil
 	})
-	for r, p := range sd.ord {
-		sd.vals[r] = col[p]
-		sd.rank[p] = int32(r)
-	}
-	ds.dims[f] = sd
-	return sd
+	return en.sorted, err
 }
 
-// fullSpaceKNN returns (building on demand) the source's full-space kNN at
-// neighbourhood size k — the seed structure of the scanned views.
-// Full-space distances upper-bound no subspace distance directly,
-// but the candidates themselves are excellent threshold seeds: their
-// canonical subspace distances are computed exactly, and the k-th of them
-// always upper-bounds the true k-th. Caller holds mu; the build (one per
-// source and k) runs inside it.
-func (e *deltaEngine) fullSpaceKNN(ctx context.Context, ds *deltaSource, src ColumnSource, k, workers int) (*knnEntry, error) {
-	if en, ok := ds.fullKNN[k]; ok {
-		return en, nil
-	}
-	n, fd := src.N(), src.NumFeatures()
-	flat := make([]float64, n*fd)
-	rows := make([][]float64, n)
-	for f := 0; f < fd; f++ {
-		col := src.SourceColumn(f)
-		for i := 0; i < n; i++ {
-			flat[i*fd+f] = col[i]
+// fullSpaceKNN returns the source's full-space kNN at neighbourhood size k
+// from the source cache, building it on a miss — the seed structure of the
+// scanned views. Full-space distances upper-bound no subspace distance
+// directly, but the candidates themselves are excellent threshold seeds:
+// their canonical subspace distances are computed exactly, and the k-th of
+// them always upper-bounds the true k-th. NewIndex routes wide full spaces
+// through the coded brute-force scan, so the seed build inherits the
+// prefilter; indices are bit-identical either way.
+func (p *Plane) fullSpaceKNN(ctx context.Context, src ColumnSource, k, workers int) (*knnEntry, error) {
+	key := src.SourceKey() + "|k" + strconv.Itoa(k)
+	en, err := p.sources.Get(ctx, key, nil, func(ctx context.Context) (sourceEntry, error) {
+		rows := gatherRows(src.N(), src.NumFeatures(), src.SourceColumn)
+		idx, _, m, err := AllKNNFlat(ctx, NewIndex(rows), k, workers)
+		if err != nil {
+			return sourceEntry{}, err
 		}
-	}
-	for i := range rows {
-		rows[i] = flat[i*fd : (i+1)*fd : (i+1)*fd]
-	}
-	// The flat builder hands back the packed int32 layout knnEntry wants
-	// directly, and NewIndex routes wide full spaces through the coded
-	// brute-force scan — so the seed structure both skips the per-row slice
-	// headers and inherits the prefilter. Indices are bit-identical either
-	// way.
-	ix := NewIndex(rows)
-	idx, _, m, err := AllKNNFlat(ctx, ix, k, workers)
-	if err != nil {
-		return nil, err
-	}
-	en := &knnEntry{m: m, idx: idx}
-	ds.fullKNN[k] = en
-	return en, nil
-}
-
-// seeds returns src's full-space kNN at neighbourhood size k — the
-// structure that seeds the scan path — for a coded brute-force index over a
-// view too wide or too large for this engine. It shares fullSpaceKNN's
-// per-source cache (pinned, bounded by maxDeltaSources, dropped by Forget)
-// and counts nothing in DeltaStats: the view is not this engine's query.
-func (e *deltaEngine) seeds(ctx context.Context, src ColumnSource, k, workers int) (*knnEntry, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fullSpaceKNN(ctx, e.source(src.SourceKey()), src, k, workers)
+		return sourceEntry{seeds: &knnEntry{m: m, idx: idx}}, nil
+	})
+	return en.seeds, err
 }
 
 // sqBlocks recycles the scan path's n×n squared-distance blocks (at most

@@ -52,7 +52,7 @@ func NewIndex(points [][]float64) Index {
 // point's k nearest neighbours — as two flat row-major n×m arrays
 // (m = min(k, n−1)): point i's neighbours are idx[i*m : (i+1)*m] with
 // distances in the matching dist slots, ascending, index tie-broken. The
-// layout and values are bit-identical to the delta engine's AllKNN, so
+// layout and values are bit-identical to the plane's delta path, so
 // consumers (the neighbourhood plane, detector hot loops) handle a single
 // shape on every path. The per-point queries are distributed over the
 // given number of workers (≤ 1 → serial), each answering through its own

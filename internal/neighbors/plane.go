@@ -35,11 +35,14 @@ import (
 //     entries live in a byte-budgeted LRU — the internal/memo cache that
 //     also backs detector.Cached.
 //
-// Computation itself delegates to the delta engine for the low-dimensional
-// views it accepts and falls back to the standard index path (KD-tree or
-// brute force, flat layout via AllKNNFlat) for everything else — which
-// means full-space and large views are cached across detectors too, a path
-// the per-detector engines never covered.
+// Computation itself takes the delta path (delta.go) for the
+// low-dimensional views it accepts and falls back to the standard index
+// path (KD-tree or brute force, flat layout via AllKNNFlat) for everything
+// else — which means full-space and large views are cached across
+// detectors too, a path the per-detector engines never covered. The
+// per-dataset structures both paths share (sort orders, full-space seeds)
+// live in a second memo cache beside the view entries, under the same
+// byte budget and the same Forget.
 
 // DefaultPlaneBytes bounds a plane's resident neighbourhood entries. A
 // grid cell's 2d sweep over a 100-feature dataset holds C(100,2) = 4950
@@ -58,12 +61,13 @@ const SitePlanePublish = "plane.publish"
 // construct with NewPlane. A nil *Plane is a valid "disabled" plane:
 // AllKNN reports ok=false and callers fall back to their private path.
 type Plane struct {
-	cache *memo.Cache[planeEntry]
-	delta *deltaEngine
+	cache   *memo.Cache[planeEntry]
+	sources *memo.Cache[sourceEntry] // per-dataset structures (delta.go)
 
 	mu        sync.Mutex
 	kmax      int
 	publishes int
+	delta     DeltaStats
 	prune     PruneStats
 }
 
@@ -106,8 +110,8 @@ type PlaneStats struct {
 	MaxBytes int64
 	// KMax is the neighbourhood size all computations run at.
 	KMax int
-	// Delta is the embedded delta engine's activity (the plane's compute
-	// path for low-dimensional views).
+	// Delta is the delta path's activity (the plane's compute path for
+	// low-dimensional views).
 	Delta DeltaStats
 	// Prune aggregates the quantized prefilter's activity across this
 	// plane's computations (wide views answered by the coded brute-force
@@ -136,18 +140,15 @@ func (s PlaneStats) String() string {
 		s.ResidentBytes>>20, s.MaxBytes>>20, s.Entries, s.KMax)
 }
 
-// NewPlane returns a plane whose resident entries are bounded by maxBytes
-// (≤ 0 → DefaultPlaneBytes). That budget covers every per-view entry; the
-// delta engine's per-dataset structures (sorted dimensions, full-space
-// seeds) are pinned outside it, bounded by dataset count.
+// NewPlane returns a plane whose resident per-view entries are bounded by
+// maxBytes (≤ 0 → DefaultPlaneBytes), and so are its per-dataset
+// structures (sort orders, full-space seeds), in a cache of their own.
 func NewPlane(maxBytes int64) *Plane {
 	if maxBytes <= 0 {
 		maxBytes = DefaultPlaneBytes
 	}
 	size := func(en planeEntry) int64 { return int64(len(en.idx))*4 + int64(len(en.dist))*8 }
-	p := &Plane{cache: memo.New(maxBytes, size)}
-	p.delta = newDeltaEngine()
-	return p
+	return &Plane{cache: memo.New(maxBytes, size), sources: memo.New(maxBytes, sourceEntry.bytes)}
 }
 
 // RegisterK declares a consumer's neighbourhood size. kmax only ever
@@ -196,30 +197,28 @@ func (p *Plane) Stats() PlaneStats {
 		Entries:       c.Entries,
 		ResidentBytes: c.Bytes,
 		MaxBytes:      c.MaxBytes,
-		Delta:         p.delta.Stats(),
 	}
 	p.mu.Lock()
-	s.Publishes, s.KMax, s.Prune = p.publishes, p.kmax, p.prune
+	s.Publishes, s.KMax, s.Delta, s.Prune = p.publishes, p.kmax, p.delta, p.prune
 	p.mu.Unlock()
 	return s
 }
 
 // Forget drops every resident entry belonging to the dataset identified by
-// sourceKey (dataset.Dataset.SourceKey), including the delta engine's
-// pinned per-source structures. Short-lived datasets — the stream monitor's
-// sliding windows — carry process-unique IDs, so once their owner is done
-// with them their entries are unreachable garbage that would otherwise
-// linger until LRU pressure; Forget releases them eagerly. Entries for
-// other datasets and computations in flight are untouched (an in-flight
-// leader republishes after Forget returns; that entry dies with the next
-// Forget or under LRU pressure). Safe on a nil plane and when sourceKey has
-// no entries.
+// sourceKey (dataset.Dataset.SourceKey), its per-dataset structures
+// included. Short-lived datasets — the stream monitor's sliding windows —
+// carry process-unique IDs, so once their owner is done with them their
+// entries are unreachable garbage that would otherwise linger until LRU
+// pressure; Forget releases them eagerly. Entries for other datasets and
+// computations in flight are untouched (an in-flight leader republishes
+// after Forget returns; that entry dies with the next Forget or under LRU
+// pressure). Safe on a nil plane and when sourceKey has no entries.
 func (p *Plane) Forget(sourceKey string) {
 	if p == nil || sourceKey == "" {
 		return
 	}
 	p.cache.Forget(sourceKey + "|")
-	p.delta.Forget(sourceKey)
+	p.sources.Forget(sourceKey + "|")
 }
 
 // Publish installs a ready-made neighbourhood entry for src, computed at
@@ -288,41 +287,46 @@ func (p *Plane) AllKNN(ctx context.Context, src ColumnSource, k, workers int) (i
 }
 
 // compute builds the flat neighbourhood structure at neighbourhood size
-// kq: through the delta engine for the low-dimensional views it accepts,
+// kq: through the delta path for the low-dimensional views it accepts,
 // through the standard index (AllKNNFlat over NewIndex) otherwise. Both
 // paths produce bit-identical values in the same layout.
 func (p *Plane) compute(ctx context.Context, src ColumnSource, kq, workers int) (planeEntry, error) {
 	if err := failpoint.From(ctx).Eval(SitePlanePublish); err != nil {
 		return planeEntry{}, err
 	}
-	idx, dist, m, ok, err := p.delta.AllKNN(ctx, src, kq, workers)
+	idx, dist, m, ok, err := p.deltaKNN(ctx, src, kq, workers)
+	if err == nil && !ok {
+		idx, dist, m, err = indexKNN(ctx, p, src, kq, workers)
+	}
 	if err != nil {
 		return planeEntry{}, err
 	}
-	if !ok {
-		ix := NewIndex(sourceRows(src))
-		bf, _ := ix.(bruteForce)
-		if bf.codes != nil && src.Dim() < src.NumFeatures() {
-			// A coded scan over a subspace view starts from the source's
-			// full-space neighbours: the delta engine's pinned seeds,
-			// built once per source and k for both scan tiers.
-			if bf.codes.seeds, err = p.delta.seeds(ctx, src, kq, workers); err != nil {
-				return planeEntry{}, err
-			}
-		}
-		idx, dist, m, err = AllKNNFlat(ctx, ix, kq, workers)
-		if err != nil {
-			return planeEntry{}, err
-		}
-		if bf.codes != nil {
-			// The codes were built, and every query answered, for exactly
-			// this entry: the index's counters ARE the entry's ledger.
-			p.mu.Lock()
-			p.prune = p.prune.add(bf.pruneStats())
-			p.mu.Unlock()
+	return planeEntry{k: kq, m: m, idx: idx, dist: dist}, nil
+}
+
+// indexKNN answers src's all-points kNN through the standard index
+// (AllKNNFlat over NewIndex). With a plane, a coded scan over a subspace
+// view starts from the source's full-space neighbours — the seeds the
+// delta scan reads too, built once per source and k — and the index's
+// prefilter counters are folded into the plane's PruneStats: the codes
+// were built, and every query answered, for exactly this entry. p may be
+// nil (no seeds, no ledger).
+func indexKNN(ctx context.Context, p *Plane, src ColumnSource, k, workers int) (idx []int32, dist []float64, m int, err error) {
+	ix := NewIndex(sourceRows(src))
+	bf, _ := ix.(bruteForce)
+	coded := p != nil && bf.codes != nil
+	if coded && src.Dim() < src.NumFeatures() {
+		if bf.codes.seeds, err = p.fullSpaceKNN(ctx, src, k, workers); err != nil {
+			return nil, nil, 0, err
 		}
 	}
-	return planeEntry{k: kq, m: m, idx: idx, dist: dist}, nil
+	idx, dist, m, err = AllKNNFlat(ctx, ix, k, workers)
+	if err == nil && coded {
+		p.mu.Lock()
+		p.prune = p.prune.add(bf.pruneStats())
+		p.mu.Unlock()
+	}
+	return idx, dist, m, err
 }
 
 // AllKNNOrIndex answers src's all-points kNN through the plane when the
@@ -335,8 +339,7 @@ func AllKNNOrIndex(ctx context.Context, p *Plane, src ColumnSource, k, workers i
 	if err != nil || ok {
 		return idx, dist, m, stride, err
 	}
-	ix := NewIndex(sourceRows(src))
-	idx, dist, m, err = AllKNNFlat(ctx, ix, k, workers)
+	idx, dist, m, err = indexKNN(ctx, nil, src, k, workers)
 	return idx, dist, m, m, err
 }
 
@@ -355,11 +358,16 @@ func sourceRows(src ColumnSource) [][]float64 {
 	if rs, ok := src.(RowSource); ok {
 		return rs.Points()
 	}
-	n, d := src.N(), src.Dim()
+	return gatherRows(src.N(), src.Dim(), src.Column)
+}
+
+// gatherRows gathers n row-major points from d columns, column(j) the j-th,
+// into one flat backing array.
+func gatherRows(n, d int, column func(j int) []float64) [][]float64 {
 	flat := make([]float64, n*d)
 	rows := make([][]float64, n)
 	for j := 0; j < d; j++ {
-		col := src.Column(j)
+		col := column(j)
 		for i := 0; i < n; i++ {
 			flat[i*d+j] = col[i]
 		}

@@ -76,7 +76,7 @@ import (
 // row by row through the plain scan, and the bounded tiles start from the
 // row that fills it. A coded index over a subspace view skips even that by
 // seeding: the plane hands it the source's full-space neighbours (the
-// delta engine's cached seed structure), each query prefills its list
+// seed structure the delta scan reads), each query prefills its list
 // with their exact view distances, and the bound fires from the first
 // candidate on. The seeds are marked in the query's Scratch and never
 // offered twice; a list the seeds cannot fill scans unseeded.

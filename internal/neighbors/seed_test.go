@@ -31,27 +31,27 @@ func randomFeats(rng *rand.Rand, of, d int) []int {
 
 // checkPlaneEqualsPlain asserts the plane's answer for v is bit-identical
 // to the plain brute-force scan over the view's rows.
-func checkPlaneEqualsPlain(t *testing.T, p *Plane, v benchView, k, workers int) {
+func checkPlaneEqualsPlain(t *testing.T, p *Plane, v ColumnSource, k, workers int) {
 	t.Helper()
 	ctx := context.Background()
 	gotIdx, gotDist, m, stride, ok, err := p.AllKNN(ctx, v, k, workers)
 	if err != nil || !ok {
-		t.Fatalf("view %v: ok=%v err=%v", v.feats, ok, err)
+		t.Fatalf("view %s: ok=%v err=%v", v.CacheKey(), ok, err)
 	}
 	wantIdx, wantDist, wantM, err := AllKNNFlat(ctx, NewBruteForce(sourceRows(v)), k, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != wantM {
-		t.Fatalf("view %v k=%d: m=%d, want %d", v.feats, k, m, wantM)
+		t.Fatalf("view %s k=%d: m=%d, want %d", v.CacheKey(), k, m, wantM)
 	}
 	for i := 0; i < v.N(); i++ {
 		for s := 0; s < m; s++ {
 			g, w := gotIdx[i*stride+s], wantIdx[i*m+s]
 			gd, wd := gotDist[i*stride+s], wantDist[i*m+s]
 			if g != w || math.Float64bits(gd) != math.Float64bits(wd) {
-				t.Fatalf("view %v k=%d w=%d point %d slot %d: (%d, %x), want (%d, %x)",
-					v.feats, k, workers, i, s, g, math.Float64bits(gd), w, math.Float64bits(wd))
+				t.Fatalf("view %s k=%d w=%d point %d slot %d: (%d, %x), want (%d, %x)",
+					v.CacheKey(), k, workers, i, s, g, math.Float64bits(gd), w, math.Float64bits(wd))
 			}
 		}
 	}
@@ -68,8 +68,10 @@ func checkPlaneEqualsPlain(t *testing.T, p *Plane, v benchView, k, workers int) 
 // list of the NaN row comes back short, so that query starts unfilled and
 // scans unseeded), distances that overflow to +Inf (a full seed list
 // whose radius bounds nothing), and k ≥ n−1 (every other row a seed, or too few to fill
-// the list). The NaN source also drives a 5d view through the delta
-// engine's seeded scan, which reads the same short list.
+// the list). Wherever the scans are seeded they must also send strictly
+// fewer candidates to the exact kernel than the same views answered
+// unseeded. The NaN source also drives a 5d view through the delta
+// path's seeded scan, which reads the same short list.
 func TestSeededCodedScanBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const d = 20
@@ -160,11 +162,22 @@ func TestSeededCodedScanBitIdentical(t *testing.T) {
 					if st.Prune.QuantCandidates > st.Prune.Candidates {
 						t.Fatalf("k=%d: %d bound-tested > %d candidates", k, st.Prune.QuantCandidates, st.Prune.Candidates)
 					}
-					// A seeded query bound-tests every candidate but itself and
-					// its seeds; an unseeded one skips its whole first tile.
-					n := int64(len(tc.rows))
-					if seeded := k < len(tc.rows)-1 && tc.name != "overflowing-distances"; seeded && st.Prune.QuantCandidates < int64(len(views))*(n-1)*(n-1-int64(k)) {
-						t.Fatalf("k=%d: %d bound-tested candidates: the scans were not seeded", k, st.Prune.QuantCandidates)
+					// A seeded query's list is full, its radius a bound, before
+					// the first candidate; an unseeded one pays its first k
+					// rows and scans on a looser radius until the list
+					// tightens.
+					if seeded := k < len(tc.rows)-1 && tc.name != "overflowing-distances"; seeded {
+						var unseeded int64
+						for _, v := range views {
+							bf := newBruteForce(sourceRows(v))
+							if _, _, _, err := AllKNNFlat(context.Background(), bf, k, workers); err != nil {
+								t.Fatal(err)
+							}
+							unseeded += bf.pruneStats().Scanned
+						}
+						if st.Prune.Scanned >= unseeded {
+							t.Fatalf("k=%d: %d exact-kernel calls, %d unseeded: the scans were not seeded", k, st.Prune.Scanned, unseeded)
+						}
 					}
 				}
 			}
@@ -248,10 +261,10 @@ func refOutPool(t testing.TB) (cols [][]float64, views []benchView) {
 // TestRefOutPoolScanGate is the seeded tier's structural gate: over the
 // RefOut pool workload at k = 15, queries must average at most 40 exact
 // kernel calls (seeds plus bound survivors) out of their 999 candidates —
-// an unseeded coded scan pays ~119, most of them for its unbounded first
-// tile, and the seeded one measured 33.4. The ledger must also stay
-// honest: a query's own row and its seeds are never counted as
-// bound-tested, so QuantCandidates cannot exceed Candidates.
+// an unseeded coded scan pays ~126, and the seeded one measured 33.4.
+// The ledger must also stay honest: a query's own row and its seeds are
+// never counted as bound-tested, so QuantCandidates cannot exceed
+// Candidates.
 // Deterministic in the data and the code book, so it cannot flake with
 // host load.
 func TestRefOutPoolScanGate(t *testing.T) {
